@@ -3,8 +3,8 @@
 The package trains an adversarially regularized graph autoencoder (a GCN
 encoder, cluster-specific GCN generators, and a critic/classifier
 discriminator) with a topology-preserving loss, on top of a small from-
-scratch tape autodiff engine.  Weighted-graph centrality metrics carry
-optional numba acceleration (set CONNECTOGEN_DISABLE_NUMBA=1 to opt out).
+scratch tape autodiff engine.  Weighted-graph centrality metrics run as
+batched numpy array code over stacks of graphs.
 """
 
 __version__ = "0.1.0"

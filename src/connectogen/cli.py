@@ -237,29 +237,16 @@ def _evaluate_pair(args) -> int:
     if any(v >= truth.v for v in order):
         raise IngestionError(f"prediction views {order} exceed truth views {truth.v}")
     truth_tensor = np.stack([truth.tensor[:, v] for v in order], axis=-1)
-    report = evaluation.evaluate(pred_tensor, truth_tensor, interp=args.interp,
-                                 view_labels=[str(v) for v in order])
-
     inputs = [Path(args.pred), Path(args.truth)]
+    base_tensor = None
     if args.baseline:
         base_ids, base_views = _load_prediction_dir(Path(args.baseline))
         if base_ids != pred_ids or sorted(base_views) != order:
             raise IngestionError("baseline predictions do not match the prediction set")
         _, base_tensor = _tensorize(base_ids, base_views)
-        p_values = np.empty_like(report.mae)
-        ours = evaluation.subject_graph_maes(pred_tensor, truth_tensor)
-        base = evaluation.subject_graph_maes(base_tensor, truth_tensor)
-        for i in range(len(order)):
-            p_values[i, 0] = evaluation.paired_ttest(ours[i], base[i])[1]
-        for col, metric in enumerate(evaluation.METRIC_ORDER, start=1):
-            ours = evaluation.subject_metric_maes(pred_tensor, truth_tensor,
-                                                  metric, args.interp)
-            base = evaluation.subject_metric_maes(base_tensor, truth_tensor,
-                                                  metric, args.interp)
-            for i in range(len(order)):
-                p_values[i, col] = evaluation.paired_ttest(ours[i], base[i])[1]
-        report.p_values = p_values
         inputs.append(Path(args.baseline))
+    report = evaluation.evaluate(pred_tensor, truth_tensor, interp=args.interp,
+                                 view_labels=[str(v) for v in order], baseline=base_tensor)
 
     out_prefix = Path(args.out)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)

@@ -29,15 +29,18 @@ def feature_count(r: int) -> int:
 
 
 def check_connectivity(weights, name: str = "matrix") -> np.ndarray:
-    """Validate and return a connectivity matrix as float64."""
+    """Validate and return a connectivity matrix, or an (n, r, r) stack of them, as float64."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValidationError(f"{name}: expected a square matrix, got shape {w.shape}")
+    if w.ndim not in (2, 3) or w.shape[-1] != w.shape[-2]:
+        raise ValidationError(
+            f"{name}: expected a square matrix or a stack of them, got shape {w.shape}")
     if np.isnan(w).any():
         raise ValidationError(f"{name}: contains NaN entries")
-    if not np.array_equal(w, w.T):
+    if np.isinf(w).any():
+        raise ValidationError(f"{name}: contains infinite entries")
+    if not np.array_equal(w, np.swapaxes(w, -1, -2)):
         raise ValidationError(f"{name}: not symmetric")
-    if np.any(np.diag(w) != 0):
+    if np.any(np.diagonal(w, axis1=-2, axis2=-1) != 0):
         raise ValidationError(f"{name}: diagonal must be zero")
     if np.any(w < 0):
         raise ValidationError(f"{name}: negative weights")
@@ -47,6 +50,8 @@ def check_connectivity(weights, name: str = "matrix") -> np.ndarray:
 def vectorize_upper(weights, name: str = "matrix") -> np.ndarray:
     """Strict upper triangle in row-major order (row index ascending, then column)."""
     w = check_connectivity(weights, name)
+    if w.ndim != 2:
+        raise ValidationError(f"{name}: expected one square matrix, got shape {w.shape}")
     iu, ju = np.triu_indices(w.shape[0], k=1)
     return w[iu, ju].copy()
 

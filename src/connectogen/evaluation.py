@@ -180,29 +180,46 @@ def subject_graph_maes(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return out
 
 
+def centrality_table(tensor: np.ndarray, metric: str,
+                     interp: str = topology.DISTANCE) -> np.ndarray:
+    """(k, m, r) centralities of every graph of an (m, r, r, k) tensor."""
+    m, r, _, k = tensor.shape
+    graphs = np.moveaxis(tensor, -1, 0).reshape(k * m, r, r)
+    return topology.centrality_matrix(graphs, metric, interp).reshape(k, m, r)
+
+
+def _subject_maes(real: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """(k, m) per-subject mean absolute differences between two (k, m, r) tables."""
+    return np.abs(real - pred).mean(axis=2)
+
+
 def subject_metric_maes(pred: np.ndarray, truth: np.ndarray, metric: str,
                         interp: str = topology.DISTANCE) -> np.ndarray:
     """(k, m) per-subject centrality MAEs for one metric."""
-    m, _, _, k = pred.shape
-    out = np.empty((k, m))
-    for i in range(k):
-        x_real = topology.centrality_matrix([truth[s, :, :, i] for s in range(m)],
-                                            metric, interp)
-        x_pred = topology.centrality_matrix([pred[s, :, :, i] for s in range(m)],
-                                            metric, interp)
-        out[i] = np.abs(x_real - x_pred).mean(axis=1)
-    return out
+    return _subject_maes(centrality_table(truth, metric, interp),
+                         centrality_table(pred, metric, interp))
 
 
 def evaluate(pred: np.ndarray, truth: np.ndarray, interp: str = topology.DISTANCE,
              hist: HistogramSpec = HistogramSpec(),
-             view_labels: list[str] | None = None) -> EvaluationReport:
-    """Fill the full per-view MAE and KL tables for (m, r, r, k) tensors."""
+             view_labels: list[str] | None = None,
+             baseline: np.ndarray | None = None) -> EvaluationReport:
+    """Fill the full per-view MAE and KL tables for (m, r, r, k) tensors.
+
+    With a ``baseline`` prediction tensor, the report also carries two-tailed
+    paired t-test p-values of the per-subject MAEs, ours against the
+    baseline's.  Each graph's centralities are computed once per metric.
+    """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape or pred.ndim != 4:
         raise DimensionError(
             f"prediction {pred.shape} and truth {truth.shape} must be equal (m, r, r, k)")
+    if baseline is not None:
+        baseline = np.asarray(baseline, dtype=np.float64)
+        if baseline.shape != truth.shape:
+            raise DimensionError(
+                f"baseline {baseline.shape} and truth {truth.shape} must be equal (m, r, r, k)")
     m, _, _, k = pred.shape
     if m == 0 or k == 0:
         raise PreconditionError("need at least one subject and one target view")
@@ -211,17 +228,29 @@ def evaluate(pred: np.ndarray, truth: np.ndarray, interp: str = topology.DISTANC
     mae = np.empty((k, len(MAE_COLUMNS)))
     kl = np.empty((k, len(METRIC_ORDER)))
     for i in range(k):
-        real_graphs = [truth[s, :, :, i] for s in range(m)]
-        pred_graphs = [pred[s, :, :, i] for s in range(m)]
-        mae[i, 0] = mae_graphs(real_graphs, pred_graphs)
-        for col, metric in enumerate(METRIC_ORDER, start=1):
-            x_real = topology.centrality_matrix(real_graphs, metric, interp)
-            x_pred = topology.centrality_matrix(pred_graphs, metric, interp)
-            mae[i, col] = float(np.abs(x_real - x_pred).mean())
-            kl[i, col - 1] = kl_divergence(x_real.ravel(), x_pred.ravel(), hist)
+        mae[i, 0] = mae_graphs(truth[..., i], pred[..., i])
+    p_values = None
+    if baseline is not None:
+        p_values = np.empty_like(mae)
+        ours = subject_graph_maes(pred, truth)
+        base = subject_graph_maes(baseline, truth)
+        for i in range(k):
+            p_values[i, 0] = paired_ttest(ours[i], base[i])[1]
 
-    return EvaluationReport(view_labels=list(labels), mae=mae,
-                            mae_avg=mae.mean(axis=0), kl=kl, kl_avg=kl.mean(axis=0))
+    for col, metric in enumerate(METRIC_ORDER, start=1):
+        x_real = centrality_table(truth, metric, interp)
+        x_pred = centrality_table(pred, metric, interp)
+        mae[:, col] = np.abs(x_real - x_pred).reshape(k, -1).mean(axis=1)
+        for i in range(k):
+            kl[i, col - 1] = kl_divergence(x_real[i].ravel(), x_pred[i].ravel(), hist)
+        if baseline is not None:
+            ours = _subject_maes(x_real, x_pred)
+            base = _subject_maes(x_real, centrality_table(baseline, metric, interp))
+            for i in range(k):
+                p_values[i, col] = paired_ttest(ours[i], base[i])[1]
+
+    return EvaluationReport(view_labels=list(labels), mae=mae, mae_avg=mae.mean(axis=0),
+                            kl=kl, kl_avg=kl.mean(axis=0), p_values=p_values)
 
 
 def report_csv(report: EvaluationReport) -> str:

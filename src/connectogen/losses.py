@@ -188,7 +188,7 @@ def topological_loss(real_features: list[np.ndarray], pred_features: list[ad.Ten
     if mode == "ec":
         if real_centralities is None:
             real_cent = np.vstack([
-                np.stack([topology.ec_or_zero(devectorize(row, r)) for row in real])
+                topology.ec_or_zero(np.stack([devectorize(row, r) for row in real]))
                 for real in real_features])
         else:
             real_cent = np.vstack(real_centralities)
@@ -200,11 +200,10 @@ def topological_loss(real_features: list[np.ndarray], pred_features: list[ad.Ten
         total = 0.0
         for view_idx, (real, pred) in enumerate(zip(real_features, pred_features)):
             if real_centralities is None:
-                real_cent = np.stack([metric(devectorize(row, r), interp) for row in real])
+                real_cent = metric(np.stack([devectorize(row, r) for row in real]), interp)
             else:
                 real_cent = real_centralities[view_idx]
-            pred_cent = np.stack([metric(devectorize(row, r), interp)
-                                  for row in pred.data])
+            pred_cent = metric(np.stack([devectorize(row, r) for row in pred.data]), interp)
             total += float(np.abs(real_cent - pred_cent).mean())
         local_term = ad.constant([[total]])
 

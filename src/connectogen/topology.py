@@ -2,7 +2,9 @@
 
 Six per-node scores: closeness (cc), betweenness (bc), eigenvector (ec),
 pagerank (pc), Burt effective size (eff), and Onnela weighted clustering
-coefficient (clst).  Path-based metrics need a weight-to-length mapping:
+coefficient (clst).  Every metric takes one (r, r) connectivity matrix and
+returns an (r,) score vector, or an (n, r, r) stack and returns (n, r).
+Path-based metrics need a weight-to-length mapping:
 
 * ``"distance"`` (default): weights already are path lengths; a zero weight
   means the edge is absent.  Morphological dissimilarity networks fit this.
@@ -24,12 +26,23 @@ from ._topology_kernels import (
     onnela_clustering,
 )
 from .data import check_connectivity
-from .errors import DegenerateError, PreconditionError
+from .errors import DegenerateError, PreconditionError, ValidationError
 
 DISTANCE = "distance"
 INVERSE = "inverse"
 
 _EC_EPS = 1e-12
+
+
+def _as_stack(weights) -> tuple[np.ndarray, bool]:
+    """Validate one graph or a stack; return an (n, r, r) stack and whether
+    the input was a single (r, r) graph."""
+    w = check_connectivity(weights)
+    return w.reshape((-1,) + w.shape[-2:]), w.ndim == 2
+
+
+def _unstack(out: np.ndarray, single: bool) -> np.ndarray:
+    return out[0] if single else out
 
 
 def _length_matrix(w: np.ndarray, interp: str) -> np.ndarray:
@@ -41,39 +54,69 @@ def _length_matrix(w: np.ndarray, interp: str) -> np.ndarray:
         lengths[positive] = 1.0 / w[positive]
     else:
         raise PreconditionError(f"unknown interpretation {interp!r}")
-    np.fill_diagonal(lengths, 0.0)
+    diag = np.arange(w.shape[-1])
+    lengths[..., diag, diag] = 0.0
     return lengths
 
 
 def shortest_paths(weights, interp: str = DISTANCE) -> np.ndarray:
     """All-pairs shortest-path distances; np.inf marks unreachable pairs."""
-    w = check_connectivity(weights)
-    return dijkstra_all(_length_matrix(w, interp))
+    w, single = _as_stack(weights)
+    return _unstack(dijkstra_all(_length_matrix(w, interp)), single)
 
 
 def closeness(weights, interp: str = DISTANCE) -> np.ndarray:
     """(r-1) / sum of distances; 0 whenever any pair is unreachable."""
-    w = check_connectivity(weights)
-    r = w.shape[0]
+    w, single = _as_stack(weights)
+    r = w.shape[-1]
     if r < 2:
         raise PreconditionError("closeness needs at least 2 nodes")
-    dist = dijkstra_all(_length_matrix(w, interp))
-    sums = dist.sum(axis=1)
-    out = np.zeros(r)
+    sums = dijkstra_all(_length_matrix(w, interp)).sum(axis=2)
+    out = np.zeros(sums.shape)
     finite = np.isfinite(sums) & (sums > 0)
     out[finite] = (r - 1) / sums[finite]
-    return out
+    return _unstack(out, single)
 
 
 def betweenness(weights, interp: str = DISTANCE) -> np.ndarray:
     """Shortest-path betweenness normalized by 2/((r-1)(r-2))."""
-    w = check_connectivity(weights)
-    r = w.shape[0]
+    w, single = _as_stack(weights)
+    r = w.shape[-1]
     if r < 3:
         raise PreconditionError("betweenness needs at least 3 nodes")
     raw = brandes_betweenness(_length_matrix(w, interp))
     # raw counts ordered pairs; unordered pairs x the Eq-normalization
-    return raw / ((r - 1) * (r - 2))
+    return _unstack(raw / ((r - 1) * (r - 2)), single)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """L2 norm of each row, by the same dot product np.linalg.norm takes for
+    one vector, so a stack of one graph repeats the single-graph arithmetic."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
+
+
+def _power_iterate(step, ops: np.ndarray, x: np.ndarray, tol: float, max_steps: int,
+                   moved) -> np.ndarray:
+    """Iterate ``x <- step(ops, x)`` until each row moves by less than ``tol``.
+
+    Row i of ``x`` iterates with operator ``ops[i]``; ``moved(new, old)``
+    measures each row's move, and a row leaves the batch once it has
+    converged.  Stops after ``max_steps``.
+    """
+    out = np.empty_like(x)
+    rows = np.arange(len(x))
+    for _ in range(max_steps):
+        y = step(ops, x)
+        done = moved(y, x) < tol
+        x = y
+        if done.any():
+            out[rows[done]] = x[done]
+            keep = ~done
+            rows, ops, x = rows[keep], ops[keep], x[keep]
+            if not rows.size:
+                break
+    out[rows] = x
+    return out
 
 
 def eigenvector(weights) -> np.ndarray:
@@ -82,55 +125,58 @@ def eigenvector(weights) -> np.ndarray:
     Power iteration runs on W + delta*I (same eigenvectors, spectrum shifted
     positive) so bipartite-like spectra with a -lambda_max eigenvalue still
     converge; stops when successive iterates move < 1e-9 or at 1000 steps.
+    Each graph of a stack stops on its own.
     """
-    w = check_connectivity(weights)
-    r = w.shape[0]
-    if not np.any(w > 0):
+    w, single = _as_stack(weights)
+    n, r, _ = w.shape
+    if not np.all(np.any(w > 0, axis=(1, 2))):
         raise DegenerateError("eigenvector centrality of an all-zero graph")
-    delta = w.sum(axis=1).max()
-    shifted = w + delta * np.eye(r)
-    x = np.full(r, 1.0 / np.sqrt(r))
-    for _ in range(1000):
-        y = shifted @ x
-        y /= np.linalg.norm(y)
-        if np.linalg.norm(y - x) < 1e-9:
-            x = y
-            break
-        x = y
-    if x[np.argmax(np.abs(x))] < 0:
-        x = -x
-    return x / np.linalg.norm(x)
+    shifted = w + w.sum(axis=2).max(axis=1)[:, None, None] * np.eye(r)
+
+    def step(ops, x):
+        y = np.matmul(ops, x[:, :, None])[:, :, 0]
+        return y / _norms(y)[:, None]
+
+    x = _power_iterate(step, shifted, np.full((n, r), 1.0 / np.sqrt(r)), 1e-9, 1000,
+                       lambda y, x: _norms(y - x))
+    flip = x[np.arange(n), np.argmax(np.abs(x), axis=1)] < 0
+    x[flip] = -x[flip]
+    return _unstack(x / _norms(x)[:, None], single)
 
 
 def pagerank(weights, damping: float = 0.85) -> np.ndarray:
-    """Weighted PageRank; dangling nodes spread uniformly; sums to 1."""
-    w = check_connectivity(weights)
+    """Weighted PageRank; dangling nodes spread uniformly; sums to 1.
+
+    Each graph of a stack stops on its own.
+    """
+    w, single = _as_stack(weights)
     if not 0.0 <= damping < 1.0:
         raise PreconditionError(f"damping must be in [0, 1), got {damping}")
-    r = w.shape[0]
-    row_sums = w.sum(axis=1)
-    transition = np.full((r, r), 1.0 / r)
+    n, r, _ = w.shape
+    row_sums = w.sum(axis=2)
     linked = row_sums > 0
-    transition[linked] = w[linked] / row_sums[linked, None]
-    p = np.full(r, 1.0 / r)
+    transition = np.where(linked[:, :, None],
+                          w / np.where(linked, row_sums, 1.0)[:, :, None], 1.0 / r)
     teleport = (1.0 - damping) / r
-    for _ in range(10_000):
-        p_next = damping * (transition.T @ p) + teleport
-        if np.abs(p_next - p).sum() < 1e-10:
-            p = p_next
-            break
-        p = p_next
-    return p / p.sum()
+
+    def step(ops, p):
+        return damping * np.matmul(ops, p[:, :, None])[:, :, 0] + teleport
+
+    p = _power_iterate(step, transition.transpose(0, 2, 1), np.full((n, r), 1.0 / r),
+                       1e-10, 10_000, lambda a, b: np.abs(a - b).sum(axis=1))
+    return _unstack(p / p.sum(axis=1, keepdims=True), single)
 
 
 def effective_size(weights) -> np.ndarray:
     """Burt's effective size of every node's ego network."""
-    return burt_effective_size(check_connectivity(weights))
+    w, single = _as_stack(weights)
+    return _unstack(burt_effective_size(w), single)
 
 
 def clustering_coefficient(weights) -> np.ndarray:
     """Onnela weighted clustering coefficient per node."""
-    return onnela_clustering(check_connectivity(weights))
+    w, single = _as_stack(weights)
+    return _unstack(onnela_clustering(w), single)
 
 
 METRICS = {
@@ -144,23 +190,26 @@ METRICS = {
 
 
 def centrality_matrix(graphs, metric: str, interp: str = DISTANCE) -> np.ndarray:
-    """Stack one centrality vector per graph into an (n, r) matrix."""
+    """One centrality vector per graph of a list or (n, r, r) stack, as (n, r)."""
     key = metric.lower()
     if key not in METRICS:
         raise PreconditionError(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
-    graphs = list(graphs)
-    if not graphs:
+    stack = np.asarray(graphs, dtype=np.float64)
+    if stack.size == 0:
         return np.zeros((0, 0))
-    fn = METRICS[key]
-    return np.stack([fn(g, interp) for g in graphs])
+    if stack.ndim != 3:
+        raise ValidationError(f"expected a stack of graphs, got shape {stack.shape}")
+    return METRICS[key](stack, interp)
 
 
 def ec_or_zero(weights) -> np.ndarray:
     """Eigenvector centrality, returning zeros for an all-zero graph."""
-    w = np.asarray(weights, dtype=np.float64)
-    if not np.any(w > 0):
-        return np.zeros(w.shape[0])
-    return eigenvector(w)
+    w, single = _as_stack(weights)
+    out = np.zeros(w.shape[:2])
+    nonzero = np.any(w > 0, axis=(1, 2))
+    if nonzero.any():
+        out[nonzero] = eigenvector(w[nonzero])
+    return _unstack(out, single)
 
 
 # ---------------------------------------------------------------------------

@@ -190,16 +190,13 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
         feats_by_view = {view: feats[view][members] for view in range(dataset.v)}
         affin_by_view = {view: learn_affinity(feats_by_view[view], mkml)
                          for view in range(dataset.v)}
-        real_cent = []
         if mode == "ec":
-            for view in targets:
-                real_cent.append(np.stack([
-                    topology.ec_or_zero(dataset.tensor[s, view]) for s in members]))
+            real_cent = [topology.ec_or_zero(dataset.tensor[members, view])
+                         for view in targets]
         else:
             metric = topology.METRICS[mode]
-            for view in targets:
-                real_cent.append(np.stack([
-                    metric(dataset.tensor[s, view], cfg.interp) for s in members]))
+            real_cent = [metric(dataset.tensor[members, view], cfg.interp)
+                         for view in targets]
         clusters.append(_ClusterContext(members, feats_by_view, affin_by_view, real_cent))
 
     opt_d = ad.Adam(bundle.discriminator.params(), lr=cfg.lr,

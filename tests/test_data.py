@@ -30,6 +30,22 @@ class TestVectorize:
         with pytest.raises(ValidationError, match="NaN"):
             data.vectorize_upper(w)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_rejected(self, value):
+        # an infinite weight once gave NaN effective sizes and a zero-length
+        # "inverse" edge instead of an error
+        w = np.array([[0, value, 1.0], [value, 0, 1.0], [1.0, 1.0, 0]])
+        with pytest.raises(ValidationError, match="infinite"):
+            data.check_connectivity(w)
+        with pytest.raises(ValidationError, match="infinite"):
+            data.check_connectivity(np.stack([np.zeros((3, 3)), w]))
+
+    def test_stack_accepted_by_check_but_not_by_vectorize(self):
+        stack = np.zeros((2, 3, 3))
+        assert data.check_connectivity(stack).shape == (2, 3, 3)
+        with pytest.raises(ValidationError, match="one square matrix"):
+            data.vectorize_upper(stack)
+
 
 class TestDevectorize:
     def test_inverse_of_vectorize_r3(self):

@@ -227,3 +227,19 @@ class TestSubjectMaes:
         per_subject = evaluation.subject_metric_maes(pred, truth, "cc")
         report = evaluation.evaluate(pred, truth)
         assert np.allclose(per_subject.mean(axis=1), report.mae[:, 1], atol=1e-12)
+
+    def test_baseline_pvalues_pair_the_subject_maes(self):
+        rng = np.random.default_rng(16)
+        pred, truth, base = (_random_multigraph_tensor(rng, m=4, r=5, k=2) for _ in range(3))
+        assert evaluation.evaluate(pred, truth).p_values is None
+        report = evaluation.evaluate(pred, truth, baseline=base)
+        pairs = [(evaluation.subject_graph_maes(pred, truth),
+                  evaluation.subject_graph_maes(base, truth))]
+        pairs += [(evaluation.subject_metric_maes(pred, truth, metric),
+                   evaluation.subject_metric_maes(base, truth, metric))
+                  for metric in evaluation.METRIC_ORDER]
+        for col, (ours, theirs) in enumerate(pairs):
+            for i in range(2):
+                assert report.p_values[i, col] == evaluation.paired_ttest(ours[i], theirs[i])[1]
+        with pytest.raises(DimensionError):
+            evaluation.evaluate(pred, truth, baseline=base[:3])

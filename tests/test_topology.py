@@ -323,22 +323,52 @@ class TestBatchedEigenvector:
         assert np.abs(grad - fd).max() / denom < 1e-3
 
 
-def test_jitted_and_plain_kernels_agree():
+def test_batched_kernels_match_oracles():
     from connectogen import _topology_kernels as kernels
 
+    r = 8
     rng = np.random.default_rng(8)
-    for _ in range(5):
-        w = oracles.random_connectivity(rng, 7)
-        lengths = oracles.length_matrix(w)
-        for fn, arg in ((kernels.dijkstra_all, lengths),
-                        (kernels.brandes_betweenness, lengths),
-                        (kernels.burt_effective_size, w)):
-            plain = getattr(fn, "py_func", fn)
-            assert np.array_equal(fn(arg), plain(arg))
-        # cbrt codegen may differ in the last ulp between paths
-        fn = kernels.onnela_clustering
-        plain = getattr(fn, "py_func", fn)
-        assert np.allclose(fn(w), plain(w), rtol=0, atol=1e-14)
+    graphs = [oracles.random_connectivity(rng, r) for _ in range(4)]
+    tied = np.triu(rng.integers(0, 3, size=(r, r)).astype(float), k=1)
+    graphs.append(tied + tied.T)  # integer weights: many equal-length paths
+    split = oracles.random_connectivity(rng, r)
+    split[:3, 3:] = split[3:, :3] = 0.0
+    graphs.append(split)  # two components
+    tiny = np.triu(np.random.default_rng(1).uniform(size=(r, r)), k=1)
+    tiny = tiny + tiny.T
+    tiny[0, 1] = tiny[1, 0] = 1e-14  # an edge shorter than the tie tolerance
+    graphs.append(tiny)
+    weights = np.stack(graphs)
+    lengths = np.stack([oracles.length_matrix(w) for w in graphs])
+
+    dist = kernels.dijkstra_all(lengths)
+    raw_bc = kernels.brandes_betweenness(lengths)
+    eff = kernels.burt_effective_size(weights)
+    clst = kernels.onnela_clustering(weights)
+    for i, w in enumerate(graphs):
+        assert np.allclose(dist[i], oracles.floyd_warshall(lengths[i]), rtol=0, atol=1e-12), i
+        assert np.allclose(raw_bc[i] / ((r - 1) * (r - 2)),
+                           oracles.betweenness_by_enumeration(w), rtol=0, atol=1e-12), i
+        assert np.allclose(eff[i], oracles.effective_size_direct(w), rtol=0, atol=1e-12), i
+        assert np.allclose(clst[i], oracles.clustering_by_triangles(w), rtol=0, atol=1e-12), i
+        one = slice(i, i + 1)
+        assert np.array_equal(dist[i], kernels.dijkstra_all(lengths[one])[0])
+        assert np.array_equal(raw_bc[i], kernels.brandes_betweenness(lengths[one])[0])
+        assert np.array_equal(eff[i], kernels.burt_effective_size(weights[one])[0])
+        assert np.array_equal(clst[i], kernels.onnela_clustering(weights[one])[0])
+    assert np.allclose(raw_bc[-1], [12, 4, 6, 4, 6, 0, 0, 4], rtol=0, atol=1e-12)
+
+
+def test_metrics_accept_stacks():
+    rng = np.random.default_rng(10)
+    stack = np.stack([oracles.random_connectivity(rng, 6) for _ in range(3)])
+    for fn in (topology.shortest_paths, topology.closeness, topology.betweenness,
+               topology.eigenvector, topology.pagerank, topology.effective_size,
+               topology.clustering_coefficient):
+        batched = fn(stack)
+        assert batched.shape[0] == 3
+        for i in range(3):
+            assert np.array_equal(batched[i], fn(stack[i])), fn.__name__
 
 
 def test_vectorize_devectorize_consistency_with_metrics():
