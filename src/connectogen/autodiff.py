@@ -157,8 +157,9 @@ class Tape:
 def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
     """Gradients of a scalar loss w.r.t. every requires_grad leaf on ``tape``.
 
-    Seeds d(loss) = 1 and visits records once in reverse order.  Returns a
-    map from leaf node id to gradient tensor (zero for unreached leaves).
+    Seeds d(loss) = 1 and visits records once in reverse order, dropping
+    each record (and the forward values it holds) once it has run.  Returns
+    a map from leaf node id to gradient tensor (zero for unreached leaves).
     """
     if tape.consumed:
         raise TapeError("backward already ran on this tape")
@@ -167,24 +168,29 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
     if loss.shape != (1, 1):
         raise PreconditionError(f"loss must be 1x1, got {loss.shape}")
 
+    tape.consumed = True
+    records = tape._records
+    # gradients are summed out of place, so an op may hand the same array to
+    # several inputs without a copy
     grads: dict[int, np.ndarray] = {loss._node_id: np.ones((1, 1))}
-    for out_id, backward_fn in reversed(tape._records):
+    while records:
+        out_id, backward_fn = records.pop()
         g_out = grads.pop(out_id, None)
         if g_out is None:
             continue
         for in_id, g_in in backward_fn(g_out):
             acc = grads.get(in_id)
-            if acc is None:
-                grads[in_id] = g_in.copy()
-            else:
-                acc += g_in
-    tape.consumed = True
+            grads[in_id] = g_in if acc is None else acc + g_in
 
     result = {}
+    handed_out = set()
     for node_id, leaf in tape._leaves.items():
         g = grads.get(node_id)
         if g is None:
             g = np.zeros_like(leaf.data)
+        elif id(g) in handed_out:
+            g = g.copy()  # two leaves must not share one gradient array
+        handed_out.add(id(g))
         result[node_id] = Tensor(g)
     return result
 
@@ -296,7 +302,7 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
-    mask = (x.data > 0).astype(np.float64)  # relu'(0) = 0
+    mask = x.data > 0  # relu'(0) = 0
 
     def build(ids):
         (ix,) = ids
@@ -462,18 +468,62 @@ def vstack(parts: list[Tensor]) -> Tensor:
     return _emit(out, parts, build)
 
 
-def tile_cols(x: Tensor, times: int) -> Tensor:
-    """Repeat the column block ``times`` times: (n, c) -> (n, c*times)."""
-    if times < 1:
-        raise PreconditionError("tile_cols: times must be >= 1")
-    out = Tensor(np.tile(x.data, (1, times)))
+def split_rows(x: Tensor, block_rows: int) -> list[Tensor]:
+    """Cut a tall (B*n, c) matrix into its B consecutive n-row blocks."""
     rows, cols = x.shape
+    if block_rows < 1 or rows % block_rows:
+        raise DimensionError(f"split_rows: {rows} rows are not blocks of {block_rows}")
+    parts = []
+    for start in range(0, rows, block_rows):
+        stop = start + block_rows
+        part = Tensor(x.data[start:stop])
+
+        def build(ids, start=start, stop=stop):
+            (ix,) = ids
+
+            def bw(g):
+                full = np.zeros((rows, cols))
+                full[start:stop] = g
+                return [(ix, full)]
+
+            return bw
+
+        parts.append(_emit(part, [x], build))
+    return parts
+
+
+def block_matmul(adj: Tensor, x: Tensor) -> Tensor:
+    """Apply one (n, n) matrix to each n-row block of a tall (B*n, c) matrix.
+
+    Equal to a matmul with the block-diagonal matrix diag(adj, ..., adj)
+    without building it; the backward applies adj^T per block.
+    """
+    n = adj.shape[0]
+    rows, cols = x.shape
+    if adj.shape != (n, n):
+        raise DimensionError(f"block_matmul: adjacency {adj.shape} is not square")
+    if rows % n:
+        raise DimensionError(f"block_matmul: {rows} rows are not blocks of {n}")
+    blocks = rows // n
+    a_data = adj.data
+    x3 = x.data.reshape(blocks, n, cols)
+    out = Tensor(np.matmul(a_data, x3).reshape(rows, cols))
 
     def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, g.reshape(rows, times, cols).sum(axis=1))]
+        ia, ix = ids
 
-    return _emit(out, [x], build)
+        def bw(g):
+            g3 = g.reshape(blocks, n, cols)
+            contrib = []
+            if ia is not None:
+                contrib.append((ia, np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)))
+            if ix is not None:
+                contrib.append((ix, np.matmul(a_data.T, g3).reshape(rows, cols)))
+            return contrib
+
+        return bw
+
+    return _emit(out, [adj, x], build)
 
 
 def devectorize_rows(x: Tensor, r: int) -> Tensor:
@@ -502,35 +552,55 @@ def devectorize_rows(x: Tensor, r: int) -> Tensor:
     return _emit(out, [x], build)
 
 
-def batched_matvec(a_flat: Tensor, x: Tensor, r: int) -> Tensor:
-    """Per-row matrix-vector product for a batch of flattened r-by-r matrices.
+def power_iteration_rows(a_flat: Tensor, r: int, iters: int, eps: float) -> Tensor:
+    """Normalized power iteration on a batch of flattened r-by-r matrices.
 
-    a_flat is (n, r*r) with row b storing matrix W_b row-major, x is (n, r);
-    the output row b is W_b @ x_b.
+    Row b of the (n, r*r) input stores matrix W_b row-major.  Starting from
+    x_0 = 1/sqrt(r), each of the ``iters`` steps computes y = W_b x and
+    x <- y / (||y|| + eps); the (n, r) result is recorded as one op.  Its
+    backward runs the reverse recursion over the stored iterates and builds
+    the matrix gradient once, as sum_t g_y(t) x(t)^T per row.
     """
     n = a_flat.shape[0]
     if a_flat.shape[1] != r * r:
-        raise DimensionError(f"batched_matvec: expected {r * r} columns, got {a_flat.shape[1]}")
-    if x.shape != (n, r):
-        raise DimensionError(f"batched_matvec: vector block must be {(n, r)}, got {x.shape}")
+        raise DimensionError(f"power_iteration_rows: expected {r * r} columns, "
+                             f"got {a_flat.shape[1]}")
+    if iters < 1:
+        raise PreconditionError("power_iteration_rows: iters must be >= 1")
     a3 = a_flat.data.reshape(n, r, r)
-    out = Tensor((a3 @ x.data[:, :, None])[:, :, 0])
-    x_data = x.data
+    eps_col = np.full((n, 1), float(eps))
+    xs = np.empty((iters, n, r))  # the iterate each step multiplies
+    ys = np.empty((iters, n, r))
+    norms = np.empty((iters, n, 1))
+    x = np.full((n, r), 1.0 / np.sqrt(r))
+    for t in range(iters):
+        xs[t] = x
+        y = (a3 @ x[:, :, None])[:, :, 0]
+        norm = np.sqrt((y * y).sum(axis=1, keepdims=True))
+        x = y * (1.0 / (norm + eps_col))
+        ys[t], norms[t] = y, norm
+    out = Tensor(x)
 
     def build(ids):
-        ia, ix = ids
+        (ia,) = ids
 
         def bw(g):
-            contrib = []
-            if ia is not None:
-                contrib.append((ia, (g[:, :, None] * x_data[:, None, :]).reshape(n, r * r)))
-            if ix is not None:
-                contrib.append((ix, (a3.transpose(0, 2, 1) @ g[:, :, None])[:, :, 0]))
-            return contrib
+            a3_t = a3.transpose(0, 2, 1)
+            g_ys = np.empty_like(ys)
+            for t in range(iters - 1, -1, -1):
+                y, norm = ys[t], norms[t]
+                inv = 1.0 / (norm + eps_col)
+                # d||y||/dy = y/||y||, taken as 0 at y = 0
+                unit = np.where(norm > 0, y / np.where(norm > 0, norm, 1.0), 0.0)
+                g_y = g * inv - (g * y).sum(axis=1, keepdims=True) * inv * inv * unit
+                g_ys[t] = g_y
+                g = (a3_t @ g_y[:, :, None])[:, :, 0]
+            grad = np.matmul(g_ys.transpose(1, 2, 0), xs.transpose(1, 0, 2))
+            return [(ia, grad.reshape(n, r * r))]
 
         return bw
 
-    return _emit(out, [a_flat, x], build)
+    return _emit(out, [a_flat], build)
 
 
 # ---------------------------------------------------------------------------

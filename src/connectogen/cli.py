@@ -114,8 +114,7 @@ def _training_config(args) -> tuple[TrainingConfig, LossWeights]:
     cfg = TrainingConfig(
         iterations=args.iterations, batch_size=args.batch_size, lr=args.lr,
         n_critic=args.n_critic, centrality_mode=args.centrality,
-        clusters=args.clusters, seed=args.seed, gp_mode=args.gp_mode,
-        interp=args.interp)
+        clusters=args.clusters, seed=args.seed, interp=args.interp)
     weights = LossWeights(
         lambda_gdc=args.lambda_gdc, lambda_gp=args.lambda_gp,
         lambda_top=args.lambda_top, lambda_inf=args.lambda_inf,
@@ -128,7 +127,7 @@ def _config_dict(cfg: TrainingConfig, weights: LossWeights, extra: dict) -> dict
         "iterations": cfg.iterations, "batch_size": cfg.batch_size, "lr": cfg.lr,
         "beta1": cfg.beta1, "beta2": cfg.beta2, "n_critic": cfg.n_critic,
         "centrality_mode": cfg.centrality_mode, "clusters": cfg.clusters,
-        "seed": cfg.seed, "gp_mode": cfg.gp_mode, "interp": cfg.interp,
+        "seed": cfg.seed, "interp": cfg.interp,
         "lambda_gdc": weights.lambda_gdc, "lambda_gp": weights.lambda_gp,
         "lambda_top": weights.lambda_top, "lambda_inf": weights.lambda_inf,
         "sigma_gp": weights.sigma_gp,
@@ -373,7 +372,6 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-critic", type=int, default=5)
     p.add_argument("--clusters", type=int, default=2)
     p.add_argument("--centrality", choices=["cc", "bc", "ec"], default="ec")
-    p.add_argument("--gp-mode", choices=["probe", "exact"], default="probe")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda-gdc", type=float, default=1.0)
     p.add_argument("--lambda-gp", type=float, default=0.1)

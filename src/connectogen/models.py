@@ -43,19 +43,31 @@ class GCNLayer:
             raise PreconditionError(f"unknown activation {self.activation!r}")
 
 
+def _propagate(norm_adj: ad.Tensor, x: ad.Tensor) -> ad.Tensor:
+    """normA @ x, or normA applied to each block of a stack of batches."""
+    if x.shape[0] == norm_adj.shape[0]:
+        return ad.matmul(norm_adj, x)
+    return ad.block_matmul(norm_adj, x)
+
+
 def gcn_forward(layer: GCNLayer, features: ad.Tensor, norm_adj: ad.Tensor) -> ad.Tensor:
-    """phi(normA @ F @ W), recorded on the active tape."""
-    n = features.shape[0]
-    if norm_adj.shape != (n, n):
-        raise DimensionError(f"adjacency {norm_adj.shape} does not match {n} subjects")
+    """phi(normA @ F @ W), recorded on the active tape.
+
+    ``features`` may stack B batches of the adjacency's n subjects, (B*n, f);
+    each n-row block then propagates through normA on its own.
+    """
+    n = norm_adj.shape[0]
+    if norm_adj.shape != (n, n) or features.shape[0] % n:
+        raise DimensionError(f"adjacency {norm_adj.shape} does not match "
+                             f"{features.shape[0]} subject rows")
     if features.shape[1] != layer.weight.shape[0]:
         raise DimensionError(
             f"features {features.shape} incompatible with weight {layer.weight.shape}")
     if layer.weight.shape[1] < features.shape[1]:
         # shrink the wide dimension first; associativity keeps the math exact
-        pre = ad.matmul(norm_adj, ad.matmul(features, layer.weight))
+        pre = _propagate(norm_adj, ad.matmul(features, layer.weight))
     else:
-        pre = ad.matmul(ad.matmul(norm_adj, features), layer.weight)
+        pre = ad.matmul(_propagate(norm_adj, features), layer.weight)
     if layer.activation == "relu":
         return ad.relu(pre)
     if layer.activation == "sigmoid":
@@ -122,21 +134,21 @@ def discriminator_input_gradient(disc: DiscriminatorModel, features: ad.Tensor,
 
     Built from forward primitives (relu masks enter as constants, which is
     exact almost everywhere), so the result stays differentiable w.r.t. the
-    discriminator parameters.  Used by the exact gradient-penalty mode.
+    discriminator parameters.  ``features`` may stack several batches, as
+    in :func:`gcn_forward`.  Used by the gradient penalty.
     """
-    pre1 = ad.matmul(norm_adj, ad.matmul(features, disc.layer1.weight))
+    pre1 = _propagate(norm_adj, ad.matmul(features, disc.layer1.weight))
     h1 = ad.relu(pre1)
-    pre2 = ad.matmul(norm_adj, ad.matmul(h1, disc.layer2.weight))
-    h2 = ad.relu(pre2)
+    pre2 = _propagate(norm_adj, ad.matmul(h1, disc.layer2.weight))
     mask1 = ad.constant((pre1.data > 0).astype(float))
     mask2 = ad.constant((pre2.data > 0).astype(float))
-    n = features.shape[0]
-    ones = ad.constant(np.ones((n, 1)))
+    ones = ad.constant(np.ones((features.shape[0], 1)))
     norm_t = ad.transpose(norm_adj)
     # d(sum critic)/dh2 back through critic head, then the trunk layers
-    g2 = ad.mul(ad.matmul(ad.matmul(norm_t, ones), ad.transpose(disc.critic_head.weight)), mask2)
-    g1 = ad.mul(ad.matmul(ad.matmul(norm_t, g2), ad.transpose(disc.layer2.weight)), mask1)
-    return ad.matmul(ad.matmul(norm_t, g1), ad.transpose(disc.layer1.weight))
+    g2 = ad.mul(ad.matmul(_propagate(norm_t, ones), ad.transpose(disc.critic_head.weight)),
+                mask2)
+    g1 = ad.mul(ad.matmul(_propagate(norm_t, g2), ad.transpose(disc.layer2.weight)), mask1)
+    return ad.matmul(_propagate(norm_t, g1), ad.transpose(disc.layer1.weight))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ Path-based metrics need a weight-to-length mapping:
   means the edge is absent.  Morphological dissimilarity networks fit this.
 * ``"inverse"``: length = 1/weight for positive weights, absent otherwise.
 
-Eigenvector centrality also has a tape-recorded fixed-iteration variant so
-training losses can differentiate through it.
+Eigenvector centrality also has a fixed-iteration variant over vectorized
+graphs, recorded on the tape, so training losses can differentiate through
+it.
 """
 
 from __future__ import annotations
@@ -213,45 +214,16 @@ def ec_or_zero(weights) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# differentiable path (tape-recorded fixed-iteration power method)
-
-def differentiable_eigenvector(g: ad.Tensor, iters: int = 50) -> ad.Tensor:
-    """Eigenvector centrality of one graph with gradients through the input.
-
-    Clamps negatives to zero, then runs ``iters`` normalized power-iteration
-    steps recorded on the active tape.  Returns an (r, 1) column tensor that
-    matches :func:`eigenvector` on inputs where the plain iteration converges.
-    """
-    r = g.shape[0]
-    if g.shape != (r, r):
-        raise PreconditionError(f"expected a square tensor, got {g.shape}")
-    if not np.any(g.data > 0):
-        raise DegenerateError("differentiable eigenvector of a nonpositive graph")
-    clamped = ad.relu(g)
-    x = ad.constant(np.full((r, 1), 1.0 / np.sqrt(r)))
-    eps = ad.constant([[_EC_EPS]])
-    for _ in range(iters):
-        y = ad.matmul(clamped, x)
-        norm = ad.sqrt(ad.add(ad.sum_all(ad.mul(y, y)), eps))
-        x = ad.matmul(y, ad.reciprocal(norm))
-    return x
-
+# differentiable path (fixed-iteration power method, one tape op)
 
 def batched_eigenvector_rows(features: ad.Tensor, r: int, iters: int = 50) -> ad.Tensor:
     """Eigenvector centralities for a batch of vectorized graphs.
 
     ``features`` is (n, r(r-1)/2); each row is clamped, expanded to a
-    symmetric adjacency, and power-iterated in parallel.  All-zero rows
-    yield all-zero centralities instead of raising, so training losses stay
-    finite early on.  Returns an (n, r) tensor on the active tape.
+    symmetric adjacency, and power-iterated in parallel for ``iters``
+    normalized steps, recorded as one op.  All-zero rows yield all-zero
+    centralities instead of raising, so training losses stay finite early
+    on.  Returns an (n, r) tensor on the active tape.
     """
-    n = features.shape[0]
-    clamped = ad.relu(features)
-    a_flat = ad.devectorize_rows(clamped, r)
-    x = ad.constant(np.full((n, r), 1.0 / np.sqrt(r)))
-    eps = ad.constant(np.full((n, 1), _EC_EPS))
-    for _ in range(iters):
-        y = ad.batched_matvec(a_flat, x, r)
-        inv_norm = ad.reciprocal(ad.add(ad.row_l2_norms(y), eps))
-        x = ad.mul(y, ad.tile_cols(inv_norm, r))
-    return x
+    a_flat = ad.devectorize_rows(ad.relu(features), r)
+    return ad.power_iteration_rows(a_flat, r, iters, _EC_EPS)

@@ -3,9 +3,11 @@
 One iteration = n_critic discriminator updates followed by one generator
 update; each update evaluates its objective summed over all clusters on a
 freshly sampled within-cluster batch.  The discriminator sees real/generated
-features through the cluster's source-affinity adjacency; each generator
-decodes through its cluster's target-view affinity.  Everything is
-deterministic given the seed.
+features through the cluster's source-affinity adjacency, all of a cluster's
+blocks (source, fakes, real targets) stacked into one pass; each generator
+decodes through its cluster's target-view affinity.  Training stops with
+TrainingError at the first non-finite loss.  Everything is deterministic
+given the seed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import topology
 from .affinity import MKMLConfig, learn_affinity, normalize_adjacency, sub_affinity
 from .clustering import cluster_source_embeddings
 from .data import PopulationDataset, devectorize
-from .errors import DimensionError, PreconditionError, TrainingError
+from .errors import DimensionError, NumericError, PreconditionError, TrainingError
 from .losses import (
     LossWeights,
     adversarial_loss,
@@ -29,7 +31,6 @@ from .losses import (
     generator_fooling_term,
     generator_loss,
     gradient_penalty,
-    gradient_penalty_exact,
     info_max_loss,
     topological_loss,
 )
@@ -44,7 +45,6 @@ from .models import (
 )
 
 CENTRALITY_MODES = ("cc", "bc", "ec")
-GP_MODES = ("probe", "exact")
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class TrainingConfig:
     centrality_mode: str = "ec"
     clusters: int = 2
     seed: int = 0
-    gp_mode: str = "probe"
     interp: str = topology.DISTANCE
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class TrainingConfig:
             raise PreconditionError("iterations must be >= 0")
         if self.centrality_mode.lower() not in CENTRALITY_MODES:
             raise PreconditionError(f"centrality_mode must be one of {CENTRALITY_MODES}")
-        if self.gp_mode not in GP_MODES:
-            raise PreconditionError(f"gp_mode must be one of {GP_MODES}")
 
 
 @dataclass
@@ -116,37 +113,11 @@ class _ClusterContext:
         self.real_cent = real_cent
 
 
-def _stacked_critic(disc, blocks: int, norm_adj: ad.Tensor):
-    """Critic over a vertically stacked batch, evaluated block by block.
-
-    Equivalent to one call with a block-diagonal adjacency, since subjects
-    only mix within their own view block.  Only valid on detached inputs
-    (the penalty regularizes the discriminator; generated graphs enter it
-    as constants).
-    """
-    def critic(mixed: ad.Tensor):
-        assert not mixed.requires_grad, "stacked critic detaches its input"
-        rows = mixed.shape[0] // blocks
-        outs = []
-        for b in range(blocks):
-            part = ad.constant(mixed.data[b * rows:(b + 1) * rows])
-            outs.append(discriminate(disc, part, norm_adj)[0])
-        return ad.vstack(outs) if blocks > 1 else outs[0]
-
-    return critic
-
-
-def _stacked_input_gradient(disc, blocks: int, norm_adj: ad.Tensor):
-    def input_gradient(mixed: ad.Tensor):
-        assert not mixed.requires_grad, "stacked input gradient detaches its input"
-        rows = mixed.shape[0] // blocks
-        outs = []
-        for b in range(blocks):
-            part = ad.constant(mixed.data[b * rows:(b + 1) * rows])
-            outs.append(discriminator_input_gradient(disc, part, norm_adj))
-        return ad.vstack(outs) if blocks > 1 else outs[0]
-
-    return input_gradient
+def _check_finite(iteration: int, losses: dict[str, float]) -> None:
+    """Stop training before a non-finite loss reaches the parameters."""
+    for name, value in losses.items():
+        if not np.isfinite(value):
+            raise TrainingError(f"iteration {iteration}: {name} is {value}")
 
 
 def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
@@ -208,98 +179,98 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
         size = min(cfg.batch_size, ctx.members.size)
         return rng_batch.choice(ctx.members.size, size=size, replace=False)
 
-    def batch_tensors(ctx: _ClusterContext, local_idx: np.ndarray):
+    def batch_tensors(ctx: _ClusterContext, local_idx: np.ndarray, fake_blocks: int):
+        """Adjacencies and the feature rows [source; fake_blocks unfilled
+        blocks; k real targets], gathered into one array."""
         norm_s = ad.constant(normalize_adjacency(
             sub_affinity(ctx.affin_by_view[source_view], local_idx)))
         norm_t = [ad.constant(normalize_adjacency(
             sub_affinity(ctx.affin_by_view[view], local_idx))) for view in targets]
-        f_src = ctx.feats_by_view[source_view][local_idx]
-        f_real = [ctx.feats_by_view[view][local_idx] for view in targets]
-        return norm_s, norm_t, f_src, f_real
+        n = local_idx.size
+        views = [source_view] + [None] * fake_blocks + targets
+        rows = np.empty((len(views) * n, dataset.f))
+        for b, view in enumerate(views):
+            if view is not None:
+                rows[b * n:(b + 1) * n] = ctx.feats_by_view[view][local_idx]
+        return norm_s, norm_t, rows
 
     def make_fakes(j: int, z: ad.Tensor, norm_t: list[ad.Tensor]) -> list[ad.Tensor]:
         return [generate(bundle.generator(j, i), z, norm_t[i]) for i in range(k)]
 
-    trace = TrainingTrace()
-    t0 = time.perf_counter()
+    disc = bundle.discriminator
 
-    for iteration in range(cfg.iterations):
-        d_components = (0.0, 0.0, 0.0, 0.0)
-        for _ in range(cfg.n_critic):
-            batches = []
-            for j, ctx in enumerate(clusters):
-                local_idx = sample_batch(ctx)
-                norm_s, norm_t, f_src, f_real = batch_tensors(ctx, local_idx)
-                # generated graphs are constants for the critic update
-                z = encode(bundle.encoder, ad.constant(f_src), norm_s)
-                fakes = [fk.detached() for fk in make_fakes(j, z, norm_t)]
-                batches.append((norm_s, f_src, f_real, fakes))
+    def critic_step(iteration: int) -> tuple[float, float, float, float]:
+        """One discriminator update; returns (L_D, L_adv, L_gp, L_gdc)."""
+        batches = []
+        for j, ctx in enumerate(clusters):
+            local_idx = sample_batch(ctx)
+            norm_s, norm_t, rows = batch_tensors(ctx, local_idx, k)
+            n = local_idx.size
+            # generated graphs are constants for the critic update
+            z = encode(bundle.encoder, ad.constant(rows[:n]), norm_s)
+            for i, fake in enumerate(make_fakes(j, z, norm_t)):
+                rows[(1 + i) * n:(2 + i) * n] = fake.data
+            batches.append((norm_s, n, rows))
 
-            with ad.Tape() as tape:
-                parts = []
-                sums = [0.0, 0.0, 0.0]
-                for norm_s, f_src, f_real, fakes in batches:
-                    critic_real, _ = discriminate(
-                        bundle.discriminator, ad.constant(f_src), norm_s)
-                    critic_fakes, probs_fake = [], []
-                    for fake in fakes:
-                        critic, probs = discriminate(bundle.discriminator, fake, norm_s)
-                        critic_fakes.append(critic)
-                        probs_fake.append(probs)
-                    probs_real = [discriminate(bundle.discriminator,
-                                               ad.constant(fr), norm_s)[1]
-                                  for fr in f_real]
-                    l_adv = adversarial_loss(critic_real, critic_fakes)
-                    l_gdc = domain_classification_loss(probs_fake, probs_real)
-                    src_tiled = ad.constant(np.tile(f_src, (k, 1)))
-                    fakes_stacked = ad.constant(np.vstack([fk.data for fk in fakes]))
-                    if cfg.gp_mode == "probe":
-                        l_gp = gradient_penalty(
-                            _stacked_critic(bundle.discriminator, k, norm_s),
-                            src_tiled, fakes_stacked, sigma, rng_gp)
-                    else:
-                        l_gp = gradient_penalty_exact(
-                            _stacked_input_gradient(bundle.discriminator, k, norm_s),
-                            src_tiled, fakes_stacked, sigma, rng_gp)
-                    parts.append((l_adv, l_gp, l_gdc))
-                    sums[0] += l_adv.item()
-                    sums[1] += l_gp.item()
-                    sums[2] += l_gdc.item()
-                loss_d = discriminator_loss(parts, weights)
-                d_components = (loss_d.item(), sums[0], sums[1], sums[2])
-            grad_map = ad.backward(tape, loss_d)
-            opt_d.step(grad_map, tape)
+        with ad.Tape() as tape:
+            parts = []
+            sums = [0.0, 0.0, 0.0]
+            for norm_s, n, rows in batches:
+                # one pass over [source; k fakes; k real targets]
+                critic, probs = discriminate(disc, ad.constant(rows), norm_s)
+                critic = ad.split_rows(critic, n)
+                probs = ad.split_rows(probs, n)
+                l_adv = adversarial_loss(critic[0], critic[1:k + 1])
+                l_gdc = domain_classification_loss(probs[1:k + 1], probs[k + 1:])
+                l_gp = gradient_penalty(
+                    lambda mix: discriminator_input_gradient(disc, mix, norm_s),
+                    ad.constant(np.tile(rows[:n], (k, 1))),
+                    ad.constant(rows[n:(k + 1) * n]), sigma, rng_gp)
+                parts.append((l_adv, l_gp, l_gdc))
+                sums[0] += l_adv.item()
+                sums[1] += l_gp.item()
+                sums[2] += l_gdc.item()
+            loss_d = discriminator_loss(parts, weights)
+        _check_finite(iteration, {"L_adv": sums[0], "L_gp": sums[1], "L_gdc": sums[2],
+                                  "L_D": loss_d.item()})
+        opt_d.step(ad.backward(tape, loss_d), tape)
+        return loss_d.item(), sums[0], sums[1], sums[2]
 
+    def generator_step(iteration: int) -> tuple[float, float, float]:
+        """One encoder and generator update; returns (L_G, L_top, L_inf)."""
         with ad.Tape() as tape:
             parts = []
             sums = [0.0, 0.0]
             for j, ctx in enumerate(clusters):
                 local_idx = sample_batch(ctx)
-                norm_s, norm_t, f_src, f_real = batch_tensors(ctx, local_idx)
-                z = encode(bundle.encoder, ad.constant(f_src), norm_s)
+                norm_s, norm_t, rows = batch_tensors(ctx, local_idx, 0)
+                n = local_idx.size
+                f_real = [rows[(1 + i) * n:(2 + i) * n] for i in range(k)]
+                z = encode(bundle.encoder, ad.constant(rows[:n]), norm_s)
                 fakes = make_fakes(j, z, norm_t)
-                critic_fakes, probs_fake = [], []
-                for fake in fakes:
-                    critic, probs = discriminate(bundle.discriminator, fake, norm_s)
-                    critic_fakes.append(critic)
-                    probs_fake.append(probs)
-                fooling = generator_fooling_term(critic_fakes)
+                critic, probs = discriminate(disc, ad.vstack(fakes), norm_s)
+                fooling = generator_fooling_term(ad.split_rows(critic, n))
                 l_top = topological_loss(
                     f_real, fakes, r, mode=mode, interp=cfg.interp,
                     real_centralities=[cent[local_idx] for cent in ctx.real_cent])
-                l_inf = info_max_loss(probs_fake)
+                l_inf = info_max_loss(ad.split_rows(probs, n))
                 parts.append((fooling, l_top, l_inf))
                 sums[0] += l_top.item()
                 sums[1] += l_inf.item()
             loss_g = generator_loss(parts, weights)
-            l_g_val = loss_g.item()
-        grad_map = ad.backward(tape, loss_g)
-        opt_g.step(grad_map, tape)
+        _check_finite(iteration, {"L_top": sums[0], "L_inf": sums[1], "L_G": loss_g.item()})
+        opt_g.step(ad.backward(tape, loss_g), tape)
+        return loss_g.item(), sums[0], sums[1]
 
+    trace = TrainingTrace()
+    t0 = time.perf_counter()
+    for iteration in range(cfg.iterations):
+        for _ in range(cfg.n_critic):
+            l_d, l_adv, l_gp, l_gdc = critic_step(iteration)
+        l_g, l_top, l_inf = generator_step(iteration)
         trace.records.append(TraceRecord(
-            iteration=iteration, l_d=d_components[0], l_adv=d_components[1],
-            l_gp=d_components[2], l_gdc=d_components[3], l_g=l_g_val,
-            l_top=sums[0], l_inf=sums[1], wall_time=time.perf_counter() - t0))
+            iteration=iteration, l_d=l_d, l_adv=l_adv, l_gp=l_gp, l_gdc=l_gdc,
+            l_g=l_g, l_top=l_top, l_inf=l_inf, wall_time=time.perf_counter() - t0))
 
     bundle.loss_weights = weights
     return bundle, trace
@@ -313,7 +284,8 @@ def predict_multigraph(bundle: ModelBundle, test_source_features,
     and averages the c cluster-specific generators per target view; each
     predicted feature row is clamped and devectorized to a symmetric
     zero-diagonal matrix.  Target slice i corresponds to the i-th non-source
-    view in ascending dataset order.
+    view in ascending dataset order.  Raises NumericError rather than
+    return non-finite weights.
     """
     f_test = np.asarray(test_source_features, dtype=np.float64)
     dims = bundle.dims
@@ -333,6 +305,8 @@ def predict_multigraph(bundle: ModelBundle, test_source_features,
         for j in range(dims.c):
             acc += generate(bundle.generator(j, i), z, norm_adj).data
         acc /= dims.c
+        if not np.all(np.isfinite(acc)):
+            raise NumericError(f"predicted target view {i} has non-finite weights")
         for s in range(m):
             out[s, :, :, i] = devectorize(acc[s], dims.r)
     return out

@@ -83,7 +83,7 @@ def test_criterion_1_autodiff_vs_finite_differences():
         "absolute": lambda x: sq_mean(ad.absolute(x)),
         "clip": lambda x: sq_mean(ad.clip(x, -0.5, 0.5)),
         "transpose": lambda x: sq_mean(ad.transpose(x)),
-        "tile_cols": lambda x: sq_mean(ad.tile_cols(x, 2)),
+        "split_rows": lambda x: sq_mean(ad.vstack(ad.split_rows(x, 1)[::-1])),
         "vstack": lambda x: sq_mean(ad.vstack([x, ad.constant(b_const)])),
         "mean": lambda x: ad.mul(ad.mean(x), ad.mean(x)),
         "sum_all": lambda x: ad.mul(ad.sum_all(x), ad.sum_all(x)),
@@ -106,10 +106,15 @@ def test_criterion_1_autodiff_vs_finite_differences():
         lambda rr: rr.uniform(0.1, 1.0, size=(2, 6)), cases, rng)
     a_flat = ad.devectorize_rows(ad.Tensor(np.random.default_rng(9).uniform(
         0.1, 1.0, size=(2, 6))), r).data
-    worst["batched_matvec"] = _check_op(
-        lambda x: ad.mean(ad.mul(ad.batched_matvec(ad.constant(a_flat), x, r),
-                                 ad.batched_matvec(ad.constant(a_flat), x, r))),
-        lambda rr: rr.standard_normal((2, r)), cases, rng)
+    w_ec = np.random.default_rng(13).standard_normal((2, r))
+    worst["power_iteration_rows"] = _check_op(
+        lambda a: ad.mean(ad.mul(ad.power_iteration_rows(a, r, 10, 1e-12),
+                                 ad.constant(w_ec))),
+        lambda rr: a_flat + rr.uniform(0.0, 0.2, size=a_flat.shape), cases, rng)
+    adj = np.random.default_rng(14).uniform(size=(2, 2))
+    worst["block_matmul"] = _check_op(
+        lambda x: sq_mean(ad.block_matmul(ad.constant(adj), x)),
+        lambda rr: rr.standard_normal((6, 3)), cases, rng)
 
     # composite networks: gradients w.r.t. every parameter entry
     dims = models.Dims(r=4, v=3, c=1)
@@ -208,18 +213,18 @@ def test_criterion_3_gcn_forward_hand_case():
 def test_criterion_4_loss_formula_properties():
     rng = np.random.default_rng(400)
 
-    # gradient penalty: constant critic and norm-below-sigma linear critic
+    # gradient penalty: constant critic (zero input gradient) and a linear
+    # critic f @ w, whose input gradient is w on every row, with ||w|| < sigma
     sigma = 5.0
     src = ad.constant(rng.uniform(size=(60, 24)))
     fakes = ad.constant(rng.uniform(size=(60, 24)))
-    constant_critic = lambda f: ad.constant(np.full((f.shape[0], 1), 2.2))
-    gp_const = losses.gradient_penalty(constant_critic, src, fakes, sigma, rng).item()
+    constant_critic_grad = lambda f: ad.constant(np.zeros(f.shape))
+    gp_const = losses.gradient_penalty(constant_critic_grad, src, fakes, sigma, rng).item()
     assert gp_const == 0.0
     w = rng.standard_normal(24)
     w *= 0.8 * sigma / np.linalg.norm(w)
-    wt = ad.constant(w.reshape(-1, 1))
-    gp_lin = losses.gradient_penalty(lambda f: ad.matmul(f, wt), src, fakes,
-                                     sigma, rng).item()
+    gp_lin = losses.gradient_penalty(lambda f: ad.constant(np.tile(w, (f.shape[0], 1))),
+                                     src, fakes, sigma, rng).item()
     assert gp_lin == 0.0
 
     # zero critic adversarial loss

@@ -155,7 +155,7 @@ def _unary_cases():
         ("reciprocal", ad.reciprocal, pos),
         ("clip", lambda x: ad.clip(x, -0.4, 0.4), anys),
         ("scale", lambda x: ad.scale(x, -1.7), anys),
-        ("tile_cols", lambda x: ad.tile_cols(x, 3), anys),
+        ("split_rows", lambda x: ad.vstack(ad.split_rows(x, 1)[::-1]), anys),
         ("transpose", ad.transpose, anys),
     ]
 
@@ -229,28 +229,68 @@ def test_batched_primitives_gradients():
     assert rel_err(g, finite_difference(np_devec, feats0)) < 1e-5
 
     a_flat0 = ad.devectorize_rows(ad.Tensor(feats0), r).data
+    w0 = rng.standard_normal((3, r))
 
-    def build_mv(x):
-        y = ad.batched_matvec(ad.constant(a_flat0), x, r)
+    def np_power(arr):
+        y = ad.power_iteration_rows(ad.Tensor(arr), r, 12, 1e-12).data
+        return (y * w0).mean()
+
+    g = grad_of(lambda a: ad.mean(ad.mul(ad.power_iteration_rows(a, r, 12, 1e-12),
+                                         ad.constant(w0))), a_flat0)
+    assert rel_err(g, finite_difference(np_power, a_flat0)) < 1e-5
+
+    adj0 = rng.uniform(size=(2, 2))
+    tall0 = rng.standard_normal((6, 3))
+
+    def build_block(adj, tall):
+        y = ad.block_matmul(adj, tall)
         return ad.mean(ad.mul(y, y))
 
-    def np_mv(arr):
-        y = ad.batched_matvec(ad.Tensor(a_flat0), ad.Tensor(arr), r).data
-        return (y * y).mean()
+    def np_block(adj, tall):
+        return build_block(ad.Tensor(adj), ad.Tensor(tall)).item()
 
-    g = grad_of(build_mv, x0)
-    assert rel_err(g, finite_difference(np_mv, x0)) < 1e-5
+    g = grad_of(lambda x: build_block(ad.constant(adj0), x), tall0)
+    assert rel_err(g, finite_difference(lambda arr: np_block(adj0, arr), tall0)) < 1e-5
+    g = grad_of(lambda a: build_block(a, ad.constant(tall0)), adj0)
+    assert rel_err(g, finite_difference(lambda arr: np_block(arr, tall0), adj0)) < 1e-5
 
-    def build_mv_a(a_flat):
-        y = ad.batched_matvec(a_flat, ad.constant(x0), r)
-        return ad.mean(ad.mul(y, y))
 
-    def np_mv_a(arr):
-        y = ad.batched_matvec(ad.Tensor(arr), ad.Tensor(x0), r).data
-        return (y * y).mean()
+class TestBlockPrimitives:
+    def test_block_matmul_is_per_block_matmul(self):
+        rng = np.random.default_rng(12)
+        adj = rng.uniform(size=(4, 4))
+        tall = rng.standard_normal((12, 5))
+        out = ad.block_matmul(ad.constant(adj), ad.constant(tall)).data
+        for b in range(3):
+            assert np.array_equal(out[4 * b:4 * b + 4], adj @ tall[4 * b:4 * b + 4])
 
-    g = grad_of(build_mv_a, a_flat0)
-    assert rel_err(g, finite_difference(np_mv_a, a_flat0)) < 1e-5
+    def test_block_matmul_shape_errors(self):
+        with pytest.raises(DimensionError):
+            ad.block_matmul(ad.constant(np.eye(3)), ad.constant(np.zeros((7, 2))))
+        with pytest.raises(DimensionError):
+            ad.block_matmul(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((6, 2))))
+
+    def test_split_rows_blocks_and_errors(self):
+        x = ad.constant(np.arange(12.0).reshape(6, 2))
+        parts = ad.split_rows(x, 2)
+        assert [p.data.tolist() for p in parts] == [[[0, 1], [2, 3]], [[4, 5], [6, 7]],
+                                                     [[8, 9], [10, 11]]]
+        with pytest.raises(DimensionError):
+            ad.split_rows(x, 4)
+
+    def test_unused_split_block_gets_zero_gradient(self):
+        x = ad.parameter(np.ones((4, 1)))
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.split_rows(x, 2)[1])
+        assert ad.backward(tape, loss)[x.node_id].data.ravel().tolist() == [0, 0, 1, 1]
+
+    def test_power_iteration_rows_zero_matrix_stays_zero(self):
+        a = ad.parameter(np.zeros((1, 9)))
+        with ad.Tape() as tape:
+            out = ad.power_iteration_rows(a, 3, 5, 1e-12)
+            loss = ad.sum_all(out)
+        assert np.all(out.data == 0.0)
+        assert np.all(ad.backward(tape, loss)[a.node_id].data == 0.0)
 
 
 def test_row_l2_norm_gradient():

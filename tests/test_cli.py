@@ -117,6 +117,34 @@ class TestTrainPredict:
         for rel in ["view_1/subj0000.csv", "view_2/subj0019.csv"]:
             assert (pred_a / rel).read_bytes() == (pred_b / rel).read_bytes()
 
+    def test_gp_mode_flag_is_gone(self, dataset, tmp_path):
+        model = tmp_path / "model.bin"
+        assert run(*train_args(dataset, model), "--gp-mode", "probe") == 2
+        assert not model.exists()
+        assert run(*train_args(dataset, model)) == 0
+        manifest = json.loads(model.with_suffix(".bin.run.json").read_text())
+        assert "gp_mode" not in manifest["config"]
+        assert manifest["config"]["lambda_gp"] == 0.1
+
+    def test_non_finite_loss_exits_4(self, dataset, tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        assert run(*train_args(dataset, model), "--lambda-top", "inf") == 4
+        assert "iteration 0: L_G is inf" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_non_finite_model_writes_no_predictions(self, dataset, tmp_path):
+        from connectogen import models
+
+        model = tmp_path / "model.bin"
+        assert run(*train_args(dataset, model)) == 0
+        bundle = models.load_bundle(model)
+        bundle.generator(1, 0).layer2.weight.data[0, 0] = np.nan
+        models.save_bundle(bundle, model)
+        pred = tmp_path / "pred"
+        assert run("predict", "--model", str(model), "--data", str(dataset),
+                   "--source-view", "0", "--out", str(pred)) == 4
+        assert not list(pred.rglob("*.csv"))
+
     def test_predict_dim_mismatch(self, dataset, tmp_path):
         model = tmp_path / "model.bin"
         assert run(*train_args(dataset, model)) == 0

@@ -50,6 +50,8 @@ class TestGCNForward:
         layer = models.GCNLayer(ad.parameter(np.zeros((3, 2))))
         with pytest.raises(DimensionError):
             models.gcn_forward(layer, ad.constant(np.zeros((2, 4))), ad.constant(np.eye(2)))
+        with pytest.raises(DimensionError):  # 5 rows are not blocks of 2 subjects
+            models.gcn_forward(layer, ad.constant(np.zeros((5, 3))), ad.constant(np.eye(2)))
 
 
 class TestNetworks:
@@ -125,6 +127,62 @@ class TestNetworks:
 
         fd = finite_difference(np_loss, feats0)
         assert np.abs(grad.data - fd).max() / np.abs(fd).max() < 1e-5
+
+    def test_one_pass_critic_matches_per_block_calls(self):
+        # the critic step scores [source; fakes; real targets] in one pass
+        bundle = models.init_params(small_dims(), seed=11)
+        disc = bundle.discriminator
+        rng = np.random.default_rng(12)
+        n, blocks = 6, 5
+        affin = rng.uniform(size=(n, n))
+        norm = ad.constant(np.full((n, n), 0.1) + np.eye(n) * 0.4 + 0.05 * (affin + affin.T))
+        stacked = rng.uniform(0.1, 1.0, size=(n * blocks, 10))
+
+        critic, probs = models.discriminate(disc, ad.constant(stacked), norm)
+        critic_parts = ad.split_rows(critic, n)
+        probs_parts = ad.split_rows(probs, n)
+        grad = models.discriminator_input_gradient(disc, ad.constant(stacked), norm).data
+        for b in range(blocks):
+            block = ad.constant(stacked[b * n:(b + 1) * n])
+            critic_b, probs_b = models.discriminate(disc, block, norm)
+            grad_b = models.discriminator_input_gradient(disc, block, norm).data
+            assert np.abs(critic_parts[b].data - critic_b.data).max() <= 1e-12
+            assert np.abs(probs_parts[b].data - probs_b.data).max() <= 1e-12
+            assert np.abs(grad[b * n:(b + 1) * n] - grad_b).max() <= 1e-12
+
+    def test_one_pass_parameter_gradients_match_per_block_calls(self):
+        bundle = models.init_params(small_dims(), seed=13)
+        disc = bundle.discriminator
+        rng = np.random.default_rng(14)
+        n, blocks = 4, 3
+        norm = ad.constant(np.full((n, n), 0.2) + np.eye(n) * 0.3)
+        stacked = rng.uniform(0.1, 1.0, size=(n * blocks, 10))
+
+        def grads(loss_of):
+            with ad.Tape() as tape:
+                loss = loss_of()
+            g = ad.backward(tape, loss)
+            return [g[p.node_id].data for p in disc.params()]
+
+        def one_pass():
+            critic, probs = models.discriminate(disc, ad.constant(stacked), norm)
+            gp = models.discriminator_input_gradient(disc, ad.constant(stacked), norm)
+            return ad.add(ad.add(ad.mean(ad.mul(critic, critic)), ad.mean(probs)),
+                          ad.mean(ad.row_l2_norms(gp)))
+
+        def per_block():
+            loss = None
+            for b in range(blocks):
+                block = ad.constant(stacked[b * n:(b + 1) * n])
+                critic, probs = models.discriminate(disc, block, norm)
+                gp = models.discriminator_input_gradient(disc, block, norm)
+                term = ad.add(ad.add(ad.mean(ad.mul(critic, critic)), ad.mean(probs)),
+                              ad.mean(ad.row_l2_norms(gp)))
+                loss = term if loss is None else ad.add(loss, term)
+            return ad.scale(loss, 1.0 / blocks)
+
+        for a, b in zip(grads(one_pass), grads(per_block)):
+            assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
 
     def test_all_params_receive_gradient_at_init(self):
         bundle = models.init_params(small_dims(), seed=9)

@@ -239,20 +239,23 @@ class TestCentralityMatrix:
 
 
 class TestDifferentiableEigenvector:
+    """The tape-recorded power method behind the EC topological loss."""
+
     def test_matches_plain_eigenvector_on_positive_matrix(self):
         rng = np.random.default_rng(4)
         w = oracles.random_connectivity(rng, 6, density=1.0)
-        out = topology.differentiable_eigenvector(ad.constant(w), iters=60)
+        out = topology.batched_eigenvector_rows(
+            ad.constant(vectorize_upper(w)), 6, iters=60)
         assert np.allclose(out.data.ravel(), topology.eigenvector(w), atol=1e-4)
 
     def test_c4_symmetric_result_and_gradient(self):
         c4 = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], float)
-        g = ad.parameter(c4.copy())
+        g = ad.parameter(vectorize_upper(c4))
         with ad.Tape() as tape:
-            ec = topology.differentiable_eigenvector(g, iters=30)
+            ec = topology.batched_eigenvector_rows(g, 4, iters=30)
             loss = ad.mean(ec)
         assert np.allclose(ec.data.ravel(), 0.5)
-        grad = ad.backward(tape, loss)[g.node_id].data
+        grad = devectorize(ad.backward(tape, loss)[g.node_id].data.ravel(), 4)
         perm = [1, 2, 3, 0]  # rotation symmetry of the cycle
         assert np.allclose(grad, grad[np.ix_(perm, perm)], atol=1e-9)
 
@@ -260,24 +263,28 @@ class TestDifferentiableEigenvector:
         rng = np.random.default_rng(5)
         # strictly positive entries keep finite differences away from the
         # relu kink at zero (relu'(0)=0 by convention)
-        w = oracles.random_connectivity(rng, 5, density=1.0) + 0.5
+        feats = vectorize_upper(oracles.random_connectivity(rng, 5, density=1.0)) + 0.5
 
         def loss_np(arr):
-            out = topology.differentiable_eigenvector(ad.Tensor(arr), iters=40)
+            out = topology.batched_eigenvector_rows(ad.Tensor(arr), 5, iters=40)
             return out.data.ravel()[0]
 
-        g = ad.parameter(w.copy())
+        g = ad.parameter(feats.copy())
         with ad.Tape() as tape:
-            ec = topology.differentiable_eigenvector(g, iters=40)
-            loss = ad.matmul(ad.constant(np.eye(1, 5)), ec)  # EC of node 0
+            ec = topology.batched_eigenvector_rows(g, 5, iters=40)
+            loss = ad.matmul(ec, ad.constant(np.eye(5, 1)))  # EC of node 0
         grad = ad.backward(tape, loss)[g.node_id].data
-        fd = oracles.finite_difference(loss_np, w, h=1e-6)
+        fd = oracles.finite_difference(loss_np, feats, h=1e-6)
         denom = max(np.abs(fd).max(), 1e-12)
         assert np.abs(grad - fd).max() / denom < 1e-3
 
     def test_zero_input_degenerate(self):
-        with pytest.raises(DegenerateError):
-            topology.differentiable_eigenvector(ad.constant(np.zeros((3, 3))))
+        # no error: an all-zero graph gets zero centralities and no gradient
+        g = ad.parameter(np.zeros((1, 3)))
+        with ad.Tape() as tape:
+            loss = ad.sum_all(topology.batched_eigenvector_rows(g, 3))
+        assert loss.item() == 0.0
+        assert np.all(ad.backward(tape, loss)[g.node_id].data == 0.0)
 
 
 class TestBatchedEigenvector:
@@ -288,9 +295,8 @@ class TestBatchedEigenvector:
         feats = rng.uniform(0.1, 1.0, size=(4, f))
         batched = topology.batched_eigenvector_rows(ad.constant(feats), r, iters=60)
         for row in range(4):
-            single = topology.differentiable_eigenvector(
-                ad.constant(devectorize(feats[row], r)), iters=60)
-            assert np.allclose(batched.data[row], single.data.ravel(), atol=1e-10)
+            single = topology.eigenvector(devectorize(feats[row], r))
+            assert np.allclose(batched.data[row], single, atol=1e-8)
 
     def test_zero_rows_give_zero_centralities(self):
         r = 5

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from connectogen import autodiff as ad
 from connectogen import data, models, training
-from connectogen.errors import DimensionError, PreconditionError, TrainingError
+from connectogen.errors import DimensionError, NumericError, PreconditionError, TrainingError
 from connectogen.losses import LossWeights
 
 warnings.filterwarnings("ignore", message="knn=")
@@ -63,10 +64,13 @@ class TestTrainLoop:
                                       small_config(iterations=2, centrality_mode=mode))
             assert len(trace.records) == 2
 
-    def test_exact_gp_mode_runs(self):
-        _, trace = training.train(small_dataset(), 0,
-                                  small_config(iterations=2, gp_mode="exact"))
-        assert len(trace.records) == 2
+    def test_non_finite_loss_raises(self, monkeypatch):
+        # a NaN info-max term must stop training before the Adam step
+        real_info_max = training.info_max_loss
+        monkeypatch.setattr(training, "info_max_loss",
+                            lambda probs: ad.scale(real_info_max(probs), float("nan")))
+        with pytest.raises(TrainingError, match="iteration 0: L_inf is nan"):
+            training.train(small_dataset(), 0, small_config())
 
     def test_cluster_too_small_advises(self):
         ds = small_dataset(s=10)
@@ -84,8 +88,6 @@ class TestTrainLoop:
             training.TrainingConfig(n_critic=0)
         with pytest.raises(PreconditionError):
             training.TrainingConfig(centrality_mode="pagerank")
-        with pytest.raises(PreconditionError):
-            training.TrainingConfig(gp_mode="hessian")
 
 
 class TestParameterIsolation:
@@ -236,6 +238,12 @@ class TestPredict:
         base = training.predict_multigraph(bundle, feats)
         moved = training.predict_multigraph(bundle, feats[perm])
         assert np.allclose(base[perm], moved, atol=1e-10)
+
+    def test_non_finite_prediction_rejected(self):
+        ds, bundle = self._trained()
+        bundle.generator(0, 1).layer2.weight.data[0, 0] = np.inf
+        with pytest.raises(NumericError, match="view 1"):
+            training.predict_multigraph(bundle, ds.feature_matrix(0)[:4])
 
     def test_dim_mismatch_rejected(self):
         _, bundle = self._trained()
