@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -110,35 +111,25 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# dataclass fields exposed as training flags; the defaults live in the dataclasses
+_CONFIG_FLAGS = ("iterations", "batch_size", "lr", "n_critic", "clusters", "seed")
+_WEIGHT_FLAGS = ("lambda_gdc", "lambda_gp", "lambda_top", "lambda_inf", "sigma_gp")
+_FLAG_HELP = {"sigma_gp": "gradient-penalty target norm (default: number of target views)"}
+
+
 def _training_config(args) -> tuple[TrainingConfig, LossWeights]:
-    cfg = TrainingConfig(
-        iterations=args.iterations, batch_size=args.batch_size, lr=args.lr,
-        n_critic=args.n_critic, centrality_mode=args.centrality,
-        clusters=args.clusters, seed=args.seed, interp=args.interp)
-    weights = LossWeights(
-        lambda_gdc=args.lambda_gdc, lambda_gp=args.lambda_gp,
-        lambda_top=args.lambda_top, lambda_inf=args.lambda_inf,
-        sigma_gp=args.sigma_gp)
+    cfg = TrainingConfig(**{name: getattr(args, name) for name in _CONFIG_FLAGS})
+    weights = LossWeights(**{name: getattr(args, name) for name in _WEIGHT_FLAGS})
     return cfg, weights
 
 
 def _config_dict(cfg: TrainingConfig, weights: LossWeights, extra: dict) -> dict:
-    out = {
-        "iterations": cfg.iterations, "batch_size": cfg.batch_size, "lr": cfg.lr,
-        "beta1": cfg.beta1, "beta2": cfg.beta2, "n_critic": cfg.n_critic,
-        "centrality_mode": cfg.centrality_mode, "clusters": cfg.clusters,
-        "seed": cfg.seed, "interp": cfg.interp,
-        "lambda_gdc": weights.lambda_gdc, "lambda_gp": weights.lambda_gp,
-        "lambda_top": weights.lambda_top, "lambda_inf": weights.lambda_inf,
-        "sigma_gp": weights.sigma_gp,
-    }
-    out.update(extra)
-    return out
+    return {**asdict(cfg), **asdict(weights), **extra}
 
 
 def _cmd_train(args) -> int:
-    dataset = load_dataset(args.data)
     cfg, weights = _training_config(args)
+    dataset = load_dataset(args.data)
     bundle, trace = train(dataset, args.source_view, cfg, weights)
 
     model_path = Path(args.out)
@@ -273,8 +264,8 @@ def _evaluate_pair(args) -> int:
 
 
 def _evaluate_folds(args) -> int:
-    dataset = load_dataset(args.data)
     cfg, weights = _training_config(args)
+    dataset = load_dataset(args.data)
     folds = kfold_split(dataset, args.folds, args.seed)
     targets = target_views(dataset.v, args.source_view)
 
@@ -288,7 +279,7 @@ def _evaluate_folds(args) -> int:
         test_set = dataset.subset(test_idx)
         pred = predict_multigraph(bundle, test_set.feature_matrix(args.source_view))
         truth = np.stack([test_set.tensor[:, v] for v in targets], axis=-1)
-        report = evaluation.evaluate(pred, truth, interp=cfg.interp,
+        report = evaluation.evaluate(pred, truth, interp=args.interp,
                                      view_labels=[str(v) for v in targets])
         reports.append(report)
         path = out_dir / f"fold_{fold_idx}.csv"
@@ -311,7 +302,8 @@ def _evaluate_folds(args) -> int:
     _write_manifest(
         out_dir / "run_manifest.json", "evaluate",
         _config_dict(cfg, weights, {"data": str(args.data), "folds": args.folds,
-                                    "source_view": args.source_view}),
+                                    "source_view": args.source_view,
+                                    "interp": args.interp}),
         inputs=[Path(args.data)], outputs=outputs)
     print(evaluation.report_markdown(averaged))
     return 0
@@ -366,21 +358,12 @@ def _cmd_metrics(args) -> int:
 # argument parsing
 
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=70)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--n-critic", type=int, default=5)
-    p.add_argument("--clusters", type=int, default=2)
-    p.add_argument("--centrality", choices=["cc", "bc", "ec"], default="ec")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda-gdc", type=float, default=1.0)
-    p.add_argument("--lambda-gp", type=float, default=0.1)
-    p.add_argument("--lambda-top", type=float, default=0.1)
-    p.add_argument("--lambda-inf", type=float, default=1.0)
-    p.add_argument("--sigma-gp", type=float, default=None,
-                   help="gradient-penalty target norm (default: number of target views)")
-    p.add_argument("--interp", choices=[topology.DISTANCE, topology.INVERSE],
-                   default=topology.DISTANCE)
+    for cls, names in ((TrainingConfig, _CONFIG_FLAGS), (LossWeights, _WEIGHT_FLAGS)):
+        for name in names:
+            default = getattr(cls, name)
+            p.add_argument("--" + name.replace("_", "-"), default=default,
+                           type=int if isinstance(default, int) else float,
+                           help=_FLAG_HELP.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,6 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None)
     p.add_argument("--source-view", type=int, default=0)
     p.add_argument("--out", default="report")
+    p.add_argument("--interp", choices=[topology.DISTANCE, topology.INVERSE],
+                   default=topology.DISTANCE)
     _add_training_flags(p)
     p.set_defaults(func=_cmd_evaluate)
 

@@ -8,6 +8,7 @@ discriminator and generator objectives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .data import devectorize
 from .errors import DimensionError, PreconditionError
 
 PROB_FLOOR = 1e-7
+EC_ITERS = 50  # power-iteration steps of the differentiable EC
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,10 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_gdc", "lambda_gp", "lambda_top", "lambda_inf"):
-            if getattr(self, name) < 0:
-                raise PreconditionError(f"{name} must be >= 0")
-        if self.sigma_gp is not None and self.sigma_gp <= 0:
-            raise PreconditionError("sigma_gp must be > 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise PreconditionError(f"{name} must be finite and >= 0")
+        if self.sigma_gp is not None and not 0 < self.sigma_gp < math.inf:
+            raise PreconditionError("sigma_gp must be finite and > 0")
 
     def resolved_sigma(self, k: int) -> float:
         return float(self.sigma_gp) if self.sigma_gp is not None else float(k)
@@ -84,33 +86,25 @@ def info_max_loss(probs_fake: list[ad.Tensor]) -> ad.Tensor:
     return loss
 
 
-def interpolate_rows(f_source_tiled: ad.Tensor, f_fakes_stacked: ad.Tensor,
-                     rng: np.random.Generator) -> ad.Tensor:
-    """Per-row uniform mixing alpha*source + (1-alpha)*fake."""
-    if f_source_tiled.shape != f_fakes_stacked.shape:
-        raise DimensionError(
-            f"source {f_source_tiled.shape} vs fakes {f_fakes_stacked.shape}")
-    n, f = f_source_tiled.shape
-    alpha = rng.uniform(size=(n, 1))
-    alpha_full = ad.constant(np.repeat(alpha, f, axis=1))
-    one_minus = ad.constant(np.repeat(1.0 - alpha, f, axis=1))
-    return ad.add(ad.mul(alpha_full, f_source_tiled), ad.mul(one_minus, f_fakes_stacked))
-
-
-def gradient_penalty(input_gradient, f_source_tiled: ad.Tensor,
-                     f_fakes_stacked: ad.Tensor, sigma: float,
-                     rng: np.random.Generator) -> ad.Tensor:
+def gradient_penalty(input_gradient, f_source: np.ndarray, f_fakes: np.ndarray,
+                     sigma: float, rng: np.random.Generator) -> ad.Tensor:
     """Hinged squared excess of the critic's input-gradient norm.
 
-    The critic is evaluated at per-row uniform mixes of source and fake rows;
-    ``input_gradient`` returns its gradient w.r.t. those rows as a tensor
-    that is differentiable in the critic's parameters.  The result is
-    (max{0, mean_rows ||grad|| - sigma})^2.
+    ``f_source`` is an (n, f) batch and ``f_fakes`` the (k*n, f) stack of its
+    k generated views.  The critic is evaluated at per-row uniform mixes
+    alpha*source + (1-alpha)*fake; ``input_gradient`` returns its gradient
+    w.r.t. those rows as a tensor that is differentiable in the critic's
+    parameters.  The result is (max{0, mean_rows ||grad|| - sigma})^2.
     """
     if sigma <= 0:
         raise PreconditionError(f"sigma must be > 0, got {sigma}")
-    mix = interpolate_rows(f_source_tiled, f_fakes_stacked, rng)
-    grad = input_gradient(mix)
+    n, f = f_source.shape
+    if f_fakes.shape[1] != f or f_fakes.shape[0] % n:
+        raise DimensionError(f"source {f_source.shape} vs fakes {f_fakes.shape}")
+    k = f_fakes.shape[0] // n
+    alpha = rng.uniform(size=(k * n, 1)).reshape(k, n, 1)
+    mix = alpha * f_source + (1.0 - alpha) * f_fakes.reshape(k, n, f)
+    grad = input_gradient(ad.constant(mix.reshape(k * n, f)))
     est = ad.mean(ad.row_l2_norms(grad))
     hinge = ad.relu(ad.sub(est, ad.constant([[sigma]])))
     return ad.mul(hinge, hinge)
@@ -129,55 +123,29 @@ def discriminator_loss(parts: list[tuple[ad.Tensor, ad.Tensor, ad.Tensor]],
     return loss
 
 
-def topological_loss(real_features: list[np.ndarray], pred_features: list[ad.Tensor],
-                     r: int, mode: str = "ec", interp: str = topology.DISTANCE,
-                     real_centralities: list[np.ndarray] | None = None,
-                     ec_iters: int = 50) -> ad.Tensor:
-    """Local centrality MAE plus global feature MAE, summed over views.
+def topological_loss(real_features: np.ndarray, pred_features: ad.Tensor, r: int,
+                     k: int, real_centralities: np.ndarray | None = None) -> ad.Tensor:
+    """Eigenvector-centrality MAE plus global feature MAE, summed over views.
 
-    With mode "ec" the local term differentiates through a fixed-iteration
-    power method; "cc" and "bc" are piecewise constant in the weights, so
-    their local term is evaluated on detached predictions and only the
-    global term carries gradient.
+    ``real_features`` and ``pred_features`` stack the k views' (n, f) blocks
+    into (k*n, f); ``real_centralities``, if given, is the matching (k*n, r)
+    stack.  The local term differentiates through a fixed-iteration power
+    method.
     """
-    mode = mode.lower()
-    if mode not in ("cc", "bc", "ec"):
-        raise PreconditionError(f"unknown centrality mode {mode!r}")
-    if len(real_features) != len(pred_features) or not real_features:
-        raise DimensionError("need matching nonempty real/pred view lists")
-    k = len(real_features)
-    for real, pred in zip(real_features, pred_features):
-        if tuple(real.shape) != pred.shape:
-            raise DimensionError(f"view shapes differ: {real.shape} vs {pred.shape}")
-
-    pred_stack = ad.vstack(pred_features) if k > 1 else pred_features[0]
-    real_stack = np.vstack(real_features)
+    if tuple(real_features.shape) != pred_features.shape:
+        raise DimensionError(
+            f"real {real_features.shape} vs predicted {pred_features.shape} stacks")
+    if k < 1 or real_features.shape[0] % k:
+        raise DimensionError(f"{real_features.shape[0]} rows do not split into {k} views")
     # sum over views of per-view means == k * mean over the stack
     global_term = ad.scale(ad.mean(ad.absolute(
-        ad.sub(pred_stack, ad.constant(real_stack)))), k)
-
-    if mode == "ec":
-        if real_centralities is None:
-            real_cent = np.vstack([
-                topology.ec_or_zero(np.stack([devectorize(row, r) for row in real]))
-                for real in real_features])
-        else:
-            real_cent = np.vstack(real_centralities)
-        pred_cent = topology.batched_eigenvector_rows(pred_stack, r, iters=ec_iters)
-        local_term = ad.scale(ad.mean(ad.absolute(
-            ad.sub(pred_cent, ad.constant(real_cent)))), k)
-    else:
-        metric = topology.METRICS[mode]
-        total = 0.0
-        for view_idx, (real, pred) in enumerate(zip(real_features, pred_features)):
-            if real_centralities is None:
-                real_cent = metric(np.stack([devectorize(row, r) for row in real]), interp)
-            else:
-                real_cent = real_centralities[view_idx]
-            pred_cent = metric(np.stack([devectorize(row, r) for row in pred.data]), interp)
-            total += float(np.abs(real_cent - pred_cent).mean())
-        local_term = ad.constant([[total]])
-
+        ad.sub(pred_features, ad.constant(real_features)))), k)
+    if real_centralities is None:
+        real_centralities = topology.ec_or_zero(
+            np.stack([devectorize(row, r) for row in real_features]))
+    pred_cent = topology.batched_eigenvector_rows(pred_features, r, iters=EC_ITERS)
+    local_term = ad.scale(ad.mean(ad.absolute(
+        ad.sub(pred_cent, ad.constant(real_centralities)))), k)
     return ad.add(local_term, global_term)
 
 

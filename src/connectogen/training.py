@@ -44,9 +44,6 @@ from .models import (
     init_params,
 )
 
-CENTRALITY_MODES = ("cc", "bc", "ec")
-
-
 @dataclass(frozen=True)
 class TrainingConfig:
     iterations: int = 1000
@@ -55,20 +52,20 @@ class TrainingConfig:
     beta1: float = 0.5
     beta2: float = 0.999
     n_critic: int = 5
-    centrality_mode: str = "ec"
     clusters: int = 2
     seed: int = 0
-    interp: str = topology.DISTANCE
 
     def __post_init__(self):
+        if not 0 < self.lr < np.inf:
+            raise PreconditionError("lr must be finite and > 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise PreconditionError("beta1 and beta2 must lie in [0, 1)")
         if self.batch_size < 2:
             raise PreconditionError("batch_size must be >= 2")
         if self.n_critic < 1:
             raise PreconditionError("n_critic must be >= 1")
         if self.iterations < 0:
             raise PreconditionError("iterations must be >= 0")
-        if self.centrality_mode.lower() not in CENTRALITY_MODES:
-            raise PreconditionError(f"centrality_mode must be one of {CENTRALITY_MODES}")
 
 
 @dataclass
@@ -103,10 +100,11 @@ def target_views(v: int, source_view: int) -> list[int]:
 
 
 class _ClusterContext:
-    """Precomputed per-cluster affinities, features, and real centralities."""
+    """Precomputed per-cluster affinities, features, and the (k, members, r)
+    eigenvector centralities of the real target views."""
 
     def __init__(self, members: np.ndarray, feats_by_view: dict[int, np.ndarray],
-                 affin_by_view: dict[int, np.ndarray], real_cent: list[np.ndarray]):
+                 affin_by_view: dict[int, np.ndarray], real_cent: np.ndarray):
         self.members = members
         self.feats_by_view = feats_by_view
         self.affin_by_view = affin_by_view
@@ -134,7 +132,6 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
 
     r, k = dataset.r, dataset.k
     targets = target_views(dataset.v, source_view)
-    mode = cfg.centrality_mode.lower()
     sigma = weights.resolved_sigma(k)
 
     seq = np.random.SeedSequence(cfg.seed)
@@ -161,13 +158,8 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
         feats_by_view = {view: feats[view][members] for view in range(dataset.v)}
         affin_by_view = {view: learn_affinity(feats_by_view[view], mkml)
                          for view in range(dataset.v)}
-        if mode == "ec":
-            real_cent = [topology.ec_or_zero(dataset.tensor[members, view])
-                         for view in targets]
-        else:
-            metric = topology.METRICS[mode]
-            real_cent = [metric(dataset.tensor[members, view], cfg.interp)
-                         for view in targets]
+        real_cent = np.stack([topology.ec_or_zero(dataset.tensor[members, view])
+                              for view in targets])
         clusters.append(_ClusterContext(members, feats_by_view, affin_by_view, real_cent))
 
     opt_d = ad.Adam(bundle.discriminator.params(), lr=cfg.lr,
@@ -224,8 +216,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
                 l_gdc = domain_classification_loss(probs[1:k + 1], probs[k + 1:])
                 l_gp = gradient_penalty(
                     lambda mix: discriminator_input_gradient(disc, mix, norm_s),
-                    ad.constant(np.tile(rows[:n], (k, 1))),
-                    ad.constant(rows[n:(k + 1) * n]), sigma, rng_gp)
+                    rows[:n], rows[n:(k + 1) * n], sigma, rng_gp)
                 parts.append((l_adv, l_gp, l_gdc))
                 sums[0] += l_adv.item()
                 sums[1] += l_gp.item()
@@ -245,14 +236,13 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
                 local_idx = sample_batch(ctx)
                 norm_s, norm_t, rows = batch_tensors(ctx, local_idx, 0)
                 n = local_idx.size
-                f_real = [rows[(1 + i) * n:(2 + i) * n] for i in range(k)]
                 z = encode(bundle.encoder, ad.constant(rows[:n]), norm_s)
-                fakes = make_fakes(j, z, norm_t)
-                critic, probs = discriminate(disc, ad.vstack(fakes), norm_s)
+                fakes = ad.vstack(make_fakes(j, z, norm_t))
+                critic, probs = discriminate(disc, fakes, norm_s)
                 fooling = generator_fooling_term(ad.split_rows(critic, n))
                 l_top = topological_loss(
-                    f_real, fakes, r, mode=mode, interp=cfg.interp,
-                    real_centralities=[cent[local_idx] for cent in ctx.real_cent])
+                    rows[n:], fakes, r, k,
+                    real_centralities=ctx.real_cent[:, local_idx].reshape(k * n, r))
                 l_inf = info_max_loss(ad.split_rows(probs, n))
                 parts.append((fooling, l_top, l_inf))
                 sums[0] += l_top.item()

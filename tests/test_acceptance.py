@@ -216,8 +216,8 @@ def test_criterion_4_loss_formula_properties():
     # gradient penalty: constant critic (zero input gradient) and a linear
     # critic f @ w, whose input gradient is w on every row, with ||w|| < sigma
     sigma = 5.0
-    src = ad.constant(rng.uniform(size=(60, 24)))
-    fakes = ad.constant(rng.uniform(size=(60, 24)))
+    src = rng.uniform(size=(60, 24))
+    fakes = rng.uniform(size=(60, 24))
     constant_critic_grad = lambda f: ad.constant(np.zeros(f.shape))
     gp_const = losses.gradient_penalty(constant_critic_grad, src, fakes, sigma, rng).item()
     assert gp_const == 0.0

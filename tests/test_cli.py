@@ -78,9 +78,11 @@ class TestTrainPredict:
         model = tmp_path / "model.bin"
         code = run("train", "--data", str(dataset), "--source-view", "0",
                    "--out", str(model), "--iterations", "1", "--batch-size", "6",
-                   "--clusters", "3", "--centrality", "bc", "--seed", "2")
+                   "--clusters", "3", "--seed", "2")
         assert code == 0
         assert model.is_file()
+        manifest = json.loads(model.with_suffix(".bin.run.json").read_text())
+        assert manifest["config"]["clusters"] == 3
 
     def test_out_path_unwritable_is_io_error(self, dataset, tmp_path):
         blocker = tmp_path / "blocker"
@@ -126,10 +128,49 @@ class TestTrainPredict:
         assert "gp_mode" not in manifest["config"]
         assert manifest["config"]["lambda_gp"] == 0.1
 
-    def test_non_finite_loss_exits_4(self, dataset, tmp_path, capsys):
+    def test_training_flag_defaults_are_the_dataclass_defaults(self):
+        from connectogen.losses import LossWeights
+        from connectogen.training import TrainingConfig
+
+        for argv in (["train", "--data", "d", "--source-view", "0", "--out", "m"],
+                     ["evaluate"]):
+            args = cli.build_parser().parse_args(argv)
+            assert cli._training_config(args) == (TrainingConfig(), LossWeights())
+
+    def test_centrality_flag_is_gone(self, dataset, tmp_path):
         model = tmp_path / "model.bin"
-        assert run(*train_args(dataset, model), "--lambda-top", "inf") == 4
-        assert "iteration 0: L_G is inf" in capsys.readouterr().err
+        assert run(*train_args(dataset, model), "--centrality", "bc") == 2
+        assert run(*train_args(dataset, model), "--interp", "inverse") == 2
+        assert not model.exists()
+        assert run(*train_args(dataset, model)) == 0
+        config = json.loads(model.with_suffix(".bin.run.json").read_text())["config"]
+        assert "centrality_mode" not in config and "interp" not in config
+        out = tmp_path / "cv"
+        assert run("evaluate", "--folds", "2", "--data", str(dataset), "--out", str(out),
+                   "--iterations", "1", "--batch-size", "6", "--interp", "inverse") == 0
+        config = json.loads((out / "run_manifest.json").read_text())["config"]
+        assert config["interp"] == "inverse"
+        assert "centrality_mode" not in config
+
+    def test_non_finite_loss_exits_4(self, dataset, tmp_path, capsys, monkeypatch):
+        from connectogen import autodiff as ad
+        from connectogen import training
+
+        real_info_max = training.info_max_loss
+        monkeypatch.setattr(training, "info_max_loss",
+                            lambda probs: ad.scale(real_info_max(probs), float("nan")))
+        model = tmp_path / "model.bin"
+        assert run(*train_args(dataset, model)) == 4
+        assert "iteration 0: L_inf is nan" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--lambda-top", "inf"), ("--lambda-gp", "nan"),
+                                            ("--sigma-gp", "inf"), ("--lr", "0")])
+    def test_bad_number_exits_2_before_loading(self, tmp_path, capsys, flag, value):
+        # the dataset does not exist: exit 2 (not 3) shows the check ran first
+        model = tmp_path / "model.bin"
+        assert run(*train_args(tmp_path / "nope", model), flag, value) == 2
+        assert "usage error" in capsys.readouterr().err
         assert not model.exists()
 
     def test_non_finite_model_writes_no_predictions(self, dataset, tmp_path):

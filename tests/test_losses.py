@@ -85,8 +85,8 @@ class TestGradientPenalty:
     def test_constant_critic_zero(self):
         input_gradient = lambda f: ad.constant(np.zeros(f.shape))
         rng = np.random.default_rng(2)
-        src = ad.constant(rng.uniform(size=(40, 12)))
-        fakes = ad.constant(rng.uniform(size=(40, 12)))
+        src = rng.uniform(size=(40, 12))
+        fakes = rng.uniform(size=(40, 12))
         out = losses.gradient_penalty(input_gradient, src, fakes, sigma=5.0, rng=rng)
         assert out.item() == 0.0
 
@@ -95,8 +95,8 @@ class TestGradientPenalty:
         sigma = 5.0
         w = rng.standard_normal(20)
         w *= 0.8 * sigma / np.linalg.norm(w)
-        src = ad.constant(rng.uniform(size=(60, 20)))
-        fakes = ad.constant(rng.uniform(size=(60, 20)))
+        src = rng.uniform(size=(60, 20))
+        fakes = rng.uniform(size=(60, 20))
         critic_grad = self._linear_critic_gradient(ad.constant(w.reshape(-1, 1)))
         out = losses.gradient_penalty(critic_grad, src, fakes, sigma=sigma, rng=rng)
         assert out.item() == 0.0
@@ -107,15 +107,15 @@ class TestGradientPenalty:
         sigma = 5.0
         w = rng.standard_normal(40)
         w *= (sigma + 1.0) / np.linalg.norm(w)
-        src = ad.constant(rng.uniform(size=(30, 40)))
-        fakes = ad.constant(rng.uniform(size=(30, 40)))
+        src = rng.uniform(size=(30, 40))
+        fakes = rng.uniform(size=(30, 40))
         critic_grad = self._linear_critic_gradient(ad.constant(w.reshape(-1, 1)))
         out = losses.gradient_penalty(critic_grad, src, fakes, sigma=sigma, rng=rng)
         assert abs(out.item() - 1.0) < 1e-9
 
     def test_sigma_positive_required(self):
         rng = np.random.default_rng(6)
-        src = ad.constant(rng.uniform(size=(4, 3)))
+        src = rng.uniform(size=(4, 3))
         for sigma in (0.0, -1.0):
             with pytest.raises(PreconditionError):
                 losses.gradient_penalty(lambda f: f, src, src, sigma=sigma, rng=rng)
@@ -123,14 +123,31 @@ class TestGradientPenalty:
     def test_penalty_differentiable_through_critic_params(self):
         rng = np.random.default_rng(7)
         w = ad.parameter(rng.standard_normal((6, 1)) * 4.0)
-        src = ad.constant(rng.uniform(size=(50, 6)))
-        fakes = ad.constant(rng.uniform(size=(50, 6)))
+        src = rng.uniform(size=(50, 6))
+        fakes = rng.uniform(size=(50, 6))
         with ad.Tape() as tape:
             out = losses.gradient_penalty(self._linear_critic_gradient(w), src, fakes,
                                           sigma=1.0, rng=rng)
         assert out.item() > 0.0
         grads = ad.backward(tape, out)
         assert np.any(grads[w.node_id].data != 0.0)
+
+    def test_mixes_each_fake_block_with_the_source(self):
+        rng = np.random.default_rng(8)
+        src = rng.uniform(size=(4, 3))
+        fakes = rng.uniform(size=(12, 3))
+        seen = []
+        losses.gradient_penalty(lambda mix: seen.append(mix.data) or mix, src, fakes,
+                                sigma=1.0, rng=np.random.default_rng(9))
+        alpha = np.random.default_rng(9).uniform(size=(12, 1))
+        expected = alpha * np.tile(src, (3, 1)) + (1.0 - alpha) * fakes
+        assert np.array_equal(seen[0], expected)
+
+    def test_fakes_must_stack_source_blocks(self):
+        rng = np.random.default_rng(10)
+        with pytest.raises(DimensionError):
+            losses.gradient_penalty(lambda f: f, rng.uniform(size=(4, 3)),
+                                    rng.uniform(size=(10, 3)), sigma=1.0, rng=rng)
 
 
 class TestDiscriminatorLoss:
@@ -166,9 +183,8 @@ class TestTopologicalLoss:
 
     def test_identical_predictions_zero(self):
         rng = np.random.default_rng(9)
-        real = [self._features(rng, 3, 5)]
-        preds = [ad.constant(real[0].copy())]
-        out = losses.topological_loss(real, preds, r=5, mode="ec")
+        real = self._features(rng, 3, 5)
+        out = losses.topological_loss(real, ad.constant(real.copy()), r=5, k=1)
         assert abs(out.item()) < 1e-9
 
     def test_global_term_hand_value(self):
@@ -178,48 +194,60 @@ class TestTopologicalLoss:
         assert diff.item() == 0.5
 
     def test_global_term_isolated_by_ec_scale_invariance(self):
-        real = [np.array([[0.2, 0.4, 0.6]])]
-        pred = [ad.constant(2.0 * real[0])]  # same EC, doubled weights
-        out = losses.topological_loss(real, pred, r=3, mode="ec")
+        real = np.array([[0.2, 0.4, 0.6]])
+        pred = ad.constant(2.0 * real)  # same EC, doubled weights
+        out = losses.topological_loss(real, pred, r=3, k=1)
         # local residual is bounded by the fixed-iteration EC tolerance
         assert abs(out.item() - 0.4) < 1e-4
 
     def test_ec_loss_decreases_along_interpolation(self):
         rng = np.random.default_rng(10)
-        real = [self._features(rng, 4, 6)]
-        target = real[0]
+        target = self._features(rng, 4, 6)
         start = self._features(rng, 4, 6)
         values = []
         for t in (0.0, 0.5, 1.0):
-            pred = [ad.constant(start * (1 - t) + target * t)]
-            values.append(losses.topological_loss(real, pred, r=6, mode="ec").item())
+            pred = ad.constant(start * (1 - t) + target * t)
+            values.append(losses.topological_loss(target, pred, r=6, k=1).item())
         assert values[0] > values[1] > values[2]
         assert values[2] < 1e-9
 
-    def test_cc_mode_detached_local_term(self):
+    def test_views_sum(self):
+        # two stacked views score the sum of their one-view losses
         rng = np.random.default_rng(11)
-        real = [self._features(rng, 3, 5)]
+        real = [self._features(rng, 3, 5) for _ in range(2)]
+        pred = [self._features(rng, 3, 5) for _ in range(2)]
+        out = losses.topological_loss(np.vstack(real), ad.constant(np.vstack(pred)),
+                                      r=5, k=2)
+        per_view = [losses.topological_loss(a, ad.constant(b), r=5, k=1).item()
+                    for a, b in zip(real, pred)]
+        assert abs(out.item() - sum(per_view)) < 1e-12
+
+    def test_given_centralities_match_computed(self):
+        rng = np.random.default_rng(12)
+        real = self._features(rng, 4, 5)
+        pred = ad.constant(self._features(rng, 4, 5))
+        cent = np.stack([topology.eigenvector(devectorize(row, 5)) for row in real])
+        given = losses.topological_loss(real, pred, r=5, k=2, real_centralities=cent)
+        computed = losses.topological_loss(real, pred, r=5, k=2)
+        assert given.item() == computed.item()
+
+    def test_ec_gradient_reaches_predictions(self):
+        rng = np.random.default_rng(13)
+        real = self._features(rng, 3, 5)
         p = ad.parameter(self._features(rng, 3, 5))
         with ad.Tape() as tape:
-            out = losses.topological_loss(real, [p], r=5, mode="cc")
+            out = losses.topological_loss(real, p, r=5, k=1)
         g = ad.backward(tape, out)[p.node_id].data
-        # gradient comes from the global term only: +-1/(n*f) signs
-        assert np.allclose(np.abs(g), 1.0 / g.size)
+        # the global term alone would give +-1/(n*f) on every entry
+        assert not np.allclose(np.abs(g), 1.0 / g.size)
 
-    def test_bc_mode_value_matches_manual(self):
-        rng = np.random.default_rng(12)
-        real = [self._features(rng, 2, 5)]
-        pred_arr = self._features(rng, 2, 5)
-        out = losses.topological_loss(real, [ad.constant(pred_arr)], r=5, mode="bc")
-        real_bc = np.stack([topology.betweenness(devectorize(v, 5)) for v in real[0]])
-        pred_bc = np.stack([topology.betweenness(devectorize(v, 5)) for v in pred_arr])
-        manual = np.abs(real_bc - pred_bc).mean() + np.abs(real[0] - pred_arr).mean()
-        assert abs(out.item() - manual) < 1e-9
-
-    def test_unknown_mode(self):
-        with pytest.raises(PreconditionError):
-            losses.topological_loss([np.zeros((1, 3))], [ad.constant(np.zeros((1, 3)))],
-                                    r=3, mode="pagerank")
+    def test_shape_errors(self):
+        with pytest.raises(DimensionError):
+            losses.topological_loss(np.zeros((2, 3)), ad.constant(np.zeros((1, 3))),
+                                    r=3, k=1)
+        with pytest.raises(DimensionError):
+            losses.topological_loss(np.zeros((3, 3)), ad.constant(np.zeros((3, 3))),
+                                    r=3, k=2)
 
 
 class TestGeneratorLoss:
@@ -269,3 +297,10 @@ class TestLossWeights:
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(PreconditionError):
             losses.LossWeights(sigma_gp=0.0)
+
+    @pytest.mark.parametrize("name", ["lambda_gdc", "lambda_gp", "lambda_top",
+                                      "lambda_inf", "sigma_gp"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(PreconditionError, match="finite"):
+            losses.LossWeights(**{name: value})

@@ -58,12 +58,6 @@ class TestTrainLoop:
         bundle, trace = training.train(small_dataset(), 0, small_config(), weights)
         assert len(trace.records) == 3
 
-    def test_cc_and_bc_modes_run(self):
-        for mode in ("cc", "bc"):
-            _, trace = training.train(small_dataset(), 1,
-                                      small_config(iterations=2, centrality_mode=mode))
-            assert len(trace.records) == 2
-
     def test_non_finite_loss_raises(self, monkeypatch):
         # a NaN info-max term must stop training before the Adam step
         real_info_max = training.info_max_loss
@@ -86,8 +80,11 @@ class TestTrainLoop:
             training.TrainingConfig(batch_size=1)
         with pytest.raises(PreconditionError):
             training.TrainingConfig(n_critic=0)
-        with pytest.raises(PreconditionError):
-            training.TrainingConfig(centrality_mode="pagerank")
+        for bad in ({"lr": 0.0}, {"lr": -1e-4}, {"lr": float("nan")},
+                    {"lr": float("inf")}, {"beta1": 1.0}, {"beta2": -0.1},
+                    {"beta2": float("nan")}):
+            with pytest.raises(PreconditionError):
+                training.TrainingConfig(**bad)
 
 
 class TestParameterIsolation:
