@@ -419,20 +419,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _emit(out, [x], build)
 
 
-def row_l2_norms(x: Tensor) -> Tensor:
-    _check_nonempty(x, "row_l2_norms")
-    norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
-    out = Tensor(norms)
-    x_data = x.data
-    safe = np.where(norms > 0, norms, 1.0)
-
-    def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, g * np.where(norms > 0, x_data / safe, 0.0))]
-
-    return _emit(out, [x], build)
-
-
 def transpose(x: Tensor) -> Tensor:
     out = Tensor(x.data.T)
 

@@ -115,11 +115,15 @@ def _cmd_simulate(args) -> int:
 _CONFIG_FLAGS = ("iterations", "batch_size", "lr", "n_critic", "clusters", "seed")
 _WEIGHT_FLAGS = ("lambda_gdc", "lambda_gp", "lambda_top", "lambda_inf", "sigma_gp")
 _FLAG_HELP = {"sigma_gp": "gradient-penalty target norm (default: number of target views)"}
+# evaluate flags that only --folds mode reads; each is absent from the
+# namespace unless given, so that plain evaluate can reject them
+_FOLD_FLAGS = ("data", "source_view") + _CONFIG_FLAGS + _WEIGHT_FLAGS
 
 
 def _training_config(args) -> tuple[TrainingConfig, LossWeights]:
-    cfg = TrainingConfig(**{name: getattr(args, name) for name in _CONFIG_FLAGS})
-    weights = LossWeights(**{name: getattr(args, name) for name in _WEIGHT_FLAGS})
+    given = vars(args)
+    cfg = TrainingConfig(**{name: given[name] for name in _CONFIG_FLAGS if name in given})
+    weights = LossWeights(**{name: given[name] for name in _WEIGHT_FLAGS if name in given})
     return cfg, weights
 
 
@@ -265,9 +269,10 @@ def _evaluate_pair(args) -> int:
 
 def _evaluate_folds(args) -> int:
     cfg, weights = _training_config(args)
+    source_view = getattr(args, "source_view", 0)
     dataset = load_dataset(args.data)
-    folds = kfold_split(dataset, args.folds, args.seed)
-    targets = target_views(dataset.v, args.source_view)
+    folds = kfold_split(dataset, args.folds, cfg.seed)
+    targets = target_views(dataset.v, source_view)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -275,9 +280,9 @@ def _evaluate_folds(args) -> int:
     reports = []
     for fold_idx, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(dataset.s), test_idx)
-        bundle, _ = train(dataset.subset(train_idx), args.source_view, cfg, weights)
+        bundle, _ = train(dataset.subset(train_idx), source_view, cfg, weights)
         test_set = dataset.subset(test_idx)
-        pred = predict_multigraph(bundle, test_set.feature_matrix(args.source_view))
+        pred = predict_multigraph(bundle, test_set.feature_matrix(source_view))
         truth = np.stack([test_set.tensor[:, v] for v in targets], axis=-1)
         report = evaluation.evaluate(pred, truth, interp=args.interp,
                                      view_labels=[str(v) for v in targets])
@@ -302,7 +307,7 @@ def _evaluate_folds(args) -> int:
     _write_manifest(
         out_dir / "run_manifest.json", "evaluate",
         _config_dict(cfg, weights, {"data": str(args.data), "folds": args.folds,
-                                    "source_view": args.source_view,
+                                    "source_view": source_view,
                                     "interp": args.interp}),
         inputs=[Path(args.data)], outputs=outputs)
     print(evaluation.report_markdown(averaged))
@@ -310,10 +315,13 @@ def _evaluate_folds(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.folds:
-        if not args.data:
+    if args.folds is not None:
+        if not getattr(args, "data", None):
             raise PreconditionError("--folds mode needs --data")
         return _evaluate_folds(args)
+    given = ["--" + name.replace("_", "-") for name in _FOLD_FLAGS if name in vars(args)]
+    if given:
+        raise PreconditionError(f"only --folds mode reads {', '.join(given)}")
     if not args.pred or not args.truth:
         raise PreconditionError("evaluate needs --pred and --truth (or --folds with --data)")
     return _evaluate_pair(args)
@@ -358,11 +366,12 @@ def _cmd_metrics(args) -> int:
 # argument parsing
 
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per training field; an absent flag leaves no attribute, so
+    the dataclass default applies and evaluate can tell what was given."""
     for cls, names in ((TrainingConfig, _CONFIG_FLAGS), (LossWeights, _WEIGHT_FLAGS)):
         for name in names:
-            default = getattr(cls, name)
-            p.add_argument("--" + name.replace("_", "-"), default=default,
-                           type=int if isinstance(default, int) else float,
+            p.add_argument("--" + name.replace("_", "-"), default=argparse.SUPPRESS,
+                           type=int if isinstance(getattr(cls, name), int) else float,
                            help=_FLAG_HELP.get(name))
 
 
@@ -405,8 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second prediction dir; adds paired t-test p-values")
     p.add_argument("--folds", type=int, default=None,
                    help="run k-fold split/train/predict/evaluate on --data")
-    p.add_argument("--data", default=None)
-    p.add_argument("--source-view", type=int, default=0)
+    p.add_argument("--data", default=argparse.SUPPRESS, help="dataset dir (--folds only)")
+    p.add_argument("--source-view", type=int, default=argparse.SUPPRESS,
+                   help="source view (--folds only; default 0)")
     p.add_argument("--out", default="report")
     p.add_argument("--interp", choices=[topology.DISTANCE, topology.INVERSE],
                    default=topology.DISTANCE)

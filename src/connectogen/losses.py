@@ -86,26 +86,29 @@ def info_max_loss(probs_fake: list[ad.Tensor]) -> ad.Tensor:
     return loss
 
 
-def gradient_penalty(input_gradient, f_source: np.ndarray, f_fakes: np.ndarray,
+def gradient_penalty(row_norms, p_source: ad.Tensor, p_fakes: ad.Tensor,
                      sigma: float, rng: np.random.Generator) -> ad.Tensor:
     """Hinged squared excess of the critic's input-gradient norm.
 
-    ``f_source`` is an (n, f) batch and ``f_fakes`` the (k*n, f) stack of its
-    k generated views.  The critic is evaluated at per-row uniform mixes
-    alpha*source + (1-alpha)*fake; ``input_gradient`` returns its gradient
-    w.r.t. those rows as a tensor that is differentiable in the critic's
-    parameters.  The result is (max{0, mean_rows ||grad|| - sigma})^2.
+    ``p_source`` is the (n, h) first-layer projection of a source batch and
+    ``p_fakes`` the (k*n, h) projection of its k generated views.  The
+    critic is evaluated at per-row uniform mixes alpha*source +
+    (1-alpha)*fake; the projection is linear, so the mixes are formed from
+    the projections.  ``row_norms`` maps the projected mixes to the (k*n, 1)
+    norms of the critic's gradient w.r.t. the unprojected rows, as a tensor
+    differentiable in the critic's parameters.  The result is
+    (max{0, mean_rows ||grad|| - sigma})^2.
     """
     if sigma <= 0:
         raise PreconditionError(f"sigma must be > 0, got {sigma}")
-    n, f = f_source.shape
-    if f_fakes.shape[1] != f or f_fakes.shape[0] % n:
-        raise DimensionError(f"source {f_source.shape} vs fakes {f_fakes.shape}")
-    k = f_fakes.shape[0] // n
-    alpha = rng.uniform(size=(k * n, 1)).reshape(k, n, 1)
-    mix = alpha * f_source + (1.0 - alpha) * f_fakes.reshape(k, n, f)
-    grad = input_gradient(ad.constant(mix.reshape(k * n, f)))
-    est = ad.mean(ad.row_l2_norms(grad))
+    n, h = p_source.shape
+    if p_fakes.shape[1] != h or p_fakes.shape[0] % n:
+        raise DimensionError(f"source {p_source.shape} vs fakes {p_fakes.shape}")
+    k = p_fakes.shape[0] // n
+    alpha = np.broadcast_to(rng.uniform(size=(k * n, 1)), (k * n, h))
+    mix = ad.add(ad.mul(ad.constant(alpha), ad.vstack([p_source] * k)),
+                 ad.mul(ad.constant(1.0 - alpha), p_fakes))
+    est = ad.mean(row_norms(mix))
     hinge = ad.relu(ad.sub(est, ad.constant([[sigma]])))
     return ad.mul(hinge, hinge)
 

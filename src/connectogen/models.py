@@ -3,7 +3,9 @@
 Every layer computes phi(normA @ F @ W) where normA is a normalized
 subject-affinity adjacency.  The encoder maps f -> 32 -> 16, generators map
 16 -> 32 -> f, and the discriminator trunk maps f -> 32 -> 16 with a linear
-critic head and a sigmoid domain-classifier head on top.
+critic head and a sigmoid domain-classifier head on top.  The discriminator's
+first-layer projection is split out (:func:`project`), so its only f-wide
+product runs once per batch.
 
 Bundles serialize to a fixed little-endian layout: 5-byte magic ``TMGP1``,
 1-byte format version, u32 dims (r, v, c, d), then float64 parameter blobs
@@ -119,36 +121,75 @@ def generate(generator: GeneratorModel, embeddings: ad.Tensor, norm_adj: ad.Tens
     return gcn_forward(generator.layer2, hidden, norm_adj)
 
 
-def discriminate(disc: DiscriminatorModel, features: ad.Tensor,
+def project(disc: DiscriminatorModel, features: ad.Tensor) -> ad.Tensor:
+    """First-layer projection X @ W1, (rows, f) -> (rows, 32).
+
+    This is the discriminator's only f-wide op; :func:`discriminate` and
+    :func:`discriminator_gradient_norms` both start from its output, so a
+    batch is projected once however many passes consume it.
+    """
+    return ad.matmul(features, disc.layer1.weight)
+
+
+def first_layer_gram(disc: DiscriminatorModel) -> ad.Tensor:
+    """W1^T W1, (32, 32): the metric that maps hidden-space gradients back to
+    input-space norms in :func:`discriminator_gradient_norms`."""
+    weight = disc.layer1.weight
+    return ad.matmul(ad.transpose(weight), weight)
+
+
+def _check_projections(disc: DiscriminatorModel, projections: ad.Tensor,
+                       norm_adj: ad.Tensor) -> None:
+    n = norm_adj.shape[0]
+    width = disc.layer1.weight.shape[1]
+    if projections.shape[1] != width or projections.shape[0] % n:
+        raise DimensionError(f"projections {projections.shape} are not (B*{n}, {width})")
+
+
+def discriminate(disc: DiscriminatorModel, projections: ad.Tensor,
                  norm_adj: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-    """Critic scores (unbounded) and domain probabilities, both (n, 1)."""
-    trunk = gcn_forward(disc.layer2, gcn_forward(disc.layer1, features, norm_adj), norm_adj)
+    """Critic scores (unbounded) and domain probabilities, both (rows, 1).
+
+    Takes the inputs' :func:`project` output; the rows may stack several
+    batches, as in :func:`gcn_forward`.
+    """
+    _check_projections(disc, projections, norm_adj)
+    h1 = ad.relu(_propagate(norm_adj, projections))
+    trunk = gcn_forward(disc.layer2, h1, norm_adj)
     critic = gcn_forward(disc.critic_head, trunk, norm_adj)
     probs = gcn_forward(disc.classifier_head, trunk, norm_adj)
     return critic, probs
 
 
-def discriminator_input_gradient(disc: DiscriminatorModel, features: ad.Tensor,
-                                 norm_adj: ad.Tensor) -> ad.Tensor:
-    """Gradient of the summed critic output w.r.t. the input features.
+def discriminator_gradient_norms(disc: DiscriminatorModel, projections: ad.Tensor,
+                                 norm_adj: ad.Tensor, gram: ad.Tensor) -> ad.Tensor:
+    """Row norms of the summed critic's gradient w.r.t. its input rows, (rows, 1).
 
-    Built from forward primitives (relu masks enter as constants, which is
-    exact almost everywhere), so the result stays differentiable w.r.t. the
-    discriminator parameters.  ``features`` may stack several batches, as
-    in :func:`gcn_forward`.  Used by the gradient penalty.
+    The input gradient is Q @ W1^T with Q = normA^T G1 the (rows, 32)
+    gradient at the first layer's output, so its squared row norms are
+    rowsum(Q * (Q @ W1^T W1)) and no f-wide array is formed.  Built from
+    forward primitives (relu masks enter as constants, which is exact almost
+    everywhere), so the norms stay differentiable w.r.t. the discriminator
+    parameters.  ``gram`` is :func:`first_layer_gram`, which a caller forms
+    once for all its batches.  Used by the gradient penalty.
     """
-    pre1 = _propagate(norm_adj, ad.matmul(features, disc.layer1.weight))
+    _check_projections(disc, projections, norm_adj)
+    pre1 = _propagate(norm_adj, projections)
     h1 = ad.relu(pre1)
     pre2 = _propagate(norm_adj, ad.matmul(h1, disc.layer2.weight))
     mask1 = ad.constant((pre1.data > 0).astype(float))
     mask2 = ad.constant((pre2.data > 0).astype(float))
-    ones = ad.constant(np.ones((features.shape[0], 1)))
+    ones = ad.constant(np.ones((projections.shape[0], 1)))
     norm_t = ad.transpose(norm_adj)
     # d(sum critic)/dh2 back through critic head, then the trunk layers
     g2 = ad.mul(ad.matmul(_propagate(norm_t, ones), ad.transpose(disc.critic_head.weight)),
                 mask2)
     g1 = ad.mul(ad.matmul(_propagate(norm_t, g2), ad.transpose(disc.layer2.weight)), mask1)
-    return ad.matmul(_propagate(norm_t, g1), ad.transpose(disc.layer1.weight))
+    q = _propagate(norm_t, g1)
+    squares = ad.matmul(ad.mul(q, ad.matmul(q, gram)),
+                        ad.constant(np.ones((q.shape[1], 1))))
+    # the quadratic form can round below zero where the norm vanishes
+    return ad.sqrt(ad.relu(squares))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@ One iteration = n_critic discriminator updates followed by one generator
 update; each update evaluates its objective summed over all clusters on a
 freshly sampled within-cluster batch.  The discriminator sees real/generated
 features through the cluster's source-affinity adjacency, all of a cluster's
-blocks (source, fakes, real targets) stacked into one pass; each generator
-decodes through its cluster's target-view affinity.  Training stops with
-TrainingError at the first non-finite loss.  Everything is deterministic
-given the seed.
+blocks (source, fakes, real targets) stacked into one pass whose first-layer
+projection the gradient penalty reuses; each generator decodes through its
+cluster's target-view affinity.  Training stops with TrainingError at the
+first non-finite loss.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -38,10 +38,12 @@ from .models import (
     Dims,
     ModelBundle,
     discriminate,
-    discriminator_input_gradient,
+    discriminator_gradient_norms,
     encode,
+    first_layer_gram,
     generate,
     init_params,
+    project,
 )
 
 @dataclass(frozen=True)
@@ -64,6 +66,8 @@ class TrainingConfig:
             raise PreconditionError("batch_size must be >= 2")
         if self.n_critic < 1:
             raise PreconditionError("n_critic must be >= 1")
+        if self.clusters < 1:
+            raise PreconditionError("clusters must be >= 1")
         if self.iterations < 0:
             raise PreconditionError("iterations must be >= 0")
 
@@ -207,16 +211,20 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
         with ad.Tape() as tape:
             parts = []
             sums = [0.0, 0.0, 0.0]
+            gram = first_layer_gram(disc)
             for norm_s, n, rows in batches:
-                # one pass over [source; k fakes; k real targets]
-                critic, probs = discriminate(disc, ad.constant(rows), norm_s)
+                # one projection of [source; k fakes; k real targets] feeds
+                # both the critic pass and the gradient penalty
+                proj = project(disc, ad.constant(rows))
+                critic, probs = discriminate(disc, proj, norm_s)
                 critic = ad.split_rows(critic, n)
                 probs = ad.split_rows(probs, n)
                 l_adv = adversarial_loss(critic[0], critic[1:k + 1])
                 l_gdc = domain_classification_loss(probs[1:k + 1], probs[k + 1:])
+                proj = ad.split_rows(proj, n)
                 l_gp = gradient_penalty(
-                    lambda mix: discriminator_input_gradient(disc, mix, norm_s),
-                    rows[:n], rows[n:(k + 1) * n], sigma, rng_gp)
+                    lambda mix: discriminator_gradient_norms(disc, mix, norm_s, gram),
+                    proj[0], ad.vstack(proj[1:k + 1]), sigma, rng_gp)
                 parts.append((l_adv, l_gp, l_gdc))
                 sums[0] += l_adv.item()
                 sums[1] += l_gp.item()
@@ -238,7 +246,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
                 n = local_idx.size
                 z = encode(bundle.encoder, ad.constant(rows[:n]), norm_s)
                 fakes = ad.vstack(make_fakes(j, z, norm_t))
-                critic, probs = discriminate(disc, fakes, norm_s)
+                critic, probs = discriminate(disc, project(disc, fakes), norm_s)
                 fooling = generator_fooling_term(ad.split_rows(critic, n))
                 l_top = topological_loss(
                     rows[n:], fakes, r, k,

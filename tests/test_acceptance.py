@@ -87,7 +87,6 @@ def test_criterion_1_autodiff_vs_finite_differences():
         "vstack": lambda x: sq_mean(ad.vstack([x, ad.constant(b_const)])),
         "mean": lambda x: ad.mul(ad.mean(x), ad.mean(x)),
         "sum_all": lambda x: ad.mul(ad.sum_all(x), ad.sum_all(x)),
-        "row_l2_norms": lambda x: ad.mean(ad.row_l2_norms(x)),
     }
     positives = {
         "sqrt": lambda x: sq_mean(ad.sqrt(x)),
@@ -116,17 +115,31 @@ def test_criterion_1_autodiff_vs_finite_differences():
         lambda x: sq_mean(ad.block_matmul(ad.constant(adj), x)),
         lambda rr: rr.standard_normal((6, 3)), cases, rng)
 
-    # composite networks: gradients w.r.t. every parameter entry
+    # composite networks: gradients w.r.t. parameter entries
     dims = models.Dims(r=4, v=3, c=1)
     norm = affinity.normalize_adjacency(
         oracles.random_connectivity(np.random.default_rng(10), 5) + 0.2)
     feats = np.random.default_rng(11).uniform(0.1, 1.0, size=(5, dims.f))
     z_in = np.random.default_rng(12).standard_normal((5, 16))
 
-    def composite_check(name, param_of, forward, cases=50):
+    def composite_check(name, param_of, forward, cases=50, entries=None, clear=None):
+        """Worst relative error over ``cases`` bundles (seeds 200, 201, ...).
+
+        ``entries`` checks that many random entries per case instead of all
+        of them.  Bundles for which ``clear`` is false are skipped; more
+        than ``cases`` skips fail the check."""
         worst_c = 0.0
-        for case in range(cases):
-            bundle = models.init_params(dims, seed=200 + case)
+        pick = np.random.default_rng(17)
+        checked = skipped = 0
+        seed = 200
+        while checked < cases:
+            bundle = models.init_params(dims, seed=seed)
+            seed += 1
+            if clear is not None and not clear(bundle):
+                skipped += 1
+                assert skipped <= cases, f"{name}: {skipped} cases skipped"
+                continue
+            checked += 1
             param = param_of(bundle)
 
             def run(arr):
@@ -134,11 +147,21 @@ def test_criterion_1_autodiff_vs_finite_differences():
                 return forward(bundle).item()
 
             x0 = param.data.copy()
-            p_t = param
             with ad.Tape() as tape:
                 loss = forward(bundle)
-            grad = ad.backward(tape, loss)[p_t.node_id].data
-            fd = oracles.finite_difference(run, x0)
+            grad = ad.backward(tape, loss)[param.node_id].data
+            if entries is None:
+                fd = oracles.finite_difference(run, x0)
+            else:
+                flat = pick.choice(x0.size, size=entries, replace=False)
+                grad = grad.ravel()[flat]
+
+                def run_entries(values):
+                    arr = x0.copy()
+                    np.put(arr, flat, values)
+                    return run(arr)
+
+                fd = oracles.finite_difference(run_entries, x0.ravel()[flat])
             worst_c = max(worst_c, _case_rel_err(grad, fd))
         assert worst_c < 1e-4, f"{name}: worst rel err {worst_c:.2e}"
         return worst_c
@@ -156,11 +179,43 @@ def test_criterion_1_autodiff_vs_finite_differences():
                                  models.generate(b.generator(0, 0), z_c, n_c))))
 
     def disc_loss(b):
-        critic, probs = models.discriminate(b.discriminator, f_c, n_c)
+        critic, probs = models.discriminate(
+            b.discriminator, models.project(b.discriminator, f_c), n_c)
         return ad.add(ad.mean(ad.mul(critic, critic)), ad.mean(probs))
 
     worst["discriminator"] = composite_check(
         "discriminator", lambda b: b.discriminator.layer1.weight, disc_loss)
+
+    # the gradient penalty: layer1 enters through the projection and W1^T W1;
+    # sigma is small, so the hinge is active
+    gp_feats = np.random.default_rng(15).uniform(0.1, 1.0, size=(15, dims.f))
+    gp_alpha = np.random.default_rng(16).uniform(size=(10, 1))  # the penalty's mix draws
+    gp_mixes = np.split(gp_alpha * np.tile(gp_feats[:5], (2, 1))
+                        + (1.0 - gp_alpha) * gp_feats[5:], 2)
+    gp_c = ad.constant(gp_feats)
+
+    def gp_loss(b):
+        disc = b.discriminator
+        proj = ad.split_rows(models.project(disc, gp_c), 5)
+        return losses.gradient_penalty(
+            lambda mix: models.discriminator_gradient_norms(
+                disc, mix, n_c, models.first_layer_gram(disc)),
+            proj[0], ad.vstack(proj[1:]), 1e-3, np.random.default_rng(16))
+
+    def clear_of_relu_kinks(b):
+        # the penalty's relu masks make it jump where a pre-activation at a
+        # mix crosses zero, and a finite difference across a jump measures
+        # nothing; keep every pre-activation 10x the step away from zero
+        disc = b.discriminator
+        pre1 = [norm @ (mix @ disc.layer1.weight.data) for mix in gp_mixes]
+        pre2 = [norm @ (np.maximum(p, 0.0) @ disc.layer2.weight.data) for p in pre1]
+        return min(np.abs(p).min() for p in pre1 + pre2) > 1e-4
+
+    for layer, entries in (("layer1", None), ("layer2", 128), ("critic_head", None)):
+        worst[f"gradient_penalty.{layer}"] = composite_check(
+            f"gradient_penalty.{layer}",
+            lambda b, layer=layer: getattr(b.discriminator, layer).weight, gp_loss,
+            entries=entries, clear=clear_of_relu_kinks)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"criterion 1 took {elapsed:.1f}s"
@@ -216,15 +271,16 @@ def test_criterion_4_loss_formula_properties():
     # gradient penalty: constant critic (zero input gradient) and a linear
     # critic f @ w, whose input gradient is w on every row, with ||w|| < sigma
     sigma = 5.0
-    src = rng.uniform(size=(60, 24))
-    fakes = rng.uniform(size=(60, 24))
-    constant_critic_grad = lambda f: ad.constant(np.zeros(f.shape))
-    gp_const = losses.gradient_penalty(constant_critic_grad, src, fakes, sigma, rng).item()
+    src = ad.constant(rng.uniform(size=(60, 24)))
+    fakes = ad.constant(rng.uniform(size=(60, 24)))
+    constant_critic_norms = lambda mix: ad.constant(np.zeros((mix.shape[0], 1)))
+    gp_const = losses.gradient_penalty(constant_critic_norms, src, fakes, sigma, rng).item()
     assert gp_const == 0.0
     w = rng.standard_normal(24)
     w *= 0.8 * sigma / np.linalg.norm(w)
-    gp_lin = losses.gradient_penalty(lambda f: ad.constant(np.tile(w, (f.shape[0], 1))),
-                                     src, fakes, sigma, rng).item()
+    gp_lin = losses.gradient_penalty(
+        lambda mix: ad.constant(np.full((mix.shape[0], 1), np.linalg.norm(w))),
+        src, fakes, sigma, rng).item()
     assert gp_lin == 0.0
 
     # zero critic adversarial loss

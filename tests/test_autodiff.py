@@ -47,9 +47,6 @@ class TestForwardExamples:
     def test_mean(self):
         assert ad.mean(ad.constant([2.0, 4.0])).item() == 3.0
 
-    def test_row_l2_norms_345(self):
-        assert ad.row_l2_norms(ad.constant([[3.0, 4.0]])).item() == 5.0
-
     def test_reduction_empty_errors(self):
         with pytest.raises(PreconditionError):
             ad.mean(ad.constant(np.zeros((0, 3))))
@@ -291,20 +288,6 @@ class TestBlockPrimitives:
             loss = ad.sum_all(out)
         assert np.all(out.data == 0.0)
         assert np.all(ad.backward(tape, loss)[a.node_id].data == 0.0)
-
-
-def test_row_l2_norm_gradient():
-    rng = np.random.default_rng(3)
-    x0 = rng.standard_normal((4, 3)) + 0.2
-
-    def build(x):
-        return ad.mean(ad.row_l2_norms(x))
-
-    def np_loss(arr):
-        return np.linalg.norm(arr, axis=1).mean()
-
-    g = grad_of(build, x0)
-    assert rel_err(g, finite_difference(np_loss, x0)) < 1e-5
 
 
 def test_grad_mean_abs_diff_matches_fd():

@@ -165,7 +165,8 @@ class TestTrainPredict:
         assert not model.exists()
 
     @pytest.mark.parametrize("flag,value", [("--lambda-top", "inf"), ("--lambda-gp", "nan"),
-                                            ("--sigma-gp", "inf"), ("--lr", "0")])
+                                            ("--sigma-gp", "inf"), ("--lr", "0"),
+                                            ("--clusters", "0")])
     def test_bad_number_exits_2_before_loading(self, tmp_path, capsys, flag, value):
         # the dataset does not exist: exit 2 (not 3) shows the check ran first
         model = tmp_path / "model.bin"
@@ -255,6 +256,8 @@ class TestEvaluate:
         dataset = tmp_path / "ds"
         run(*simulate_args(dataset, subjects=18))
         out = tmp_path / "cv"
+        assert run("evaluate", "--folds", "0", "--data", str(dataset), "--out", str(out)) == 2
+        assert not out.exists()
         assert run("evaluate", "--folds", "3", "--data", str(dataset),
                    "--source-view", "0", "--out", str(out),
                    "--iterations", "1", "--batch-size", "6", "--seed", "2") == 0
@@ -268,6 +271,18 @@ class TestEvaluate:
 
     def test_missing_args_usage_error(self):
         assert run("evaluate") == 2
+
+    @pytest.mark.parametrize("flag,value", [("--iterations", "7"), ("--lambda-top", "3"),
+                                            ("--sigma-gp", "2"), ("--seed", "0"),
+                                            ("--data", "ds"), ("--source-view", "0")])
+    def test_fold_flags_rejected_without_folds(self, tmp_path, capsys, flag, value):
+        # the inputs do not exist: exit 2 (not 3) shows the check ran first
+        out = tmp_path / "rep"
+        assert run("evaluate", "--pred", str(tmp_path / "p"), "--truth", str(tmp_path / "t"),
+                   "--out", str(out), flag, value) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and flag in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestMetrics:

@@ -76,18 +76,20 @@ class TestInfoMaxLoss:
 
 
 class TestGradientPenalty:
-    """The exact penalty; ``input_gradient`` maps critic inputs to d(critic)/d(input)."""
+    """The exact penalty; ``row_norms`` maps projected mixes to the row norms
+    of d(critic)/d(input)."""
 
-    def _linear_critic_gradient(self, w: ad.Tensor):
-        # the critic f @ w has input gradient w^T on every row
-        return lambda f: ad.matmul(ad.constant(np.ones((f.shape[0], 1))), ad.transpose(w))
+    def _linear_critic_norms(self, w: ad.Tensor):
+        # the critic x @ w has input gradient w^T on every row, of norm ||w||
+        norm_w = ad.sqrt(ad.matmul(ad.transpose(w), w))
+        return lambda mix: ad.matmul(ad.constant(np.ones((mix.shape[0], 1))), norm_w)
 
     def test_constant_critic_zero(self):
-        input_gradient = lambda f: ad.constant(np.zeros(f.shape))
+        row_norms = lambda mix: ad.constant(np.zeros((mix.shape[0], 1)))
         rng = np.random.default_rng(2)
-        src = rng.uniform(size=(40, 12))
-        fakes = rng.uniform(size=(40, 12))
-        out = losses.gradient_penalty(input_gradient, src, fakes, sigma=5.0, rng=rng)
+        src = ad.constant(rng.uniform(size=(40, 12)))
+        fakes = ad.constant(rng.uniform(size=(40, 12)))
+        out = losses.gradient_penalty(row_norms, src, fakes, sigma=5.0, rng=rng)
         assert out.item() == 0.0
 
     def test_linear_critic_below_sigma_zero(self):
@@ -95,10 +97,10 @@ class TestGradientPenalty:
         sigma = 5.0
         w = rng.standard_normal(20)
         w *= 0.8 * sigma / np.linalg.norm(w)
-        src = rng.uniform(size=(60, 20))
-        fakes = rng.uniform(size=(60, 20))
-        critic_grad = self._linear_critic_gradient(ad.constant(w.reshape(-1, 1)))
-        out = losses.gradient_penalty(critic_grad, src, fakes, sigma=sigma, rng=rng)
+        src = ad.constant(rng.uniform(size=(60, 20)))
+        fakes = ad.constant(rng.uniform(size=(60, 20)))
+        row_norms = self._linear_critic_norms(ad.constant(w.reshape(-1, 1)))
+        out = losses.gradient_penalty(row_norms, src, fakes, sigma=sigma, rng=rng)
         assert out.item() == 0.0
 
     def test_linear_critic_above_sigma_near_one(self):
@@ -107,37 +109,52 @@ class TestGradientPenalty:
         sigma = 5.0
         w = rng.standard_normal(40)
         w *= (sigma + 1.0) / np.linalg.norm(w)
-        src = rng.uniform(size=(30, 40))
-        fakes = rng.uniform(size=(30, 40))
-        critic_grad = self._linear_critic_gradient(ad.constant(w.reshape(-1, 1)))
-        out = losses.gradient_penalty(critic_grad, src, fakes, sigma=sigma, rng=rng)
+        src = ad.constant(rng.uniform(size=(30, 40)))
+        fakes = ad.constant(rng.uniform(size=(30, 40)))
+        row_norms = self._linear_critic_norms(ad.constant(w.reshape(-1, 1)))
+        out = losses.gradient_penalty(row_norms, src, fakes, sigma=sigma, rng=rng)
         assert abs(out.item() - 1.0) < 1e-9
 
     def test_sigma_positive_required(self):
         rng = np.random.default_rng(6)
-        src = rng.uniform(size=(4, 3))
+        src = ad.constant(rng.uniform(size=(4, 3)))
         for sigma in (0.0, -1.0):
             with pytest.raises(PreconditionError):
-                losses.gradient_penalty(lambda f: f, src, src, sigma=sigma, rng=rng)
+                losses.gradient_penalty(lambda mix: mix, src, src, sigma=sigma, rng=rng)
 
     def test_penalty_differentiable_through_critic_params(self):
         rng = np.random.default_rng(7)
         w = ad.parameter(rng.standard_normal((6, 1)) * 4.0)
-        src = rng.uniform(size=(50, 6))
-        fakes = rng.uniform(size=(50, 6))
+        src = ad.constant(rng.uniform(size=(50, 6)))
+        fakes = ad.constant(rng.uniform(size=(50, 6)))
         with ad.Tape() as tape:
-            out = losses.gradient_penalty(self._linear_critic_gradient(w), src, fakes,
+            out = losses.gradient_penalty(self._linear_critic_norms(w), src, fakes,
                                           sigma=1.0, rng=rng)
         assert out.item() > 0.0
         grads = ad.backward(tape, out)
         assert np.any(grads[w.node_id].data != 0.0)
+
+    def test_penalty_differentiable_through_projections(self):
+        # the mixes are tape ops on the projections, so the projecting weight
+        # gets a gradient from them
+        rng = np.random.default_rng(11)
+        w1 = ad.parameter(rng.standard_normal((5, 3)))
+        src, fakes = rng.uniform(size=(4, 5)), rng.uniform(size=(8, 5))
+        with ad.Tape() as tape:
+            out = losses.gradient_penalty(
+                lambda mix: ad.sqrt(ad.matmul(ad.mul(mix, mix), ad.constant(np.ones((3, 1))))),
+                ad.matmul(ad.constant(src), w1), ad.matmul(ad.constant(fakes), w1),
+                sigma=1e-3, rng=rng)
+        assert out.item() > 0.0
+        assert np.any(ad.backward(tape, out)[w1.node_id].data != 0.0)
 
     def test_mixes_each_fake_block_with_the_source(self):
         rng = np.random.default_rng(8)
         src = rng.uniform(size=(4, 3))
         fakes = rng.uniform(size=(12, 3))
         seen = []
-        losses.gradient_penalty(lambda mix: seen.append(mix.data) or mix, src, fakes,
+        losses.gradient_penalty(lambda mix: seen.append(mix.data) or mix,
+                                ad.constant(src), ad.constant(fakes),
                                 sigma=1.0, rng=np.random.default_rng(9))
         alpha = np.random.default_rng(9).uniform(size=(12, 1))
         expected = alpha * np.tile(src, (3, 1)) + (1.0 - alpha) * fakes
@@ -146,8 +163,9 @@ class TestGradientPenalty:
     def test_fakes_must_stack_source_blocks(self):
         rng = np.random.default_rng(10)
         with pytest.raises(DimensionError):
-            losses.gradient_penalty(lambda f: f, rng.uniform(size=(4, 3)),
-                                    rng.uniform(size=(10, 3)), sigma=1.0, rng=rng)
+            losses.gradient_penalty(lambda mix: mix, ad.constant(rng.uniform(size=(4, 3))),
+                                    ad.constant(rng.uniform(size=(10, 3))),
+                                    sigma=1.0, rng=rng)
 
 
 class TestDiscriminatorLoss:

@@ -97,36 +97,69 @@ class TestNetworks:
         bundle = models.init_params(small_dims(), seed=0)
         for p in bundle.discriminator.params():
             p.data[...] = 0.0
+        disc = bundle.discriminator
         critic, probs = models.discriminate(
-            bundle.discriminator, ad.constant(np.ones((4, 10))), ad.constant(np.eye(4)))
+            disc, models.project(disc, ad.constant(np.ones((4, 10)))), ad.constant(np.eye(4)))
         assert np.all(critic.data == 0.0)
         assert np.all(probs.data == 0.5)
 
     def test_discriminate_probs_in_unit_interval(self):
         bundle = models.init_params(small_dims(), seed=5)
+        disc = bundle.discriminator
         rng = np.random.default_rng(6)
         for _ in range(100):
             feats = ad.constant(rng.standard_normal((3, 10)))
-            _, probs = models.discriminate(bundle.discriminator, feats,
+            _, probs = models.discriminate(disc, models.project(disc, feats),
                                            ad.constant(np.eye(3)))
             assert np.all((probs.data > 0) & (probs.data < 1))
 
-    def test_critic_input_gradient_matches_fd(self):
+    def test_discriminate_takes_projections(self):
+        bundle = models.init_params(small_dims(), seed=0)
+        disc = bundle.discriminator
+        feats = ad.constant(np.ones((4, 10)))
+        norm = ad.constant(np.eye(2))
+        assert models.project(disc, feats).shape == (4, 32)
+        with pytest.raises(DimensionError):  # unprojected rows
+            models.discriminate(disc, feats, norm)
+        with pytest.raises(DimensionError):  # 5 rows are not blocks of 2 subjects
+            models.discriminator_gradient_norms(
+                disc, models.project(disc, ad.constant(np.ones((5, 10)))), norm,
+                models.first_layer_gram(disc))
+
+    def test_gradient_norms_match_numpy_input_gradient(self):
+        # the hidden-space norms of a 5-block stack against the row norms of
+        # d(sum critic)/d(input) written out in numpy, one block at a time
         bundle = models.init_params(small_dims(), seed=7)
+        disc = bundle.discriminator
         rng = np.random.default_rng(8)
-        feats0 = rng.standard_normal((4, 10))
-        norm = np.full((4, 4), 0.2) + np.eye(4) * 0.3
+        n, blocks = 6, 5
+        affin = rng.uniform(size=(n, n))
+        norm = np.full((n, n), 0.1) + np.eye(n) * 0.4 + 0.05 * (affin + affin.T)
+        stacked = rng.uniform(0.1, 1.0, size=(n * blocks, 10))
+        w1, w2, wc = (disc.layer1.weight.data, disc.layer2.weight.data,
+                      disc.critic_head.weight.data)
 
-        grad = models.discriminator_input_gradient(
-            bundle.discriminator, ad.constant(feats0), ad.constant(norm))
+        def input_gradient(x):
+            pre1 = norm @ (x @ w1)
+            pre2 = norm @ (np.maximum(pre1, 0.0) @ w2)
+            g2 = (norm.T @ np.ones((n, 1))) @ wc.T * (pre2 > 0)
+            g1 = (norm.T @ g2) @ w2.T * (pre1 > 0)
+            return (norm.T @ g1) @ w1.T
 
-        def np_loss(arr):
-            critic, _ = models.discriminate(bundle.discriminator,
-                                            ad.Tensor(arr), ad.constant(norm))
+        grad = np.vstack([input_gradient(stacked[b * n:(b + 1) * n]) for b in range(blocks)])
+
+        def critic_sum(arr):
+            critic, _ = models.discriminate(disc, models.project(disc, ad.Tensor(arr)),
+                                            ad.constant(norm))
             return critic.data.sum()
 
-        fd = finite_difference(np_loss, feats0)
-        assert np.abs(grad.data - fd).max() / np.abs(fd).max() < 1e-5
+        fd = finite_difference(critic_sum, stacked)
+        assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-5
+        norms = models.discriminator_gradient_norms(
+            disc, models.project(disc, ad.constant(stacked)), ad.constant(norm),
+            models.first_layer_gram(disc))
+        assert norms.shape == (n * blocks, 1)
+        assert np.abs(norms.data[:, 0] - np.linalg.norm(grad, axis=1)).max() <= 1e-12
 
     def test_one_pass_critic_matches_per_block_calls(self):
         # the critic step scores [source; fakes; real targets] in one pass
@@ -138,17 +171,15 @@ class TestNetworks:
         norm = ad.constant(np.full((n, n), 0.1) + np.eye(n) * 0.4 + 0.05 * (affin + affin.T))
         stacked = rng.uniform(0.1, 1.0, size=(n * blocks, 10))
 
-        critic, probs = models.discriminate(disc, ad.constant(stacked), norm)
+        critic, probs = models.discriminate(
+            disc, models.project(disc, ad.constant(stacked)), norm)
         critic_parts = ad.split_rows(critic, n)
         probs_parts = ad.split_rows(probs, n)
-        grad = models.discriminator_input_gradient(disc, ad.constant(stacked), norm).data
         for b in range(blocks):
-            block = ad.constant(stacked[b * n:(b + 1) * n])
+            block = models.project(disc, ad.constant(stacked[b * n:(b + 1) * n]))
             critic_b, probs_b = models.discriminate(disc, block, norm)
-            grad_b = models.discriminator_input_gradient(disc, block, norm).data
             assert np.abs(critic_parts[b].data - critic_b.data).max() <= 1e-12
             assert np.abs(probs_parts[b].data - probs_b.data).max() <= 1e-12
-            assert np.abs(grad[b * n:(b + 1) * n] - grad_b).max() <= 1e-12
 
     def test_one_pass_parameter_gradients_match_per_block_calls(self):
         bundle = models.init_params(small_dims(), seed=13)
@@ -164,24 +195,22 @@ class TestNetworks:
             g = ad.backward(tape, loss)
             return [g[p.node_id].data for p in disc.params()]
 
-        def one_pass():
-            critic, probs = models.discriminate(disc, ad.constant(stacked), norm)
-            gp = models.discriminator_input_gradient(disc, ad.constant(stacked), norm)
+        def loss_on(rows):
+            proj = models.project(disc, ad.constant(rows))
+            critic, probs = models.discriminate(disc, proj, norm)
+            norms = models.discriminator_gradient_norms(disc, proj, norm,
+                                                        models.first_layer_gram(disc))
             return ad.add(ad.add(ad.mean(ad.mul(critic, critic)), ad.mean(probs)),
-                          ad.mean(ad.row_l2_norms(gp)))
+                          ad.mean(norms))
 
         def per_block():
             loss = None
             for b in range(blocks):
-                block = ad.constant(stacked[b * n:(b + 1) * n])
-                critic, probs = models.discriminate(disc, block, norm)
-                gp = models.discriminator_input_gradient(disc, block, norm)
-                term = ad.add(ad.add(ad.mean(ad.mul(critic, critic)), ad.mean(probs)),
-                              ad.mean(ad.row_l2_norms(gp)))
+                term = loss_on(stacked[b * n:(b + 1) * n])
                 loss = term if loss is None else ad.add(loss, term)
             return ad.scale(loss, 1.0 / blocks)
 
-        for a, b in zip(grads(one_pass), grads(per_block)):
+        for a, b in zip(grads(lambda: loss_on(stacked)), grads(per_block)):
             assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
 
     def test_all_params_receive_gradient_at_init(self):
@@ -195,7 +224,8 @@ class TestNetworks:
                      for j in range(2) for i in range(2)]
             heads = []
             for p in preds:
-                critic, probs = models.discriminate(bundle.discriminator, p, norm)
+                disc = bundle.discriminator
+                critic, probs = models.discriminate(disc, models.project(disc, p), norm)
                 heads.extend([critic, probs])
             stacked = ad.vstack(heads)
             loss = ad.mean(ad.mul(stacked, stacked))

@@ -80,11 +80,43 @@ class TestTrainLoop:
             training.TrainingConfig(batch_size=1)
         with pytest.raises(PreconditionError):
             training.TrainingConfig(n_critic=0)
+        for clusters in (0, -1):
+            with pytest.raises(PreconditionError, match="clusters"):
+                training.TrainingConfig(clusters=clusters)
         for bad in ({"lr": 0.0}, {"lr": -1e-4}, {"lr": float("nan")},
                     {"lr": float("inf")}, {"beta1": 1.0}, {"beta2": -0.1},
                     {"beta2": float("nan")}):
             with pytest.raises(PreconditionError):
                 training.TrainingConfig(**bad)
+
+
+class TestCriticWidth:
+    def test_critic_step_projects_each_cluster_once(self, monkeypatch):
+        # the critic's f-wide products are one projection of each cluster's
+        # gathered [source; k fakes; k real] rows and one W1^T W1 per step;
+        # no (k*n, f) mix or input gradient may come back
+        ds = small_dataset(r=10)
+        f, k, hidden = ds.f, ds.k, models.HIDDEN_WIDE
+        cfg = small_config(iterations=1, n_critic=2)
+        wide = {}  # tape -> [(left shape, right shape)], in tape order
+        real_matmul = ad.matmul
+
+        def matmul(a, b):
+            tape = ad._active_tape()
+            if tape is not None and f in a.shape + b.shape:
+                wide.setdefault(tape, []).append((a.shape, b.shape))
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", matmul)
+        training.train(ds, 0, cfg)
+        tapes = list(wide.values())
+        assert len(tapes) == cfg.n_critic + 1  # the last one is the generator step
+        gram = ((hidden, f), (f, hidden))
+        for shapes in tapes[:-1]:
+            assert shapes.count(gram) == 1
+            projections = [s for s in shapes if s != gram]
+            assert projections == [((cfg.batch_size * (2 * k + 1), f), (f, hidden))
+                                   ] * cfg.clusters
 
 
 class TestParameterIsolation:
@@ -130,13 +162,16 @@ class TestStepIsolationDirect:
                                         domain_classification_loss,
                                         generator_fooling_term, generator_loss,
                                         info_max_loss)
-        from connectogen.models import discriminate, encode, generate
+        from connectogen.models import discriminate, encode, generate, project
 
         ds = small_dataset(s=12, r=6, v=3)
         bundle = models.init_params(models.Dims(r=6, v=3, c=1), seed=0)
         feats = {v: ds.feature_matrix(v) for v in range(3)}
         norm = ad.constant(normalize_adjacency(learn_affinity(feats[0])))
         weights = LossWeights(lambda_gp=0.0)
+
+        def score(x):
+            return discriminate(bundle.discriminator, project(bundle.discriminator, x), norm)
 
         def snapshot(params):
             return [p.data.copy() for p in params]
@@ -150,16 +185,13 @@ class TestStepIsolationDirect:
                  for i in range(2)]
         opt_d = ad.Adam(bundle.discriminator.params(), lr=1e-3)
         with ad.Tape() as tape:
-            critic_real, _ = discriminate(bundle.discriminator,
-                                          ad.constant(feats[0]), norm)
+            critic_real, _ = score(ad.constant(feats[0]))
             critic_fakes, probs_fake = [], []
             for fk in fakes:
-                c, p = discriminate(bundle.discriminator, fk, norm)
+                c, p = score(fk)
                 critic_fakes.append(c)
                 probs_fake.append(p)
-            probs_real = [discriminate(bundle.discriminator,
-                                       ad.constant(feats[i + 1]), norm)[1]
-                          for i in range(2)]
+            probs_real = [score(ad.constant(feats[i + 1]))[1] for i in range(2)]
             l_adv = adversarial_loss(critic_real, critic_fakes)
             l_gdc = domain_classification_loss(probs_fake, probs_real)
             loss_d = discriminator_loss([(l_adv, ad.constant([[0.0]]), l_gdc)], weights)
@@ -180,7 +212,7 @@ class TestStepIsolationDirect:
             critic_fakes, probs_fake = [], []
             for i in range(2):
                 fk = generate(bundle.generator(0, i), z, norm)
-                c, p = discriminate(bundle.discriminator, fk, norm)
+                c, p = score(fk)
                 critic_fakes.append(c)
                 probs_fake.append(p)
             loss_g = generator_loss(
