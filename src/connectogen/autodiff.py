@@ -538,57 +538,6 @@ def devectorize_rows(x: Tensor, r: int) -> Tensor:
     return _emit(out, [x], build)
 
 
-def power_iteration_rows(a_flat: Tensor, r: int, iters: int, eps: float) -> Tensor:
-    """Normalized power iteration on a batch of flattened r-by-r matrices.
-
-    Row b of the (n, r*r) input stores matrix W_b row-major.  Starting from
-    x_0 = 1/sqrt(r), each of the ``iters`` steps computes y = W_b x and
-    x <- y / (||y|| + eps); the (n, r) result is recorded as one op.  Its
-    backward runs the reverse recursion over the stored iterates and builds
-    the matrix gradient once, as sum_t g_y(t) x(t)^T per row.
-    """
-    n = a_flat.shape[0]
-    if a_flat.shape[1] != r * r:
-        raise DimensionError(f"power_iteration_rows: expected {r * r} columns, "
-                             f"got {a_flat.shape[1]}")
-    if iters < 1:
-        raise PreconditionError("power_iteration_rows: iters must be >= 1")
-    a3 = a_flat.data.reshape(n, r, r)
-    eps_col = np.full((n, 1), float(eps))
-    xs = np.empty((iters, n, r))  # the iterate each step multiplies
-    ys = np.empty((iters, n, r))
-    norms = np.empty((iters, n, 1))
-    x = np.full((n, r), 1.0 / np.sqrt(r))
-    for t in range(iters):
-        xs[t] = x
-        y = (a3 @ x[:, :, None])[:, :, 0]
-        norm = np.sqrt((y * y).sum(axis=1, keepdims=True))
-        x = y * (1.0 / (norm + eps_col))
-        ys[t], norms[t] = y, norm
-    out = Tensor(x)
-
-    def build(ids):
-        (ia,) = ids
-
-        def bw(g):
-            a3_t = a3.transpose(0, 2, 1)
-            g_ys = np.empty_like(ys)
-            for t in range(iters - 1, -1, -1):
-                y, norm = ys[t], norms[t]
-                inv = 1.0 / (norm + eps_col)
-                # d||y||/dy = y/||y||, taken as 0 at y = 0
-                unit = np.where(norm > 0, y / np.where(norm > 0, norm, 1.0), 0.0)
-                g_y = g * inv - (g * y).sum(axis=1, keepdims=True) * inv * inv * unit
-                g_ys[t] = g_y
-                g = (a3_t @ g_y[:, :, None])[:, :, 0]
-            grad = np.matmul(g_ys.transpose(1, 2, 0), xs.transpose(1, 0, 2))
-            return [(ia, grad.reshape(n, r * r))]
-
-        return bw
-
-    return _emit(out, [a_flat], build)
-
-
 # ---------------------------------------------------------------------------
 # Adam
 

@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 from dataclasses import asdict
@@ -73,11 +74,20 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _environment() -> dict:
+    """The interpreter, numpy and BLAS builds and the CPU count behind a run."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "cpu_count": os.cpu_count()}
+
+
 def _write_manifest(path: Path, command: str, config: dict, inputs: list[Path],
                     outputs: list[Path]) -> None:
     payload = {
         "command": command,
         "tool_version": __version__,
+        "environment": _environment(),
         "config": config,
         "inputs": [str(p) for p in inputs],
         "outputs": [{"path": str(p), "sha256": _sha256(p)} for p in outputs],
@@ -316,6 +326,10 @@ def _evaluate_folds(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     if args.folds is not None:
+        given = ["--" + name for name in ("pred", "truth", "baseline")
+                 if getattr(args, name) is not None]
+        if given:
+            raise PreconditionError(f"--folds mode does not read {', '.join(given)}")
         if not getattr(args, "data", None):
             raise PreconditionError("--folds mode needs --data")
         return _evaluate_folds(args)

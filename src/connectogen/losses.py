@@ -19,7 +19,6 @@ from .data import devectorize
 from .errors import DimensionError, PreconditionError
 
 PROB_FLOOR = 1e-7
-EC_ITERS = 50  # power-iteration steps of the differentiable EC
 
 
 @dataclass(frozen=True)
@@ -132,8 +131,8 @@ def topological_loss(real_features: np.ndarray, pred_features: ad.Tensor, r: int
 
     ``real_features`` and ``pred_features`` stack the k views' (n, f) blocks
     into (k*n, f); ``real_centralities``, if given, is the matching (k*n, r)
-    stack.  The local term differentiates through a fixed-iteration power
-    method.
+    stack.  The local term is differentiated at the eigenvector's fixed
+    point (see :func:`topology.batched_eigenvector_rows`).
     """
     if tuple(real_features.shape) != pred_features.shape:
         raise DimensionError(
@@ -146,7 +145,7 @@ def topological_loss(real_features: np.ndarray, pred_features: ad.Tensor, r: int
     if real_centralities is None:
         real_centralities = topology.ec_or_zero(
             np.stack([devectorize(row, r) for row in real_features]))
-    pred_cent = topology.batched_eigenvector_rows(pred_features, r, iters=EC_ITERS)
+    pred_cent = topology.batched_eigenvector_rows(pred_features, r)
     local_term = ad.scale(ad.mean(ad.absolute(
         ad.sub(pred_cent, ad.constant(real_centralities)))), k)
     return ad.add(local_term, global_term)

@@ -10,9 +10,8 @@ Path-based metrics need a weight-to-length mapping:
   means the edge is absent.  Morphological dissimilarity networks fit this.
 * ``"inverse"``: length = 1/weight for positive weights, absent otherwise.
 
-Eigenvector centrality also has a fixed-iteration variant over vectorized
-graphs, recorded on the tape, so training losses can differentiate through
-it.
+Eigenvector centrality, from one forward for every caller, is also recorded
+on the tape over vectorized graphs and differentiated at its fixed point.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from .errors import DegenerateError, PreconditionError, ValidationError
 DISTANCE = "distance"
 INVERSE = "inverse"
 
-_EC_EPS = 1e-12
+_EC_TOL = 1e-12  # a graph stops once successive unit iterates move less
+_EC_MAX_STEPS = 200  # a graph still moving then is solved by eigh
 
 
 def _as_stack(weights) -> tuple[np.ndarray, bool]:
@@ -97,16 +97,19 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _power_iterate(step, ops: np.ndarray, x: np.ndarray, tol: float, max_steps: int,
-                   moved) -> np.ndarray:
+                   moved) -> tuple[np.ndarray, np.ndarray]:
     """Iterate ``x <- step(ops, x)`` until each row moves by less than ``tol``.
 
     Row i of ``x`` iterates with operator ``ops[i]``; ``moved(new, old)``
     measures each row's move, and a row leaves the batch once it has
-    converged.  Stops after ``max_steps``.
+    converged.  Stops after ``max_steps``; returns the iterates and the
+    indices of the rows still moving then.
     """
     out = np.empty_like(x)
     rows = np.arange(len(x))
     for _ in range(max_steps):
+        if not rows.size:
+            break
         y = step(ops, x)
         done = moved(y, x) < tol
         x = y
@@ -114,35 +117,46 @@ def _power_iterate(step, ops: np.ndarray, x: np.ndarray, tol: float, max_steps: 
             out[rows[done]] = x[done]
             keep = ~done
             rows, ops, x = rows[keep], ops[keep], x[keep]
-            if not rows.size:
-                break
     out[rows] = x
-    return out
+    return out, rows
 
 
-def eigenvector(weights) -> np.ndarray:
-    """Principal-eigenvector centrality, unit L2 norm, positive orientation.
+def _principal_eigenpairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal eigenvectors (unit L2 norm, positive orientation) and
+    eigenvalues of an (n, r, r) stack of nonnegative symmetric graphs.
 
-    Power iteration runs on W + delta*I (same eigenvectors, spectrum shifted
-    positive) so bipartite-like spectra with a -lambda_max eigenvalue still
-    converge; stops when successive iterates move < 1e-9 or at 1000 steps.
-    Each graph of a stack stops on its own.
+    Power iteration from the uniform unit vector; each graph stops on its
+    own.  A graph still moving at the step cap (a bipartite-like spectrum,
+    lambda_min near -lambda_max, makes the iterate oscillate) is solved by
+    eigh instead.  An all-zero graph gets a zero vector and eigenvalue.
     """
-    w, single = _as_stack(weights)
     n, r, _ = w.shape
-    if not np.all(np.any(w > 0, axis=(1, 2))):
-        raise DegenerateError("eigenvector centrality of an all-zero graph")
-    shifted = w + w.sum(axis=2).max(axis=1)[:, None, None] * np.eye(r)
+    vec = np.zeros((n, r))
+    live = np.flatnonzero(np.any(w > 0, axis=(1, 2)))
+    ops = w[live]
 
     def step(ops, x):
         y = np.matmul(ops, x[:, :, None])[:, :, 0]
         return y / _norms(y)[:, None]
 
-    x = _power_iterate(step, shifted, np.full((n, r), 1.0 / np.sqrt(r)), 1e-9, 1000,
-                       lambda y, x: _norms(y - x))
-    flip = x[np.arange(n), np.argmax(np.abs(x), axis=1)] < 0
-    x[flip] = -x[flip]
-    return _unstack(x / _norms(x)[:, None], single)
+    x, moving = _power_iterate(step, ops, np.full((len(live), r), 1.0 / np.sqrt(r)),
+                               _EC_TOL, _EC_MAX_STEPS, lambda y, x: _norms(y - x))
+    if moving.size:
+        top = np.linalg.eigh(ops[moving])[1][:, :, -1]
+        flip = top[np.arange(len(moving)), np.argmax(np.abs(top), axis=1)] < 0
+        top[flip] = -top[flip]
+        x[moving] = top
+    vec[live] = x
+    lam = np.matmul(vec[:, None, :], np.matmul(w, vec[:, :, None]))[:, 0, 0]
+    return vec, lam
+
+
+def eigenvector(weights) -> np.ndarray:
+    """Principal-eigenvector centrality, unit L2 norm, positive orientation."""
+    w, single = _as_stack(weights)
+    if not np.all(np.any(w > 0, axis=(1, 2))):
+        raise DegenerateError("eigenvector centrality of an all-zero graph")
+    return _unstack(_principal_eigenpairs(w)[0], single)
 
 
 def pagerank(weights, damping: float = 0.85) -> np.ndarray:
@@ -163,8 +177,8 @@ def pagerank(weights, damping: float = 0.85) -> np.ndarray:
     def step(ops, p):
         return damping * np.matmul(ops, p[:, :, None])[:, :, 0] + teleport
 
-    p = _power_iterate(step, transition.transpose(0, 2, 1), np.full((n, r), 1.0 / r),
-                       1e-10, 10_000, lambda a, b: np.abs(a - b).sum(axis=1))
+    p, _ = _power_iterate(step, transition.transpose(0, 2, 1), np.full((n, r), 1.0 / r),
+                          1e-10, 10_000, lambda a, b: np.abs(a - b).sum(axis=1))
     return _unstack(p / p.sum(axis=1, keepdims=True), single)
 
 
@@ -206,24 +220,41 @@ def centrality_matrix(graphs, metric: str, interp: str = DISTANCE) -> np.ndarray
 def ec_or_zero(weights) -> np.ndarray:
     """Eigenvector centrality, returning zeros for an all-zero graph."""
     w, single = _as_stack(weights)
-    out = np.zeros(w.shape[:2])
-    nonzero = np.any(w > 0, axis=(1, 2))
-    if nonzero.any():
-        out[nonzero] = eigenvector(w[nonzero])
-    return _unstack(out, single)
+    return _unstack(_principal_eigenpairs(w)[0], single)
 
 
 # ---------------------------------------------------------------------------
-# differentiable path (fixed-iteration power method, one tape op)
+# differentiable path (one tape op, differentiated at the fixed point)
 
-def batched_eigenvector_rows(features: ad.Tensor, r: int, iters: int = 50) -> ad.Tensor:
+def batched_eigenvector_rows(features: ad.Tensor, r: int) -> ad.Tensor:
     """Eigenvector centralities for a batch of vectorized graphs.
 
-    ``features`` is (n, r(r-1)/2); each row is clamped, expanded to a
-    symmetric adjacency, and power-iterated in parallel for ``iters``
-    normalized steps, recorded as one op.  All-zero rows yield all-zero
-    centralities instead of raising, so training losses stay finite early
-    on.  Returns an (n, r) tensor on the active tape.
+    ``features`` is (n, r(r-1)/2); each row is clamped and expanded to a
+    symmetric adjacency W, whose principal unit eigenvector v is recorded as
+    one op.  Its backward differentiates the fixed point W v = lambda v:
+    for upstream g, u solves (lambda I - W + v v^T) u = (I - v v^T) g and
+    dL/dW = u v^T.  All-zero rows yield all-zero centralities and a zero
+    gradient instead of raising, so training losses stay finite early on.
+    Returns an (n, r) tensor on the active tape.
     """
     a_flat = ad.devectorize_rows(ad.relu(features), r)
-    return ad.power_iteration_rows(a_flat, r, iters, _EC_EPS)
+    w = a_flat.data.reshape(-1, r, r)
+    vec, lam = _principal_eigenpairs(w)
+    diag = np.arange(r)
+
+    def build(ids):
+        (ia,) = ids
+
+        def bw(g):
+            system = vec[:, :, None] * vec[:, None, :]
+            system -= w
+            # an all-zero graph (v = 0, lam = 0) gets the system I, so u v^T = 0
+            system[:, diag, diag] += np.where(lam > 0, lam, 1.0)[:, None]
+            rhs = g - vec * (vec * g).sum(axis=1, keepdims=True)
+            u = np.linalg.solve(system, rhs[:, :, None])
+            grad = np.multiply(u, vec[:, None, :], out=system)
+            return [(ia, grad.reshape(len(w), r * r))]
+
+        return bw
+
+    return ad._emit(ad.Tensor(vec), [a_flat], build)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from connectogen import autodiff as ad
+from connectogen import topology
 from connectogen.errors import DimensionError, PreconditionError, TapeError
 
 from oracles import finite_difference
@@ -225,16 +226,15 @@ def test_batched_primitives_gradients():
     g = grad_of(build_devec, feats0)
     assert rel_err(g, finite_difference(np_devec, feats0)) < 1e-5
 
-    a_flat0 = ad.devectorize_rows(ad.Tensor(feats0), r).data
     w0 = rng.standard_normal((3, r))
 
-    def np_power(arr):
-        y = ad.power_iteration_rows(ad.Tensor(arr), r, 12, 1e-12).data
+    def np_ec(arr):
+        y = topology.batched_eigenvector_rows(ad.Tensor(arr), r).data
         return (y * w0).mean()
 
-    g = grad_of(lambda a: ad.mean(ad.mul(ad.power_iteration_rows(a, r, 12, 1e-12),
-                                         ad.constant(w0))), a_flat0)
-    assert rel_err(g, finite_difference(np_power, a_flat0)) < 1e-5
+    g = grad_of(lambda x: ad.mean(ad.mul(topology.batched_eigenvector_rows(x, r),
+                                         ad.constant(w0))), feats0)
+    assert rel_err(g, finite_difference(np_ec, feats0)) < 1e-5
 
     adj0 = rng.uniform(size=(2, 2))
     tall0 = rng.standard_normal((6, 3))
@@ -280,14 +280,6 @@ class TestBlockPrimitives:
         with ad.Tape() as tape:
             loss = ad.sum_all(ad.split_rows(x, 2)[1])
         assert ad.backward(tape, loss)[x.node_id].data.ravel().tolist() == [0, 0, 1, 1]
-
-    def test_power_iteration_rows_zero_matrix_stays_zero(self):
-        a = ad.parameter(np.zeros((1, 9)))
-        with ad.Tape() as tape:
-            out = ad.power_iteration_rows(a, 3, 5, 1e-12)
-            loss = ad.sum_all(out)
-        assert np.all(out.data == 0.0)
-        assert np.all(ad.backward(tape, loss)[a.node_id].data == 0.0)
 
 
 def test_grad_mean_abs_diff_matches_fd():

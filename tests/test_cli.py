@@ -1,4 +1,6 @@
 import json
+import os
+import platform
 import warnings
 
 import numpy as np
@@ -73,6 +75,15 @@ class TestTrainPredict:
         trace = model.with_suffix(".bin.trace.csv")
         assert trace.read_text().splitlines()[0].startswith("iteration,L_D")
         assert model.with_suffix(".bin.run.json").is_file()
+
+    def test_train_manifest_records_environment(self, dataset, tmp_path):
+        model = tmp_path / "model.bin"
+        assert run(*train_args(dataset, model)) == 0
+        env = json.loads(model.with_suffix(".bin.run.json").read_text())["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                       "blas": blas.get("name"), "blas_version": blas.get("version"),
+                       "cpu_count": os.cpu_count()}
 
     def test_centrality_and_cluster_flags(self, dataset, tmp_path):
         model = tmp_path / "model.bin"
@@ -282,6 +293,19 @@ class TestEvaluate:
                    "--out", str(out), flag, value) == 2
         err = capsys.readouterr().err
         assert "usage error" in err and flag in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [["--pred"], ["--truth"], ["--baseline"],
+                                       ["--pred", "--truth", "--baseline"]])
+    def test_pair_flags_rejected_with_folds(self, tmp_path, capsys, flags):
+        # the dataset does not exist: exit 2 (not 3) shows the check ran first
+        argv = ["evaluate", "--folds", "2", "--data", str(tmp_path / "ds"),
+                "--out", str(tmp_path / "rep"), "--iterations", "1"]
+        for flag in flags:
+            argv += [flag, str(tmp_path / flag.lstrip("-"))]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and all(flag in err for flag in flags)
         assert not list(tmp_path.iterdir())
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from connectogen import autodiff as ad
 from connectogen import topology
-from connectogen.data import devectorize, vectorize_upper
+from connectogen.data import devectorize, simulate_population, vectorize_upper
 from connectogen.errors import DegenerateError, PreconditionError, ValidationError
 
 import oracles
@@ -238,21 +238,31 @@ class TestCentralityMatrix:
             topology.centrality_matrix([complete_graph(3)], "nope")
 
 
+def near_bipartite_graph(seed):
+    """Strictly positive weights, heavy across two halves, so lambda_min/lambda_max
+    is near -1 and an unshifted power iteration oscillates."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(1e-4, 2e-4, size=(6, 6))
+    w[:3, 3:] = rng.uniform(0.5, 1.5, size=(3, 3))
+    w = np.triu(w, k=1)
+    return w + w.T
+
+
 class TestDifferentiableEigenvector:
-    """The tape-recorded power method behind the EC topological loss."""
+    """The tape op behind the EC topological loss, differentiated at its fixed point."""
 
     def test_matches_plain_eigenvector_on_positive_matrix(self):
         rng = np.random.default_rng(4)
         w = oracles.random_connectivity(rng, 6, density=1.0)
         out = topology.batched_eigenvector_rows(
-            ad.constant(vectorize_upper(w)), 6, iters=60)
+            ad.constant(vectorize_upper(w)), 6)
         assert np.allclose(out.data.ravel(), topology.eigenvector(w), atol=1e-4)
 
     def test_c4_symmetric_result_and_gradient(self):
         c4 = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], float)
         g = ad.parameter(vectorize_upper(c4))
         with ad.Tape() as tape:
-            ec = topology.batched_eigenvector_rows(g, 4, iters=30)
+            ec = topology.batched_eigenvector_rows(g, 4)
             loss = ad.mean(ec)
         assert np.allclose(ec.data.ravel(), 0.5)
         grad = devectorize(ad.backward(tape, loss)[g.node_id].data.ravel(), 4)
@@ -266,12 +276,12 @@ class TestDifferentiableEigenvector:
         feats = vectorize_upper(oracles.random_connectivity(rng, 5, density=1.0)) + 0.5
 
         def loss_np(arr):
-            out = topology.batched_eigenvector_rows(ad.Tensor(arr), 5, iters=40)
+            out = topology.batched_eigenvector_rows(ad.Tensor(arr), 5)
             return out.data.ravel()[0]
 
         g = ad.parameter(feats.copy())
         with ad.Tape() as tape:
-            ec = topology.batched_eigenvector_rows(g, 5, iters=40)
+            ec = topology.batched_eigenvector_rows(g, 5)
             loss = ad.matmul(ec, ad.constant(np.eye(5, 1)))  # EC of node 0
         grad = ad.backward(tape, loss)[g.node_id].data
         fd = oracles.finite_difference(loss_np, feats, h=1e-6)
@@ -286,6 +296,52 @@ class TestDifferentiableEigenvector:
         assert loss.item() == 0.0
         assert np.all(ad.backward(tape, loss)[g.node_id].data == 0.0)
 
+    def test_zero_graph_stays_zero(self):
+        # a zero row beside a live one: zero centralities and zero gradient
+        # for it, while the live row's gradient flows
+        feats = np.zeros((2, 3))
+        feats[1] = [0.3, 0.7, 0.5]
+        g = ad.parameter(feats)
+        with ad.Tape() as tape:
+            out = topology.batched_eigenvector_rows(g, 3)
+            loss = ad.sum_all(ad.mul(out, ad.constant([[1.0, 2.0, 3.0]] * 2)))
+        grad = ad.backward(tape, loss)[g.node_id].data
+        assert np.all(out.data[0] == 0.0)
+        assert np.all(grad[0] == 0.0)
+        assert np.any(grad[1] != 0.0)
+
+    @pytest.mark.parametrize("name", ["star", "near_bipartite"])
+    def test_bipartite_spectra_match_dense_oracle(self, name):
+        w = star_graph(5) if name == "star" else near_bipartite_graph(3)
+        vals = np.linalg.eigvalsh(w)
+        assert vals[0] / vals[-1] < -0.99
+        r = w.shape[0]
+        out = topology.batched_eigenvector_rows(ad.constant(vectorize_upper(w)), r)
+        assert np.abs(out.data[0] - oracles.eigenvector_dense(w)).max() < 1e-9
+
+    @pytest.mark.parametrize("name", ["star", "near_bipartite"])
+    def test_bipartite_spectra_gradient_matches_finite_differences(self, name):
+        w = star_graph(5) if name == "star" else near_bipartite_graph(4)
+        r = w.shape[0]
+        feats = vectorize_upper(w)[None]
+        weights = np.random.default_rng(9).standard_normal((1, r))
+
+        def loss_np(arr):
+            out = topology.batched_eigenvector_rows(ad.Tensor(arr), r)
+            return (out.data * weights).sum()
+
+        g = ad.parameter(feats.copy())
+        with ad.Tape() as tape:
+            ec = topology.batched_eigenvector_rows(g, r)
+            loss = ad.sum_all(ad.mul(ec, ad.constant(weights)))
+        grad = ad.backward(tape, loss)[g.node_id].data
+        fd = oracles.finite_difference(loss_np, feats, h=1e-6)
+        # the star's absent leaf-leaf edges sit on the relu kink (relu'(0)=0),
+        # where a central difference measures half a one-sided slope
+        positive = feats > 0
+        denom = max(np.abs(fd[positive]).max(), 1e-12)
+        assert np.abs(grad - fd)[positive].max() / denom < 1e-3
+
 
 class TestBatchedEigenvector:
     def test_agrees_with_per_graph_path(self):
@@ -293,7 +349,7 @@ class TestBatchedEigenvector:
         r = 6
         f = r * (r - 1) // 2
         feats = rng.uniform(0.1, 1.0, size=(4, f))
-        batched = topology.batched_eigenvector_rows(ad.constant(feats), r, iters=60)
+        batched = topology.batched_eigenvector_rows(ad.constant(feats), r)
         for row in range(4):
             single = topology.eigenvector(devectorize(feats[row], r))
             assert np.allclose(batched.data[row], single, atol=1e-8)
@@ -302,7 +358,7 @@ class TestBatchedEigenvector:
         r = 5
         feats = np.zeros((2, r * (r - 1) // 2))
         feats[1, 0] = 1.0
-        out = topology.batched_eigenvector_rows(ad.constant(feats), r, iters=20)
+        out = topology.batched_eigenvector_rows(ad.constant(feats), r)
         assert np.all(out.data[0] == 0.0)
         assert np.any(out.data[1] > 0.0)
 
@@ -313,7 +369,7 @@ class TestBatchedEigenvector:
         feats = rng.uniform(0.2, 1.0, size=(2, f))
 
         def build(x):
-            return ad.mean(topology.batched_eigenvector_rows(x, r, iters=30))
+            return ad.mean(topology.batched_eigenvector_rows(x, r))
 
         p = ad.parameter(feats.copy())
         with ad.Tape() as tape:
@@ -321,12 +377,28 @@ class TestBatchedEigenvector:
         grad = ad.backward(tape, loss)[p.node_id].data
 
         def loss_np(arr):
-            return topology.batched_eigenvector_rows(
-                ad.Tensor(arr), r, iters=30).data.mean()
+            return topology.batched_eigenvector_rows(ad.Tensor(arr), r).data.mean()
 
         fd = oracles.finite_difference(loss_np, feats, h=1e-6)
         denom = max(np.abs(fd).max(), 1e-12)
         assert np.abs(grad - fd).max() / denom < 1e-3
+
+
+def test_one_eigenvector_implementation():
+    """Training, the real targets and evaluation share one EC forward: on a
+    real target view with an all-zero graph spliced in, every entry point
+    gives the same bits."""
+    ds = simulate_population(s=6, r=35, v=3, clusters=2, seed=7)
+    view = 1  # a target view when view 0 is the source
+    feats = np.insert(ds.feature_matrix(view), 2, 0.0, axis=0)
+    stack = np.insert(ds.tensor[:, view], 2, 0.0, axis=0)
+    live = [0, 1, 3, 4, 5, 6]
+    ec = topology.ec_or_zero(stack)
+    assert np.all(ec[2] == 0.0)
+    assert np.array_equal(topology.batched_eigenvector_rows(ad.constant(feats), 35).data, ec)
+    assert np.array_equal(topology.eigenvector(stack[live]), ec[live])
+    for i in live:
+        assert np.array_equal(topology.eigenvector(stack[i]), ec[i])
 
 
 def test_batched_kernels_match_oracles():
