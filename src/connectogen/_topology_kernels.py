@@ -2,17 +2,18 @@
 
 Every kernel takes an (n, r, r) float64 stack and returns one result per
 graph: an (n, r, r) stack of distances or an (n, r) stack of per-node
-scores.  A length stack holds np.inf for absent edges and 0 on the
-diagonal, and its edge lengths are strictly positive.  A weight stack is
-symmetric, nonnegative and zero on the diagonal.
+scores.  A length stack is symmetric, holds np.inf for absent edges and 0
+on the diagonal, and its edge lengths are strictly positive.  A weight
+stack is symmetric, nonnegative and zero on the diagonal.
 
 Betweenness matches distance ties within the absolute tolerance
 ``_TIE_TOL``.  For a source s, the edge v->w belongs to the shortest-path
-DAG when D[s,v] + L[v,w] lies within that tolerance of D[s,w] and
-(D[s,v], v) sorts before (D[s,w], w).  The second condition orients every
-tight edge in the order in which Dijkstra's algorithm, breaking ties by
-the lower index, settles nodes.  It keeps the DAG acyclic when an edge is
-shorter than the tolerance, so the linear systems below stay nonsingular.
+DAG when D[s,v] + L[v,w] lies within that tolerance of D[s,w] and v
+settles before w: (D[s,v], v) sorts before (D[s,w], w), the order in
+which Dijkstra's algorithm, breaking ties by the lower index, settles
+nodes.  The second condition keeps the DAG acyclic when an edge is
+shorter than the tolerance, so the sweeps over that order below see
+every edge once.
 """
 
 import numpy as np
@@ -32,35 +33,69 @@ def dijkstra_all(lengths):
     return dist
 
 
+def _within_tolerance(gap):
+    """Overwrite each D[s,v] + L[v,w] - D[s,w] with 1.0 where it lies within
+    ``_TIE_TOL`` of 0 and with 0.0 elsewhere (NaN from inf - inf included)."""
+    np.less_equal(np.abs(gap, out=gap), _TIE_TOL, out=gap)
+
+
 def brandes_betweenness(lengths):
     """Unnormalized betweenness of each graph, by Brandes' accumulation.
 
     Returns, per node, the sum over ordered pairs (s, t) of the fraction of
-    shortest s-t paths passing through it (endpoints excluded).  For every
-    source at once, with A the DAG's adjacency, the path counts solve
-    (I - A^T) sigma = e_s and the dependencies solve (I - B) delta = B 1,
-    where B[v, w] = A[v, w] sigma[v] / sigma[w] (Brandes 2001).  Graphs are
-    processed one at a time, so memory stays O(r^3).
+    shortest s-t paths passing through it (endpoints excluded).  Every
+    source of every graph runs at once, in two sweeps over its settle order
+    (Brandes 2001).  The forward sweep counts shortest paths: sigma[s, w]
+    is the sum of sigma[s, v] over the DAG edges v->w.  The backward sweep
+    accumulates dependencies: delta[s, v] is sigma[s, v] times the sum of
+    (1 + delta[s, w]) / sigma[s, w] over the DAG edges v->w.  A step
+    gathers one length row per source, so a graph costs O(r^3) and every
+    temporary is (n, r, r).
     """
     dist = dijkstra_all(lengths)
     n, r, _ = dist.shape
-    eye = np.eye(r)
+    order = np.argsort(dist, axis=2, kind="stable")  # order[g, s, t]: t-th settled
+    at = (np.arange(n)[:, None] * r + np.arange(r)) * r  # flat index of [g, s, 0]
+    rows = np.reshape(lengths, (n * r, r))
+    first = np.arange(n)[:, None] * r  # row index of lengths[g, 0]
+    flat_dist = dist.reshape(-1)
     nodes = np.arange(r)
-    out = np.zeros((n, r))
-    for g in range(n):
-        d = dist[g]  # d[s, v]
-        d_from, d_to = d[:, :, None], d[:, None, :]
-        with np.errstate(invalid="ignore"):  # inf - inf between unreachable nodes
-            tight = np.abs(d_from + lengths[g] - d_to) <= _TIE_TOL
-        settled_first = (d_from < d_to) | ((d_from == d_to) & (nodes[:, None] < nodes))
-        dag = (tight & settled_first).astype(np.float64)  # dag[s, v, w]: edge v->w
-        sigma = np.linalg.solve(eye - dag.transpose(0, 2, 1), eye[:, :, None])[..., 0]
-        reached = np.where(sigma > 0, sigma, 1.0)
-        ratio = dag * (sigma[:, :, None] / reached[:, None, :])
-        delta = np.linalg.solve(eye - ratio, ratio.sum(axis=2)[:, :, None])[..., 0]
-        delta[nodes, nodes] = 0.0  # a source is not between itself and others
-        out[g] = delta.sum(axis=0)
-    return out
+    sigma = np.zeros((n, r, r))
+    sigma[:, nodes, nodes] = 1.0  # a source settles first: lengths are positive
+    flat_sigma = sigma.reshape(-1)
+    # (1 + delta) / sigma of the nodes the backward sweep has passed, else 0
+    coef = np.zeros((n, r, r))
+    flat_coef = coef.reshape(-1)
+    # each step fills tight[g, s, x] with 1.0 where the edge between its node
+    # and x is tight; mode="clip" takes the rows unbuffered (indices are valid)
+    tight = np.empty((n, r, r))
+    with np.errstate(invalid="ignore"):  # inf - inf between unreachable nodes
+        # a node not yet settled still has sigma 0, so only the edges v->w
+        # with v settled before w add to sigma[s, w]
+        for t in range(1, r):
+            w = order[:, :, t]
+            np.take(rows, first + w, axis=0, out=tight, mode="clip")  # L[w, v] = L[v, w]
+            w = at + w  # flat index of [g, s, w]
+            tight += dist
+            tight -= flat_dist[w][:, :, None]
+            _within_tolerance(tight)
+            flat_sigma[w] = np.einsum("gsv,gsv->gs", tight, sigma)
+        # a node not yet passed still has coef 0, so only the edges v->w
+        # with w settled after v add to delta[s, v]
+        for t in range(r - 1, 0, -1):
+            v = order[:, :, t]
+            np.take(rows, first + v, axis=0, out=tight, mode="clip")  # L[v, w]
+            v = at + v  # flat index of [g, s, v]
+            tight += flat_dist[v][:, :, None]
+            tight -= dist
+            _within_tolerance(tight)
+            sigma_v = flat_sigma[v]
+            delta_v = sigma_v * np.einsum("gsw,gsw->gs", tight, coef)
+            # an unreachable node (sigma 0, delta 0) divides by inf to coef 0
+            flat_coef[v] = (1.0 + delta_v) / np.where(sigma_v > 0, sigma_v, np.inf)
+            flat_sigma[v] = delta_v  # sigma[s, v] is not read again
+    sigma[:, nodes, nodes] = 0.0  # a source is not between itself and others
+    return sigma.sum(axis=1)  # now delta, summed over sources
 
 
 def burt_effective_size(w):

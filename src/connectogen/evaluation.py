@@ -208,7 +208,8 @@ def evaluate(pred: np.ndarray, truth: np.ndarray, interp: str = topology.DISTANC
 
     With a ``baseline`` prediction tensor, the report also carries two-tailed
     paired t-test p-values of the per-subject MAEs, ours against the
-    baseline's.  Each graph's centralities are computed once per metric.
+    baseline's.  Each metric is one centrality pass over truth, prediction
+    and baseline stacked together.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -237,15 +238,18 @@ def evaluate(pred: np.ndarray, truth: np.ndarray, interp: str = topology.DISTANC
         for i in range(k):
             p_values[i, 0] = paired_ttest(ours[i], base[i])[1]
 
+    # truth, prediction and baseline share one stack, so each metric makes
+    # one pass over every graph
+    stack = np.concatenate([truth, pred] + ([baseline] if baseline is not None else []))
     for col, metric in enumerate(METRIC_ORDER, start=1):
-        x_real = centrality_table(truth, metric, interp)
-        x_pred = centrality_table(pred, metric, interp)
+        table = centrality_table(stack, metric, interp)
+        x_real, x_pred = table[:, :m], table[:, m:2 * m]
         mae[:, col] = np.abs(x_real - x_pred).reshape(k, -1).mean(axis=1)
         for i in range(k):
             kl[i, col - 1] = kl_divergence(x_real[i].ravel(), x_pred[i].ravel(), hist)
         if baseline is not None:
             ours = _subject_maes(x_real, x_pred)
-            base = _subject_maes(x_real, centrality_table(baseline, metric, interp))
+            base = _subject_maes(x_real, table[:, 2 * m:])
             for i in range(k):
                 p_values[i, col] = paired_ttest(ours[i], base[i])[1]
 

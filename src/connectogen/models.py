@@ -109,6 +109,18 @@ class DiscriminatorModel:
                 self.critic_head.weight, self.classifier_head.weight]
 
 
+def frozen(disc: DiscriminatorModel) -> DiscriminatorModel:
+    """The same discriminator with its weights as constants.
+
+    Each weight is a view of the parameter's array, not a copy, so a pass
+    through the result sees the current weights but records no gradient
+    for them: the generator step treats the discriminator as fixed.
+    """
+    return DiscriminatorModel(*(GCNLayer(ad.constant(layer.weight.data), layer.activation)
+                                for layer in (disc.layer1, disc.layer2, disc.critic_head,
+                                              disc.classifier_head)))
+
+
 def encode(encoder: EncoderModel, features: ad.Tensor, norm_adj: ad.Tensor) -> ad.Tensor:
     """Two-layer GCN embedding, (n, f) -> (n, 16)."""
     hidden = gcn_forward(encoder.layer1, features, norm_adj)

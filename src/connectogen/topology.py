@@ -101,24 +101,29 @@ def _power_iterate(step, ops: np.ndarray, x: np.ndarray, tol: float, max_steps: 
     """Iterate ``x <- step(ops, x)`` until each row moves by less than ``tol``.
 
     Row i of ``x`` iterates with operator ``ops[i]``; ``moved(new, old)``
-    measures each row's move, and a row leaves the batch once it has
-    converged.  Stops after ``max_steps``; returns the iterates and the
-    indices of the rows still moving then.
+    measures each row's move, and a row's result is its iterate at the step
+    it converged.  Converged rows stay in the batch until half of it has
+    converged, and only then is the batch compacted, so the operator stack
+    is copied a few times rather than at every step where a row converges.
+    Stops after ``max_steps``; returns the iterates and the indices of the
+    rows still moving then.
     """
     out = np.empty_like(x)
     rows = np.arange(len(x))
+    moving = np.ones(len(x), dtype=bool)
     for _ in range(max_steps):
-        if not rows.size:
+        if not moving.any():
             break
         y = step(ops, x)
-        done = moved(y, x) < tol
+        done = moving & (moved(y, x) < tol)
         x = y
         if done.any():
             out[rows[done]] = x[done]
-            keep = ~done
-            rows, ops, x = rows[keep], ops[keep], x[keep]
-    out[rows] = x
-    return out, rows
+            moving &= ~done
+            if 2 * np.count_nonzero(moving) <= len(rows):
+                rows, ops, x, moving = rows[moving], ops[moving], x[moving], moving[moving]
+    out[rows[moving]] = x[moving]
+    return out, rows[moving]
 
 
 def _principal_eigenpairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +138,7 @@ def _principal_eigenpairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, r, _ = w.shape
     vec = np.zeros((n, r))
     live = np.flatnonzero(np.any(w > 0, axis=(1, 2)))
-    ops = w[live]
+    ops = w if len(live) == n else w[live]
 
     def step(ops, x):
         y = np.matmul(ops, x[:, :, None])[:, :, 0]

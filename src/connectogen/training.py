@@ -6,7 +6,8 @@ freshly sampled within-cluster batch.  The discriminator sees real/generated
 features through the cluster's source-affinity adjacency, all of a cluster's
 blocks (source, fakes, real targets) stacked into one pass whose first-layer
 projection the gradient penalty reuses; each generator decodes through its
-cluster's target-view affinity.  Training stops with TrainingError at the
+cluster's target-view affinity, and the generator update sees the
+discriminator's weights as constants.  Training stops with TrainingError at the
 first non-finite loss.  Everything is deterministic given the seed.
 """
 
@@ -41,6 +42,7 @@ from .models import (
     discriminator_gradient_norms,
     encode,
     first_layer_gram,
+    frozen,
     generate,
     init_params,
     project,
@@ -237,6 +239,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
 
     def generator_step(iteration: int) -> tuple[float, float, float]:
         """One encoder and generator update; returns (L_G, L_top, L_inf)."""
+        fixed = frozen(disc)  # the discriminator gets no gradient here
         with ad.Tape() as tape:
             parts = []
             sums = [0.0, 0.0]
@@ -246,7 +249,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
                 n = local_idx.size
                 z = encode(bundle.encoder, ad.constant(rows[:n]), norm_s)
                 fakes = ad.vstack(make_fakes(j, z, norm_t))
-                critic, probs = discriminate(disc, project(disc, fakes), norm_s)
+                critic, probs = discriminate(fixed, project(fixed, fakes), norm_s)
                 fooling = generator_fooling_term(ad.split_rows(critic, n))
                 l_top = topological_loss(
                     rows[n:], fakes, r, k,

@@ -1,7 +1,8 @@
 """Independent oracles the test suite checks library results against.
 
 Nothing here imports the library's own kernels: distances come from
-Floyd-Warshall, betweenness from exhaustive simple-path enumeration,
+Floyd-Warshall, betweenness from exhaustive simple-path enumeration or,
+on graphs too large to enumerate, from dense linear solves,
 eigenvector/pagerank scores from dense linear algebra, and neighbourhood
 metrics from direct formula evaluation in vectorized form.
 """
@@ -84,6 +85,33 @@ def betweenness_by_enumeration(weights: np.ndarray, interp: str = "distance") ->
                 through = sum(1 for p in paths if v in p)
                 score[v] += through / len(paths)
     return score * 2.0 / ((r - 1) * (r - 2))
+
+
+def betweenness_by_solve(lengths: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Unnormalized (ordered-pair) betweenness of one graph from its (r, r)
+    length matrix, by Brandes' accumulation as two dense linear solves.
+
+    For every source at once, with A the shortest-path DAG's adjacency
+    (tight edges within ``tol``, oriented by (distance, index)), the path
+    counts solve (I - A^T) sigma = e_s and the dependencies solve
+    (I - B) delta = B 1, where B[v, w] = A[v, w] sigma[v] / sigma[w].
+    O(r^4) per graph.
+    """
+    d = floyd_warshall(lengths)  # d[s, v]
+    r = d.shape[0]
+    eye = np.eye(r)
+    nodes = np.arange(r)
+    d_from, d_to = d[:, :, None], d[:, None, :]
+    with np.errstate(invalid="ignore"):  # inf - inf between unreachable nodes
+        tight = np.abs(d_from + lengths - d_to) <= tol
+    settled_first = (d_from < d_to) | ((d_from == d_to) & (nodes[:, None] < nodes))
+    dag = (tight & settled_first).astype(np.float64)  # dag[s, v, w]: edge v->w
+    sigma = np.linalg.solve(eye - dag.transpose(0, 2, 1), eye[:, :, None])[..., 0]
+    reached = np.where(sigma > 0, sigma, 1.0)
+    ratio = dag * (sigma[:, :, None] / reached[:, None, :])
+    delta = np.linalg.solve(eye - ratio, ratio.sum(axis=2)[:, :, None])[..., 0]
+    delta[nodes, nodes] = 0.0  # a source is not between itself and others
+    return delta.sum(axis=0)
 
 
 def closeness_by_enumeration(weights: np.ndarray, interp: str = "distance") -> np.ndarray:

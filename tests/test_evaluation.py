@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from connectogen import evaluation
+from connectogen import evaluation, topology
 from connectogen.data import devectorize
 from connectogen.errors import DimensionError, PreconditionError
 
@@ -165,6 +165,22 @@ class TestEvaluate:
                                      _random_multigraph_tensor(rng))
         assert np.all(np.isfinite(report.mae))
         assert np.all(np.isfinite(report.kl))
+
+    @pytest.mark.parametrize("with_baseline", [False, True])
+    def test_one_centrality_pass_per_metric(self, monkeypatch, with_baseline):
+        rng = np.random.default_rng(17)
+        pred, truth, base = (_random_multigraph_tensor(rng, m=3, r=5, k=2) for _ in range(3))
+        calls = []
+        inner = topology.centrality_matrix
+
+        def counted(graphs, metric, interp=topology.DISTANCE):
+            calls.append((metric, len(graphs)))
+            return inner(graphs, metric, interp)
+
+        monkeypatch.setattr(topology, "centrality_matrix", counted)
+        evaluation.evaluate(pred, truth, baseline=base if with_baseline else None)
+        stacked = (3 if with_baseline else 2) * 3 * 2  # tensors x subjects x views
+        assert calls == [(metric, stacked) for metric in evaluation.METRIC_ORDER]
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(12)

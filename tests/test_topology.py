@@ -437,6 +437,57 @@ def test_batched_kernels_match_oracles():
     assert np.allclose(raw_bc[-1], [12, 4, 6, 4, 6, 0, 0, 4], rtol=0, atol=1e-12)
 
 
+def _symmetric(upper):
+    upper = np.triu(upper, k=1)
+    return upper + np.swapaxes(upper, -1, -2)
+
+
+@pytest.mark.parametrize("interp", [topology.DISTANCE, topology.INVERSE])
+def test_betweenness_sweep_matches_solver(interp):
+    """The settle-order sweeps agree with Brandes' dense linear systems."""
+    from connectogen import _topology_kernels as kernels
+
+    rng = np.random.default_rng(11)
+    r = 20
+    split = np.stack([oracles.random_connectivity(rng, r) for _ in range(2)])
+    split[:, :7, 7:] = split[:, 7:, :7] = 0.0  # two components
+    stacks = [
+        simulate_population(s=4, r=35, v=2, clusters=2, seed=3).tensor[:, 1],
+        simulate_population(s=2, r=116, v=2, clusters=2, seed=4).tensor[:, 0],
+        _symmetric(rng.integers(0, 3, size=(4, r, r)).astype(float)),  # many ties
+        _symmetric((rng.uniform(size=(4, r, r)) < 0.15).astype(float)),  # sparse, unit
+        split,
+    ]
+    for stack in stacks:
+        lengths = np.stack([oracles.length_matrix(w, interp) for w in stack])
+        raw = kernels.brandes_betweenness(lengths)
+        for i in range(len(stack)):
+            ref = oracles.betweenness_by_solve(lengths[i])
+            assert np.abs(raw[i] - ref).max() <= 1e-12 * np.abs(ref).max(), (stack.shape, i)
+
+
+def test_power_iteration_stacks_match_single_graphs():
+    """Graphs that converge at different steps, or never, in one stack give
+    the bits each gives alone.  The dense graphs converge first (EC in 25-32
+    steps), so the batch is compacted while the sparser ones still move; the
+    star and the path are bipartite, so EC reaches the step cap on them and
+    falls back to eigh."""
+    rng = np.random.default_rng(12)
+    r = 9
+    stack = np.stack([oracles.random_connectivity(rng, r, density=d)
+                      for d in (0.9, 0.9, 0.9, 0.5, 0.5)]
+                     + [star_graph(r - 1), np.zeros((r, r)), path_graph(r)])
+    ec = topology.ec_or_zero(stack)
+    pc = topology.pagerank(stack)
+    live = [0, 1, 2, 3, 4, 5, 7]
+    assert np.array_equal(topology.eigenvector(stack[live]), ec[live])
+    for i, w in enumerate(stack):
+        assert np.array_equal(ec[i], topology.ec_or_zero(w)), i
+        assert np.array_equal(pc[i], topology.pagerank(w)), i
+        if i in live:
+            assert np.array_equal(ec[i], topology.eigenvector(w)), i
+
+
 def test_metrics_accept_stacks():
     rng = np.random.default_rng(10)
     stack = np.stack([oracles.random_connectivity(rng, 6) for _ in range(3)])

@@ -151,6 +151,30 @@ class TestParameterIsolation:
             assert not np.array_equal(p0.data, p1.data)
 
 
+    def test_discriminator_is_constant_in_the_generator_step(self, monkeypatch):
+        tapes = []  # (optimizer, leaves of the tape it stepped on)
+        step = ad.Adam.step
+
+        def recording(self, grad_map, tape):
+            tapes.append((self, list(tape._leaves.values())))
+            step(self, grad_map, tape)
+
+        monkeypatch.setattr(ad.Adam, "step", recording)
+        bundle, _ = training.train(small_dataset(), 0, small_config(iterations=1))
+        disc = {id(p) for p in bundle.discriminator.params()}
+        gen = {id(p) for p in bundle.encoder.params() + bundle.generator_params()}
+        critic_leaves, gen_leaves = tapes[0][1], tapes[-1][1]
+        assert gen <= {id(t) for t in gen_leaves}
+        assert not disc & {id(t) for t in gen_leaves}
+        assert disc <= {id(t) for t in critic_leaves}
+
+    def test_frozen_discriminator_shares_the_weights(self):
+        disc = models.init_params(models.Dims(r=6, v=3, c=1), seed=0).discriminator
+        fixed = models.frozen(disc)
+        for p, q in zip(disc.params(), fixed.params()):
+            assert q.data is p.data and not q.requires_grad
+
+
 class TestStepIsolationDirect:
     """One hand-driven critic step and one generator step on a live bundle."""
 
