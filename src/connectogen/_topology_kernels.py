@@ -19,6 +19,8 @@ every edge once.
 import numpy as np
 
 _TIE_TOL = 1e-12
+# bound on the bytes of brandes_betweenness's five (graphs, r, r) temporaries
+_BETWEENNESS_CHUNK_BYTES = 64 * 2**20
 
 
 def dijkstra_all(lengths):
@@ -49,9 +51,22 @@ def brandes_betweenness(lengths):
     is the sum of sigma[s, v] over the DAG edges v->w.  The backward sweep
     accumulates dependencies: delta[s, v] is sigma[s, v] times the sum of
     (1 + delta[s, w]) / sigma[s, w] over the DAG edges v->w.  A step
-    gathers one length row per source, so a graph costs O(r^3) and every
-    temporary is (n, r, r).
+    gathers one length row per source, so a graph costs O(r^3).  The stack
+    runs in chunks of graphs whose five (chunk, r, r) temporaries fit in
+    ``_BETWEENNESS_CHUNK_BYTES``; graphs do not interact, so the chunking
+    changes no bit of the result.
     """
+    lengths = np.asarray(lengths, dtype=np.float64)
+    n, r, _ = lengths.shape
+    chunk = max(1, _BETWEENNESS_CHUNK_BYTES // (5 * 8 * r * r))
+    if n <= chunk:
+        return _brandes_stack(lengths)
+    return np.concatenate([_brandes_stack(lengths[start:start + chunk])
+                           for start in range(0, n, chunk)])
+
+
+def _brandes_stack(lengths):
+    """:func:`brandes_betweenness` of one chunk, all of it at once."""
     dist = dijkstra_all(lengths)
     n, r, _ = dist.shape
     order = np.argsort(dist, axis=2, kind="stable")  # order[g, s, t]: t-th settled

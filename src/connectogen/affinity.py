@@ -3,7 +3,8 @@
 A bank of adaptive-bandwidth Gaussian kernels (one per (knn, sigma) pair) is
 blended with entropy-weighted averaging into a single symmetric nonnegative
 affinity matrix with unit diagonal.  The normalization step produces
-D^{-1/2} (A + I) D^{-1/2} for graph-convolution propagation.
+D^{-1/2} (A + I) D^{-1/2} for graph-convolution propagation; it and the
+submatrix selection also take a stack of one affinity per view.
 """
 
 from __future__ import annotations
@@ -110,27 +111,34 @@ def learn_affinity(features, cfg: MKMLConfig = MKMLConfig()) -> np.ndarray:
 
 
 def normalize_adjacency(affinity) -> np.ndarray:
-    """D^{-1/2} (A + I) D^{-1/2} with D the row sums of A + I."""
+    """D^{-1/2} (A + I) D^{-1/2} with D the row sums of A + I.
+
+    ``affinity`` is one (n, n) matrix or a (v, n, n) stack, normalized
+    matrix by matrix.
+    """
     a = np.asarray(affinity, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"affinity must be square, got {a.shape}")
     if np.isnan(a).any():
         raise ValidationError("affinity contains NaN entries")
-    a_tilde = a + np.eye(a.shape[0])
-    d = a_tilde.sum(axis=1)
+    a_tilde = a + np.eye(a.shape[-1])
+    d = a_tilde.sum(axis=-1)
     inv_sqrt = 1.0 / np.sqrt(d)
-    return inv_sqrt[:, None] * a_tilde * inv_sqrt[None, :]
+    return inv_sqrt[..., :, None] * a_tilde * inv_sqrt[..., None, :]
 
 
 def sub_affinity(affinity, indices) -> np.ndarray:
-    """Principal submatrix of an affinity matrix at the given subject indices."""
+    """Principal submatrix at the given subject indices of an affinity
+    matrix, or of every matrix of a (v, n, n) stack."""
     a = np.asarray(affinity)
     idx = np.asarray(indices, dtype=int)
     if idx.size == 0:
         raise PreconditionError("sub_affinity: empty index set")
     if len(set(idx.tolist())) != idx.size:
         raise PreconditionError("sub_affinity: indices must be distinct")
-    if idx.min() < 0 or idx.max() >= a.shape[0]:
+    if idx.min() < 0 or idx.max() >= a.shape[-1]:
         raise PreconditionError(
-            f"sub_affinity: index out of range [0, {a.shape[0]}) in {idx.tolist()}")
-    return a[np.ix_(idx, idx)].copy()
+            f"sub_affinity: index out of range [0, {a.shape[-1]}) in {idx.tolist()}")
+    # two takes keep a stack C-contiguous; a[..., idx[:, None], idx] would
+    # make the view axis the innermost one
+    return np.take(np.take(a, idx, axis=-2), idx, axis=-1)

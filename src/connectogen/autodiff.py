@@ -8,6 +8,12 @@ fresh tape for the next step.
 
 There is no broadcasting except scalar*tensor; binary ops demand equal
 shapes.  Subgradient conventions: relu'(0) = 0, sign(0) = 0.
+
+A batch of B equal blocks travels as one tall (B*n, c) matrix.  The block
+primitives apply one (n, n) matrix to every block (:func:`block_matmul`), a
+constant (B, n, n) stack block by block (:func:`stack_matmul`), or one
+weight tensor per block (:func:`per_block_matmul`), so a step over B blocks
+records as many ops as a step over one.
 """
 
 from __future__ import annotations
@@ -19,17 +25,20 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, TapeError
 
-_local = threading.local()
+class _ThreadTapes(threading.local):
+    def __init__(self):
+        self.stack = []
+
+
+_local = _ThreadTapes()
 
 
 def _tape_stack() -> list:
-    if not hasattr(_local, "stack"):
-        _local.stack = []
     return _local.stack
 
 
 def _active_tape():
-    stack = _tape_stack()
+    stack = _local.stack
     return stack[-1] if stack else None
 
 
@@ -92,6 +101,17 @@ class Tensor:
     def __repr__(self):
         grad = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad})"
+
+
+def _result(data: np.ndarray) -> Tensor:
+    """Wrap an op's output, which is already a 2-D float64 array, skipping
+    the validation and copy of :func:`_as_matrix`."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = False
+    out._tape = None
+    out._node_id = None
+    return out
 
 
 def constant(values) -> Tensor:
@@ -202,11 +222,20 @@ def _binary_setup(a: Tensor, b: Tensor, op: str):
 
 def _emit(out: Tensor, inputs: list[Tensor], backward_fn_builder) -> Tensor:
     """Record ``out`` if a tape is active and any input requires grad."""
-    tape = _active_tape()
-    needs = tape is not None and any(t.requires_grad for t in inputs)
+    stack = _local.stack
+    if not stack:
+        return out
+    tape = stack[-1]
+    ids = []
+    needs = False
+    for t in inputs:
+        if t.requires_grad:
+            needs = True
+            ids.append(tape.node_for(t))
+        else:
+            ids.append(None)
     if not needs:
         return out
-    ids = [tape.node_for(t) if t.requires_grad else None for t in inputs]
     out.requires_grad = True
     tape.emit(out, backward_fn_builder(ids))
     return out
@@ -218,7 +247,7 @@ def _emit(out: Tensor, inputs: list[Tensor], backward_fn_builder) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
-    out = Tensor(a.data @ b.data)
+    out = _result(a.data @ b.data)
     a_data, b_data = a.data, b.data
 
     def build(ids):
@@ -239,7 +268,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_setup(a, b, "add")
-    out = Tensor(a.data + b.data)
+    out = _result(a.data + b.data)
 
     def build(ids):
         ia, ib = ids
@@ -250,7 +279,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_setup(a, b, "sub")
-    out = Tensor(a.data - b.data)
+    out = _result(a.data - b.data)
 
     def build(ids):
         ia, ib = ids
@@ -270,7 +299,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_setup(a, b, "mul")
-    out = Tensor(a.data * b.data)
+    out = _result(a.data * b.data)
     a_data, b_data = a.data, b.data
 
     def build(ids):
@@ -291,7 +320,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
-    out = Tensor(x.data * s)
+    out = _result(x.data * s)
 
     def build(ids):
         (ix,) = ids
@@ -301,7 +330,7 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
+    out = _result(np.maximum(x.data, 0.0))
     mask = x.data > 0  # relu'(0) = 0
 
     def build(ids):
@@ -318,7 +347,7 @@ def sigmoid(x: Tensor) -> Tensor:
     s[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     s[~pos] = ev / (1.0 + ev)
-    out = Tensor(s)
+    out = _result(s)
 
     def build(ids):
         (ix,) = ids
@@ -328,7 +357,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def absolute(x: Tensor) -> Tensor:
-    out = Tensor(np.abs(x.data))
+    out = _result(np.abs(x.data))
     sign = np.sign(x.data)  # sign(0) = 0
 
     def build(ids):
@@ -342,7 +371,7 @@ def sqrt(x: Tensor) -> Tensor:
     if np.any(x.data < 0):
         raise PreconditionError("sqrt requires nonnegative entries")
     root = np.sqrt(x.data)
-    out = Tensor(root)
+    out = _result(root)
     # subgradient 0 at zero keeps penalty terms finite
     inv = np.where(root > 0, 0.5 / np.where(root > 0, root, 1.0), 0.0)
 
@@ -356,7 +385,7 @@ def sqrt(x: Tensor) -> Tensor:
 def log(x: Tensor) -> Tensor:
     if np.any(x.data <= 0):
         raise PreconditionError("log requires strictly positive entries")
-    out = Tensor(np.log(x.data))
+    out = _result(np.log(x.data))
     x_data = x.data
 
     def build(ids):
@@ -370,7 +399,7 @@ def reciprocal(x: Tensor) -> Tensor:
     if np.any(x.data == 0):
         raise PreconditionError("reciprocal requires nonzero entries")
     inv = 1.0 / x.data
-    out = Tensor(inv)
+    out = _result(inv)
 
     def build(ids):
         (ix,) = ids
@@ -380,7 +409,7 @@ def reciprocal(x: Tensor) -> Tensor:
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    out = Tensor(np.clip(x.data, lo, hi))
+    out = _result(np.clip(x.data, lo, hi))
     mask = ((x.data >= lo) & (x.data <= hi)).astype(np.float64)
 
     def build(ids):
@@ -397,7 +426,7 @@ def _check_nonempty(x: Tensor, op: str):
 
 def mean(x: Tensor) -> Tensor:
     _check_nonempty(x, "mean")
-    out = Tensor([[x.data.mean()]])
+    out = _result(x.data.mean(keepdims=True))
     shape, size = x.shape, x.data.size
 
     def build(ids):
@@ -409,7 +438,7 @@ def mean(x: Tensor) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     _check_nonempty(x, "sum")
-    out = Tensor([[x.data.sum()]])
+    out = _result(x.data.sum(keepdims=True))
     shape = x.shape
 
     def build(ids):
@@ -420,7 +449,7 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    out = Tensor(x.data.T)
+    out = _result(np.ascontiguousarray(x.data.T))
 
     def build(ids):
         (ix,) = ids
@@ -436,7 +465,7 @@ def vstack(parts: list[Tensor]) -> Tensor:
     for p in parts:
         if p.shape[1] != cols:
             raise DimensionError(f"vstack: column counts differ ({p.shape[1]} vs {cols})")
-    out = Tensor(np.vstack([p.data for p in parts]))
+    out = _result(np.vstack([p.data for p in parts]))
     row_counts = [p.shape[0] for p in parts]
 
     def build(ids):
@@ -454,28 +483,32 @@ def vstack(parts: list[Tensor]) -> Tensor:
     return _emit(out, parts, build)
 
 
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start..stop-1 of x; the backward scatters into zeros elsewhere."""
+    rows, cols = x.shape
+    if not 0 <= start < stop <= rows:
+        raise DimensionError(f"slice_rows: rows {start}:{stop} of {rows}")
+    out = _result(x.data[start:stop])
+
+    def build(ids):
+        (ix,) = ids
+
+        def bw(g):
+            full = np.zeros((rows, cols))
+            full[start:stop] = g
+            return [(ix, full)]
+
+        return bw
+
+    return _emit(out, [x], build)
+
+
 def split_rows(x: Tensor, block_rows: int) -> list[Tensor]:
     """Cut a tall (B*n, c) matrix into its B consecutive n-row blocks."""
-    rows, cols = x.shape
+    rows = x.shape[0]
     if block_rows < 1 or rows % block_rows:
         raise DimensionError(f"split_rows: {rows} rows are not blocks of {block_rows}")
-    parts = []
-    for start in range(0, rows, block_rows):
-        stop = start + block_rows
-        part = Tensor(x.data[start:stop])
-
-        def build(ids, start=start, stop=stop):
-            (ix,) = ids
-
-            def bw(g):
-                full = np.zeros((rows, cols))
-                full[start:stop] = g
-                return [(ix, full)]
-
-            return bw
-
-        parts.append(_emit(part, [x], build))
-    return parts
+    return [slice_rows(x, start, start + block_rows) for start in range(0, rows, block_rows)]
 
 
 def block_matmul(adj: Tensor, x: Tensor) -> Tensor:
@@ -493,7 +526,7 @@ def block_matmul(adj: Tensor, x: Tensor) -> Tensor:
     blocks = rows // n
     a_data = adj.data
     x3 = x.data.reshape(blocks, n, cols)
-    out = Tensor(np.matmul(a_data, x3).reshape(rows, cols))
+    out = _result(np.matmul(a_data, x3).reshape(rows, cols))
 
     def build(ids):
         ia, ix = ids
@@ -512,6 +545,92 @@ def block_matmul(adj: Tensor, x: Tensor) -> Tensor:
     return _emit(out, [adj, x], build)
 
 
+def _check_out(out, shape, op: str):
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise DimensionError(f"{op}: out must be a C-contiguous float64 {shape} array")
+    return out
+
+
+def stack_matmul(adjs: np.ndarray, x: Tensor, out: np.ndarray | None = None) -> Tensor:
+    """Apply each matrix of a constant (B, n, n) stack to its own n-row block.
+
+    ``x`` is either a tall (B*n, c) matrix, whose block b goes through
+    adjs[b], or one (n, c) matrix that every adjs[b] is applied to; the
+    result is (B*n, c) either way, written into ``out`` when it is given.
+    The stack gets no gradient.
+    """
+    blocks, n, n2 = adjs.shape
+    rows, cols = x.shape
+    if n != n2:
+        raise DimensionError(f"stack_matmul: stack {adjs.shape} is not of square matrices")
+    if rows not in (n, blocks * n):
+        raise DimensionError(f"stack_matmul: {rows} rows are neither {n} nor {blocks}x{n}")
+    shared = rows != blocks * n
+    x_in = x.data if shared else x.data.reshape(blocks, n, cols)
+    data = _check_out(out, (blocks * n, cols), "stack_matmul")
+    np.matmul(adjs, x_in, out=data.reshape(blocks, n, cols))
+    result = _result(data)
+
+    def build(ids):
+        (ix,) = ids
+
+        def bw(g):
+            gx = np.matmul(adjs.transpose(0, 2, 1), g.reshape(blocks, n, cols))
+            return [(ix, gx.sum(axis=0) if shared else gx.reshape(rows, cols))]
+
+        return bw
+
+    return _emit(result, [x], build)
+
+
+def per_block_matmul(x: Tensor, weights: list[Tensor],
+                     out: np.ndarray | None = None) -> Tensor:
+    """Multiply block b of a tall (B*n, c_in) matrix by weights[b], (c_in, c_out).
+
+    B is ``len(weights)``.  The result, (B*n, c_out), is written into
+    ``out`` when it is given.  The weights stay separate arrays; the forward
+    and the backward loop over the blocks.
+    """
+    blocks = len(weights)
+    rows, c_in = x.shape
+    if blocks == 0 or rows % blocks:
+        raise DimensionError(f"per_block_matmul: {rows} rows are not {blocks} blocks")
+    c_out = weights[0].shape[1]
+    for w in weights:
+        if w.shape != (c_in, c_out):
+            raise DimensionError(
+                f"per_block_matmul: weight {w.shape} is not ({c_in}, {c_out})")
+    n = rows // blocks
+    spans = [slice(b * n, (b + 1) * n) for b in range(blocks)]
+    x_data = x.data
+    w_data = [w.data for w in weights]
+    data = _check_out(out, (rows, c_out), "per_block_matmul")
+    for span, w in zip(spans, w_data):
+        np.matmul(x_data[span], w, out=data[span])
+    result = _result(data)
+
+    def build(ids):
+        ix, *iws = ids
+
+        def bw(g):
+            contrib = []
+            if ix is not None:
+                gx = np.empty((rows, c_in))
+                for span, w in zip(spans, w_data):
+                    np.matmul(g[span], w.T, out=gx[span])
+                contrib.append((ix, gx))
+            for iw, span in zip(iws, spans):
+                if iw is not None:
+                    contrib.append((iw, x_data[span].T @ g[span]))
+            return contrib
+
+        return bw
+
+    return _emit(result, [x, *weights], build)
+
+
 def devectorize_rows(x: Tensor, r: int) -> Tensor:
     """Expand feature rows into flattened symmetric adjacency rows.
 
@@ -522,14 +641,16 @@ def devectorize_rows(x: Tensor, r: int) -> Tensor:
     f = r * (r - 1) // 2
     if x.shape[1] != f:
         raise DimensionError(f"devectorize_rows: expected {f} columns for r={r}, got {x.shape[1]}")
-    n = x.shape[0]
     iu, ju = np.triu_indices(r, k=1)
     upper = iu * r + ju
     lower = ju * r + iu
-    flat = np.zeros((n, r * r))
-    flat[:, upper] = x.data
-    flat[:, lower] = x.data
-    out = Tensor(flat)
+    # one gather: entry i*r+j reads feature column source[i*r+j]; the
+    # diagonal reads column 0 and is zeroed afterwards
+    source = np.zeros(r * r, dtype=np.intp)
+    source[upper] = source[lower] = np.arange(f)
+    flat = np.take(x.data, source, axis=1)
+    flat[:, ::r + 1] = 0.0
+    out = _result(flat)
 
     def build(ids):
         (ix,) = ids
@@ -575,17 +696,47 @@ def adam_step(state: AdamState, param: Tensor, grad) -> Tensor:
 
 
 class Adam:
-    """Adam over a fixed parameter list, pulling grads from a backward() map."""
+    """Adam over a fixed parameter list, pulling grads from a backward() map.
+
+    Each step updates every parameter and its m and v accumulators in place,
+    with the arithmetic of :func:`adam_step` in the same order, so the
+    parameters stay bitwise equal to it.  A step holds one scratch array the
+    size of the largest parameter, for each parameter's temporaries in turn,
+    and one fresh array per parameter for the final quotient; neither
+    outlives the step, so no optimizer memory stays resident between steps.
+    """
 
     def __init__(self, params: list[Tensor], lr=1e-4, beta1=0.5, beta2=0.999, epsilon=1e-8):
         self.params = list(params)
         self.states = [AdamState.for_param(p, lr, beta1, beta2, epsilon) for p in self.params]
+        self._scratch_size = max((p.data.size for p in self.params), default=0)
 
     def step(self, grad_map: dict[int, Tensor], tape: Tape) -> None:
+        scratch = np.empty(self._scratch_size)
         # node ids are tape-local, so only trust them for params on `tape`
         for param, state in zip(self.params, self.states):
             if param._tape is tape and param.node_id in grad_map:
-                grad = grad_map[param.node_id]
+                g = grad_map[param.node_id].data
             else:
-                grad = np.zeros_like(param.data)
-            adam_step(state, param, grad)
+                g = np.zeros_like(param.data)
+            if g.shape != param.shape:
+                raise DimensionError(f"Adam: param {param.shape}, grad {g.shape} must agree")
+            state.step += 1
+            b1, b2 = state.beta1, state.beta2
+            m, v = state.m, state.v
+            s = scratch[:g.size].reshape(g.shape)
+            m *= b1
+            np.multiply(1.0 - b1, g, out=s)
+            m += s
+            v *= b2
+            np.multiply(1.0 - b2, g, out=s)
+            s *= g
+            v += s
+            # s = sqrt(v_hat) + eps, then the step lr * m_hat / s
+            np.divide(v, 1.0 - b2 ** state.step, out=s)
+            np.sqrt(s, out=s)
+            s += state.epsilon
+            update = np.divide(m, 1.0 - b1 ** state.step)
+            update *= state.lr
+            update /= s
+            param.data -= update

@@ -57,16 +57,20 @@ def vectorize_upper(weights, name: str = "matrix") -> np.ndarray:
 
 
 def devectorize(vec, r: int) -> np.ndarray:
-    """Rebuild a symmetric zero-diagonal matrix, clamping negatives to zero."""
-    v = np.asarray(vec, dtype=np.float64).ravel()
+    """Rebuild a symmetric zero-diagonal matrix, clamping negatives to zero.
+
+    ``vec`` holds f = r(r-1)/2 values, or is a stack (..., f) of such rows;
+    the result is (r, r), or (..., r, r) for a stack.
+    """
+    v = np.asarray(vec, dtype=np.float64)
     f = feature_count(r)
-    if v.size != f:
-        raise DimensionError(f"devectorize: expected {f} values for r={r}, got {v.size}")
+    if v.ndim == 0 or v.shape[-1] != f:
+        raise DimensionError(f"devectorize: expected {f} values for r={r}, got {v.shape}")
     v = np.maximum(v, 0.0)
-    w = np.zeros((r, r))
+    w = np.zeros(v.shape[:-1] + (r, r))
     iu, ju = np.triu_indices(r, k=1)
-    w[iu, ju] = v
-    w[ju, iu] = v
+    w[..., iu, ju] = v
+    w[..., ju, iu] = v
     return w
 
 
@@ -103,9 +107,9 @@ class PopulationDataset:
 
     def feature_matrix(self, view: int, subjects=None) -> np.ndarray:
         """Stack vectorized upper triangles of one view, (n, f)."""
-        idx = range(self.s) if subjects is None else subjects
+        graphs = self.tensor[:, view] if subjects is None else self.tensor[list(subjects), view]
         iu, ju = np.triu_indices(self.r, k=1)
-        return np.stack([self.tensor[i, view][iu, ju] for i in idx])
+        return np.take(graphs.reshape(len(graphs), -1), iu * self.r + ju, axis=1)
 
     def subset(self, subjects) -> "PopulationDataset":
         subjects = list(subjects)

@@ -1,9 +1,12 @@
 """Adversarial, classification, penalty, topological, and info-max losses.
 
 All functions build 1x1 tensors from autodiff primitives, so they are
-differentiable wherever their inputs are tape-tracked.  Component lists are
-ordered per target view; per-cluster totals follow the weighted sums of the
-discriminator and generator objectives.
+differentiable wherever their inputs are tape-tracked.  The k target views
+arrive stacked: critic scores, probabilities and feature rows are (k*n, .)
+tensors of k equal view blocks, so a loss costs the same few ops for any k
+(a sum over views of per-view means is k times the stack's mean).
+:func:`discriminator_loss` and :func:`generator_loss` sum their
+per-cluster parts with the objectives' weights.
 """
 
 from __future__ import annotations
@@ -43,46 +46,48 @@ class LossWeights:
         return float(self.sigma_gp) if self.sigma_gp is not None else float(k)
 
 
-def adversarial_loss(critic_real_source: ad.Tensor,
-                     critic_fakes: list[ad.Tensor]) -> ad.Tensor:
-    """-E[D(real source)] + (1/k) * sum_i E[D(fake_i)]."""
-    k = len(critic_fakes)
-    if k == 0:
+def _check_views(stack: ad.Tensor, k: int, name: str) -> None:
+    if k < 1 or stack.shape[0] == 0:
+        raise PreconditionError(f"{name} needs at least one view")
+    if stack.shape[0] % k:
+        raise DimensionError(f"{name}: {stack.shape[0]} rows do not split into {k} views")
+
+
+def adversarial_loss(critic_real_source: ad.Tensor, critic_fakes: ad.Tensor) -> ad.Tensor:
+    """-E[D(real source)] + (1/k) * sum_i E[D(fake_i)].
+
+    ``critic_fakes`` stacks the k views' critic scores, (k*n, 1); with
+    equal blocks the mean over views of their means is the stack's mean.
+    """
+    n = critic_real_source.shape[0]
+    if critic_fakes.shape[0] == 0:
         raise PreconditionError("adversarial loss needs at least one target view")
-    loss = ad.scale(ad.mean(critic_real_source), -1.0)
-    for critic_fake in critic_fakes:
-        loss = ad.add(loss, ad.scale(ad.mean(critic_fake), 1.0 / k))
-    return loss
-
-
-def domain_classification_loss(probs_fake: list[ad.Tensor],
-                               probs_real: list[ad.Tensor]) -> ad.Tensor:
-    """Per-view MSE against label 0 for fakes and 1 for real targets, summed."""
-    if len(probs_fake) != len(probs_real):
+    if n == 0 or critic_fakes.shape[0] % n:
         raise DimensionError(
-            f"{len(probs_fake)} fake vs {len(probs_real)} real probability blocks")
-    if not probs_fake:
-        raise PreconditionError("domain classification loss needs at least one view")
-    loss = None
-    for fake, real in zip(probs_fake, probs_real):
-        fake_term = ad.mean(ad.mul(fake, fake))
-        miss = ad.sub(real, ad.constant(np.ones(real.shape)))
-        real_term = ad.mean(ad.mul(miss, miss))
-        term = ad.add(fake_term, real_term)
-        loss = term if loss is None else ad.add(loss, term)
-    return loss
+            f"{critic_fakes.shape[0]} fake rows are not blocks of {n} source rows")
+    return ad.sub(ad.mean(critic_fakes), ad.mean(critic_real_source))
 
 
-def info_max_loss(probs_fake: list[ad.Tensor]) -> ad.Tensor:
-    """Sum over views of mean binary cross-entropy against label 1."""
-    if not probs_fake:
-        raise PreconditionError("info-max loss needs at least one view")
-    loss = None
-    for probs in probs_fake:
-        safe = ad.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-        term = ad.scale(ad.mean(ad.log(safe)), -1.0)
-        loss = term if loss is None else ad.add(loss, term)
-    return loss
+def domain_classification_loss(probs_fake: ad.Tensor, probs_real: ad.Tensor,
+                               k: int) -> ad.Tensor:
+    """Per-view MSE against label 0 for fakes and 1 for real targets, summed
+    over the k views stacked in each (k*n, 1) input."""
+    if probs_fake.shape != probs_real.shape:
+        raise DimensionError(
+            f"fake {probs_fake.shape} vs real {probs_real.shape} probability stacks")
+    _check_views(probs_fake, k, "domain classification loss")
+    fake_term = ad.mean(ad.mul(probs_fake, probs_fake))
+    miss = ad.sub(probs_real, ad.constant(np.ones(probs_real.shape)))
+    real_term = ad.mean(ad.mul(miss, miss))
+    return ad.scale(ad.add(fake_term, real_term), k)
+
+
+def info_max_loss(probs_fake: ad.Tensor, k: int) -> ad.Tensor:
+    """Sum over the k views stacked in (k*n, 1) of mean binary cross-entropy
+    against label 1."""
+    _check_views(probs_fake, k, "info-max loss")
+    safe = ad.clip(probs_fake, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return ad.scale(ad.mean(ad.log(safe)), -float(k))
 
 
 def gradient_penalty(row_norms, p_source: ad.Tensor, p_fakes: ad.Tensor,
@@ -143,24 +148,18 @@ def topological_loss(real_features: np.ndarray, pred_features: ad.Tensor, r: int
     global_term = ad.scale(ad.mean(ad.absolute(
         ad.sub(pred_features, ad.constant(real_features)))), k)
     if real_centralities is None:
-        real_centralities = topology.ec_or_zero(
-            np.stack([devectorize(row, r) for row in real_features]))
+        real_centralities = topology.ec_or_zero(devectorize(real_features, r))
     pred_cent = topology.batched_eigenvector_rows(pred_features, r)
     local_term = ad.scale(ad.mean(ad.absolute(
         ad.sub(pred_cent, ad.constant(real_centralities)))), k)
     return ad.add(local_term, global_term)
 
 
-def generator_fooling_term(critic_fakes: list[ad.Tensor]) -> ad.Tensor:
-    """-(1/k) * sum_i E[D(fake_i)]."""
-    if not critic_fakes:
+def generator_fooling_term(critic_fakes: ad.Tensor) -> ad.Tensor:
+    """-(1/k) * sum_i E[D(fake_i)], the mean over the (k*n, 1) stack."""
+    if critic_fakes.shape[0] == 0:
         raise PreconditionError("fooling term needs at least one view")
-    k = len(critic_fakes)
-    loss = None
-    for critic_fake in critic_fakes:
-        term = ad.scale(ad.mean(critic_fake), -1.0 / k)
-        loss = term if loss is None else ad.add(loss, term)
-    return loss
+    return ad.scale(ad.mean(critic_fakes), -1.0)
 
 
 def generator_loss(parts: list[tuple[ad.Tensor, ad.Tensor, ad.Tensor]],

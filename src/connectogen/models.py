@@ -3,9 +3,11 @@
 Every layer computes phi(normA @ F @ W) where normA is a normalized
 subject-affinity adjacency.  The encoder maps f -> 32 -> 16, generators map
 16 -> 32 -> f, and the discriminator trunk maps f -> 32 -> 16 with a linear
-critic head and a sigmoid domain-classifier head on top.  The discriminator's
-first-layer projection is split out (:func:`project`), so its only f-wide
-product runs once per batch.
+critic head and a sigmoid domain-classifier head on top.  A cluster's k
+generators decode together (:func:`generate`): one op per layer applies the
+k target-view adjacencies, one more the k weight matrices, whatever k is.
+The discriminator's first-layer projection is split out (:func:`project`),
+so its only f-wide product runs once per batch.
 
 Bundles serialize to a fixed little-endian layout: 5-byte magic ``TMGP1``,
 1-byte format version, u32 dims (r, v, c, d), then float64 parameter blobs
@@ -52,6 +54,14 @@ def _propagate(norm_adj: ad.Tensor, x: ad.Tensor) -> ad.Tensor:
     return ad.block_matmul(norm_adj, x)
 
 
+def _activate(pre: ad.Tensor, activation: str) -> ad.Tensor:
+    if activation == "relu":
+        return ad.relu(pre)
+    if activation == "sigmoid":
+        return ad.sigmoid(pre)
+    return pre
+
+
 def gcn_forward(layer: GCNLayer, features: ad.Tensor, norm_adj: ad.Tensor) -> ad.Tensor:
     """phi(normA @ F @ W), recorded on the active tape.
 
@@ -70,11 +80,25 @@ def gcn_forward(layer: GCNLayer, features: ad.Tensor, norm_adj: ad.Tensor) -> ad
         pre = _propagate(norm_adj, ad.matmul(features, layer.weight))
     else:
         pre = ad.matmul(_propagate(norm_adj, features), layer.weight)
-    if layer.activation == "relu":
-        return ad.relu(pre)
-    if layer.activation == "sigmoid":
-        return ad.sigmoid(pre)
-    return pre
+    return _activate(pre, layer.activation)
+
+
+def _gcn_views(layers: list[GCNLayer], features: ad.Tensor, norm_adjs: np.ndarray,
+               out: np.ndarray | None = None) -> ad.Tensor:
+    """:func:`gcn_forward` for one layer per view, all views in one pass.
+
+    Block b of the (B*n, out) result is phi(norm_adjs[b] @ F_b @ W_b), where
+    F_b is the b-th n-row block of ``features``, or all of an (n, in)
+    ``features`` shared by the views.  ``out`` receives the pre-activation.
+    """
+    weights = [layer.weight for layer in layers]
+    if (weights[0].shape[1] < features.shape[1]
+            and features.shape[0] == len(weights) * norm_adjs.shape[1]):
+        # shrink the wide dimension first, as gcn_forward does
+        pre = ad.stack_matmul(norm_adjs, ad.per_block_matmul(features, weights), out)
+    else:
+        pre = ad.per_block_matmul(ad.stack_matmul(norm_adjs, features), weights, out)
+    return _activate(pre, layers[0].activation)
 
 
 @dataclass
@@ -127,10 +151,20 @@ def encode(encoder: EncoderModel, features: ad.Tensor, norm_adj: ad.Tensor) -> a
     return gcn_forward(encoder.layer2, hidden, norm_adj)
 
 
-def generate(generator: GeneratorModel, embeddings: ad.Tensor, norm_adj: ad.Tensor) -> ad.Tensor:
-    """Two-layer GCN decode, (n, 16) -> (n, f) predicted feature rows."""
-    hidden = gcn_forward(generator.layer1, embeddings, norm_adj)
-    return gcn_forward(generator.layer2, hidden, norm_adj)
+def generate(generators: list[GeneratorModel], embeddings: ad.Tensor,
+             norm_adjs: np.ndarray, out: np.ndarray | None = None) -> ad.Tensor:
+    """Two-layer GCN decode of k views at once, (n, 16) -> (k*n, f).
+
+    Block i of the result holds the feature rows that ``generators[i]``
+    predicts from the shared embeddings through the constant adjacency
+    ``norm_adjs[i]`` of the (k, n, n) stack.  The rows are written into
+    ``out`` when it is given.
+    """
+    if len(generators) != norm_adjs.shape[0]:
+        raise DimensionError(
+            f"{len(generators)} generators for {norm_adjs.shape[0]} adjacencies")
+    hidden = _gcn_views([g.layer1 for g in generators], embeddings, norm_adjs)
+    return _gcn_views([g.layer2 for g in generators], hidden, norm_adjs, out)
 
 
 def project(disc: DiscriminatorModel, features: ad.Tensor) -> ad.Tensor:

@@ -262,4 +262,4 @@ def batched_eigenvector_rows(features: ad.Tensor, r: int) -> ad.Tensor:
 
         return bw
 
-    return ad._emit(ad.Tensor(vec), [a_flat], build)
+    return ad._emit(ad._result(vec), [a_flat], build)

@@ -5,10 +5,13 @@ update; each update evaluates its objective summed over all clusters on a
 freshly sampled within-cluster batch.  The discriminator sees real/generated
 features through the cluster's source-affinity adjacency, all of a cluster's
 blocks (source, fakes, real targets) stacked into one pass whose first-layer
-projection the gradient penalty reuses; each generator decodes through its
-cluster's target-view affinity, and the generator update sees the
-discriminator's weights as constants.  Training stops with TrainingError at the
-first non-finite loss.  Everything is deterministic given the seed.
+projection the gradient penalty reuses.  A cluster's k generators decode
+the batch together, through the (k, n, n) stack of its target-view
+affinities, and the losses read the stacked critic outputs by row range, so
+a step records the same number of tape ops for any k.  The generator update
+sees the discriminator's weights as constants.  Training stops with
+TrainingError at the first non-finite loss.  Everything is deterministic
+given the seed.
 """
 
 from __future__ import annotations
@@ -106,14 +109,15 @@ def target_views(v: int, source_view: int) -> list[int]:
 
 
 class _ClusterContext:
-    """Precomputed per-cluster affinities, features, and the (k, members, r)
-    eigenvector centralities of the real target views."""
+    """Precomputed per-cluster stacks, views in the order [source, *targets]:
+    (v, members, members) affinities, (v, members, f) features, and the
+    (k, members, r) eigenvector centralities of the real target views."""
 
-    def __init__(self, members: np.ndarray, feats_by_view: dict[int, np.ndarray],
-                 affin_by_view: dict[int, np.ndarray], real_cent: np.ndarray):
+    def __init__(self, members: np.ndarray, affinities: np.ndarray, features: np.ndarray,
+                 real_cent: np.ndarray):
         self.members = members
-        self.feats_by_view = feats_by_view
-        self.affin_by_view = affin_by_view
+        self.affinities = affinities
+        self.features = features
         self.real_cent = real_cent
 
 
@@ -145,14 +149,14 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
     rng_batch = np.random.default_rng(batch_seq)
     rng_gp = np.random.default_rng(gp_seq)
 
-    feats = {view: dataset.feature_matrix(view) for view in range(dataset.v)}
-    affinity_source = learn_affinity(feats[source_view], mkml)
+    feats = np.stack([dataset.feature_matrix(view) for view in [source_view] + targets])
+    affinity_source = learn_affinity(feats[0], mkml)
 
     bundle = init_params(Dims(r=r, v=dataset.v, c=cfg.clusters), seed=cfg.seed)
 
     # cluster the initial source embeddings over the full training population
     norm_full = ad.constant(normalize_adjacency(affinity_source))
-    z_full = encode(bundle.encoder, ad.constant(feats[source_view]), norm_full)
+    z_full = encode(bundle.encoder, ad.constant(feats[0]), norm_full)
     assignment = cluster_source_embeddings(z_full.data, mkml, cfg.clusters, cfg.seed)
 
     clusters = []
@@ -161,12 +165,11 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
         if members.size < 2:
             raise TrainingError(
                 f"cluster {j} has {members.size} subject(s); lower --clusters")
-        feats_by_view = {view: feats[view][members] for view in range(dataset.v)}
-        affin_by_view = {view: learn_affinity(feats_by_view[view], mkml)
-                         for view in range(dataset.v)}
+        features = np.take(feats, members, axis=1)  # contiguous, unlike feats[:, members]
+        affinities = np.stack([learn_affinity(x, mkml) for x in features])
         real_cent = np.stack([topology.ec_or_zero(dataset.tensor[members, view])
                               for view in targets])
-        clusters.append(_ClusterContext(members, feats_by_view, affin_by_view, real_cent))
+        clusters.append(_ClusterContext(members, affinities, features, real_cent))
 
     opt_d = ad.Adam(bundle.discriminator.params(), lr=cfg.lr,
                     beta1=cfg.beta1, beta2=cfg.beta2)
@@ -178,22 +181,18 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
         return rng_batch.choice(ctx.members.size, size=size, replace=False)
 
     def batch_tensors(ctx: _ClusterContext, local_idx: np.ndarray, fake_blocks: int):
-        """Adjacencies and the feature rows [source; fake_blocks unfilled
-        blocks; k real targets], gathered into one array."""
-        norm_s = ad.constant(normalize_adjacency(
-            sub_affinity(ctx.affin_by_view[source_view], local_idx)))
-        norm_t = [ad.constant(normalize_adjacency(
-            sub_affinity(ctx.affin_by_view[view], local_idx))) for view in targets]
+        """The source adjacency, the (k, n, n) target-view adjacencies and
+        the feature rows [source; fake_blocks unfilled blocks; k real
+        targets], gathered into one array."""
+        norms = normalize_adjacency(sub_affinity(ctx.affinities, local_idx))
         n = local_idx.size
-        views = [source_view] + [None] * fake_blocks + targets
-        rows = np.empty((len(views) * n, dataset.f))
-        for b, view in enumerate(views):
-            if view is not None:
-                rows[b * n:(b + 1) * n] = ctx.feats_by_view[view][local_idx]
-        return norm_s, norm_t, rows
-
-    def make_fakes(j: int, z: ad.Tensor, norm_t: list[ad.Tensor]) -> list[ad.Tensor]:
-        return [generate(bundle.generator(j, i), z, norm_t[i]) for i in range(k)]
+        rows = np.empty(((1 + fake_blocks + k) * n, dataset.f))
+        blocks = rows.reshape(-1, n, dataset.f)
+        # sample_batch draws valid indices, so "clip" gathers unbuffered
+        np.take(ctx.features[0], local_idx, axis=0, out=blocks[0], mode="clip")
+        np.take(ctx.features[1:], local_idx, axis=1, out=blocks[1 + fake_blocks:],
+                mode="clip")
+        return ad.constant(norms[0]), norms[1:], rows
 
     disc = bundle.discriminator
 
@@ -206,8 +205,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
             n = local_idx.size
             # generated graphs are constants for the critic update
             z = encode(bundle.encoder, ad.constant(rows[:n]), norm_s)
-            for i, fake in enumerate(make_fakes(j, z, norm_t)):
-                rows[(1 + i) * n:(2 + i) * n] = fake.data
+            generate(bundle.generators[j], z, norm_t, out=rows[n:(k + 1) * n])
             batches.append((norm_s, n, rows))
 
         with ad.Tape() as tape:
@@ -219,14 +217,14 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
                 # both the critic pass and the gradient penalty
                 proj = project(disc, ad.constant(rows))
                 critic, probs = discriminate(disc, proj, norm_s)
-                critic = ad.split_rows(critic, n)
-                probs = ad.split_rows(probs, n)
-                l_adv = adversarial_loss(critic[0], critic[1:k + 1])
-                l_gdc = domain_classification_loss(probs[1:k + 1], probs[k + 1:])
-                proj = ad.split_rows(proj, n)
+                fakes, reals = (n, (k + 1) * n), ((k + 1) * n, (2 * k + 1) * n)
+                l_adv = adversarial_loss(ad.slice_rows(critic, 0, n),
+                                         ad.slice_rows(critic, *fakes))
+                l_gdc = domain_classification_loss(ad.slice_rows(probs, *fakes),
+                                                   ad.slice_rows(probs, *reals), k)
                 l_gp = gradient_penalty(
                     lambda mix: discriminator_gradient_norms(disc, mix, norm_s, gram),
-                    proj[0], ad.vstack(proj[1:k + 1]), sigma, rng_gp)
+                    ad.slice_rows(proj, 0, n), ad.slice_rows(proj, *fakes), sigma, rng_gp)
                 parts.append((l_adv, l_gp, l_gdc))
                 sums[0] += l_adv.item()
                 sums[1] += l_gp.item()
@@ -248,14 +246,12 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
                 norm_s, norm_t, rows = batch_tensors(ctx, local_idx, 0)
                 n = local_idx.size
                 z = encode(bundle.encoder, ad.constant(rows[:n]), norm_s)
-                fakes = ad.vstack(make_fakes(j, z, norm_t))
+                fakes = generate(bundle.generators[j], z, norm_t)
                 critic, probs = discriminate(fixed, project(fixed, fakes), norm_s)
-                fooling = generator_fooling_term(ad.split_rows(critic, n))
-                l_top = topological_loss(
-                    rows[n:], fakes, r, k,
-                    real_centralities=ctx.real_cent[:, local_idx].reshape(k * n, r))
-                l_inf = info_max_loss(ad.split_rows(probs, n))
-                parts.append((fooling, l_top, l_inf))
+                real_cent = np.take(ctx.real_cent, local_idx, axis=1).reshape(k * n, r)
+                l_top = topological_loss(rows[n:], fakes, r, k, real_centralities=real_cent)
+                l_inf = info_max_loss(probs, k)
+                parts.append((generator_fooling_term(critic), l_top, l_inf))
                 sums[0] += l_top.item()
                 sums[1] += l_inf.item()
             loss_g = generator_loss(parts, weights)
@@ -282,11 +278,11 @@ def predict_multigraph(bundle: ModelBundle, test_source_features,
     """Predict the (m, r, r, k) target multigraph tensor for test subjects.
 
     Builds the test-population affinity from the source features, encodes,
-    and averages the c cluster-specific generators per target view; each
-    predicted feature row is clamped and devectorized to a symmetric
-    zero-diagonal matrix.  Target slice i corresponds to the i-th non-source
-    view in ascending dataset order.  Raises NumericError rather than
-    return non-finite weights.
+    and averages the c clusters' decodes of all k target views; the
+    predicted feature rows are clamped and devectorized to symmetric
+    zero-diagonal matrices in one batched expansion.  Target slice i
+    corresponds to the i-th non-source view in ascending dataset order.
+    Raises NumericError rather than return non-finite weights.
     """
     f_test = np.asarray(test_source_features, dtype=np.float64)
     dims = bundle.dims
@@ -297,17 +293,18 @@ def predict_multigraph(bundle: ModelBundle, test_source_features,
     if m == 0:
         raise PreconditionError("no test subjects")
     affinity = np.ones((1, 1)) if m == 1 else learn_affinity(f_test, mkml)
-    norm_adj = ad.constant(normalize_adjacency(affinity))
-    z = encode(bundle.encoder, ad.constant(f_test), norm_adj)
+    norm = normalize_adjacency(affinity)
+    z = encode(bundle.encoder, ad.constant(f_test), ad.constant(norm))
 
-    out = np.empty((m, dims.r, dims.r, dims.k))
-    for i in range(dims.k):
-        acc = np.zeros((m, dims.f))
-        for j in range(dims.c):
-            acc += generate(bundle.generator(j, i), z, norm_adj).data
-        acc /= dims.c
-        if not np.all(np.isfinite(acc)):
-            raise NumericError(f"predicted target view {i} has non-finite weights")
-        for s in range(m):
-            out[s, :, :, i] = devectorize(acc[s], dims.r)
-    return out
+    # every view decodes through the test population's one adjacency
+    norm_views = np.broadcast_to(norm, (dims.k, m, m))
+    acc = np.zeros((dims.k * m, dims.f))
+    for j in range(dims.c):
+        acc += generate(bundle.generators[j], z, norm_views).data
+    acc /= dims.c
+    views = acc.reshape(dims.k, m, dims.f)
+    finite = np.isfinite(views).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericError(
+            f"predicted target view {np.flatnonzero(~finite)[0]} has non-finite weights")
+    return np.moveaxis(devectorize(views, dims.r), 0, -1)

@@ -4,10 +4,17 @@ Nothing here imports the library's own kernels: distances come from
 Floyd-Warshall, betweenness from exhaustive simple-path enumeration or,
 on graphs too large to enumerate, from dense linear solves,
 eigenvector/pagerank scores from dense linear algebra, and neighbourhood
-metrics from direct formula evaluation in vectorized form.
+metrics from direct formula evaluation in vectorized form.  The per-view
+losses below loop over the k target views one block at a time, as the
+formulas read; they are built from autodiff primitives, so they give
+reference gradients as well as values for the stacked losses.
 """
 
 import numpy as np
+
+from connectogen import autodiff as ad
+
+PROB_FLOOR = 1e-7
 
 
 def finite_difference(fn, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -231,3 +238,41 @@ def random_connectivity(rng: np.random.Generator, r: int, density: float = 0.7,
     if ensure_edge and not np.any(w > 0):
         w[0, 1] = w[1, 0] = 1.0
     return w
+
+
+# ---------------------------------------------------------------------------
+# per-view losses: lists of (n, 1) blocks, one per target view
+
+def _sum(terms):
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    return loss
+
+
+def adversarial_loss_per_view(critic_real_source, critic_fakes):
+    """-E[D(real source)] + (1/k) * sum_i E[D(fake_i)]."""
+    k = len(critic_fakes)
+    return _sum([ad.scale(ad.mean(critic_real_source), -1.0)]
+                + [ad.scale(ad.mean(fake), 1.0 / k) for fake in critic_fakes])
+
+
+def domain_classification_loss_per_view(probs_fake, probs_real):
+    """sum_i mean(fake_i^2) + mean((real_i - 1)^2)."""
+    terms = []
+    for fake, real in zip(probs_fake, probs_real):
+        miss = ad.sub(real, ad.constant(np.ones(real.shape)))
+        terms.append(ad.add(ad.mean(ad.mul(fake, fake)), ad.mean(ad.mul(miss, miss))))
+    return _sum(terms)
+
+
+def info_max_loss_per_view(probs_fake):
+    """sum_i -mean(log(clip(p_i)))."""
+    return _sum([ad.scale(ad.mean(ad.log(ad.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR))), -1.0)
+                 for p in probs_fake])
+
+
+def generator_fooling_term_per_view(critic_fakes):
+    """-(1/k) * sum_i E[D(fake_i)]."""
+    k = len(critic_fakes)
+    return _sum([ad.scale(ad.mean(fake), -1.0 / k) for fake in critic_fakes])

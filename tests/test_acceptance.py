@@ -115,6 +115,25 @@ def test_criterion_1_autodiff_vs_finite_differences():
     worst["block_matmul"] = _check_op(
         lambda x: sq_mean(ad.block_matmul(ad.constant(adj), x)),
         lambda rr: rr.standard_normal((6, 3)), cases, rng)
+    adj_stack = np.random.default_rng(18).uniform(size=(3, 2, 2))
+    worst["stack_matmul"] = _check_op(
+        lambda x: sq_mean(ad.stack_matmul(adj_stack, x)),
+        lambda rr: rr.standard_normal((6, 3)), cases, rng)
+    worst["stack_matmul.shared"] = _check_op(
+        lambda x: sq_mean(ad.stack_matmul(adj_stack, x)),
+        lambda rr: rr.standard_normal((2, 3)), cases, rng)
+    # per_block_matmul w.r.t. its rows and each of its three weights
+    block_inputs = [np.random.default_rng(19).standard_normal((6, 3))] + [
+        np.random.default_rng(20 + b).standard_normal((3, 2)) for b in range(3)]
+    for which in range(4):
+        def per_block(x, which=which):
+            tensors = [ad.constant(v) for v in block_inputs]
+            tensors[which] = x
+            return sq_mean(ad.per_block_matmul(tensors[0], tensors[1:]))
+
+        worst[f"per_block_matmul.{which}"] = _check_op(
+            per_block, lambda rr, which=which: rr.standard_normal(block_inputs[which].shape),
+            cases, rng)
 
     # composite networks: gradients w.r.t. parameter entries
     dims = models.Dims(r=4, v=3, c=1)
@@ -174,10 +193,11 @@ def test_criterion_1_autodiff_vs_finite_differences():
         "encoder", lambda b: b.encoder.layer1.weight,
         lambda b: ad.mean(ad.mul(models.encode(b.encoder, f_c, n_c),
                                  models.encode(b.encoder, f_c, n_c))))
+    norm_views = np.stack([norm, norm.T @ norm])  # the k = 2 views' adjacencies
     worst["generator"] = composite_check(
-        "generator", lambda b: b.generator(0, 0).layer2.weight,
-        lambda b: ad.mean(ad.mul(models.generate(b.generator(0, 0), z_c, n_c),
-                                 models.generate(b.generator(0, 0), z_c, n_c))))
+        "generator", lambda b: b.generator(0, 1).layer2.weight,
+        lambda b: ad.mean(ad.mul(models.generate(b.generators[0], z_c, norm_views),
+                                 models.generate(b.generators[0], z_c, norm_views))))
 
     def disc_loss(b):
         critic, probs = models.discriminate(
@@ -197,11 +217,12 @@ def test_criterion_1_autodiff_vs_finite_differences():
 
     def gp_loss(b):
         disc = b.discriminator
-        proj = ad.split_rows(models.project(disc, gp_c), 5)
+        proj = models.project(disc, gp_c)
         return losses.gradient_penalty(
             lambda mix: models.discriminator_gradient_norms(
                 disc, mix, n_c, models.first_layer_gram(disc)),
-            proj[0], ad.vstack(proj[1:]), 1e-3, np.random.default_rng(16))
+            ad.slice_rows(proj, 0, 5), ad.slice_rows(proj, 5, 15), 1e-3,
+            np.random.default_rng(16))
 
     def clear_of_relu_kinks(b):
         # the penalty's relu masks make it jump where a pre-activation at a
@@ -284,17 +305,17 @@ def test_criterion_4_loss_formula_properties():
         src, fakes, sigma, rng).item()
     assert gp_lin == 0.0
 
-    # zero critic adversarial loss
+    # zero critic adversarial loss, two target views
     zeros = ad.constant(np.zeros((7, 1)))
-    assert losses.adversarial_loss(zeros, [zeros, zeros]).item() == 0.0
+    assert losses.adversarial_loss(zeros, ad.constant(np.zeros((14, 1)))).item() == 0.0
 
     # perfectly labeled domain classification
     gdc = losses.domain_classification_loss(
-        [ad.constant(np.zeros((5, 1)))], [ad.constant(np.ones((5, 1)))]).item()
+        ad.constant(np.zeros((5, 1))), ad.constant(np.ones((5, 1))), 1).item()
     assert gdc == 0.0
 
     # info-max at 0.5
-    inf_val = losses.info_max_loss([ad.constant([[0.5]])]).item()
+    inf_val = losses.info_max_loss(ad.constant([[0.5]]), 1).item()
     assert abs(inf_val - np.log(2.0)) < 1e-10
 
     # KL(P, P) = 0

@@ -132,6 +132,26 @@ class TestNormalizeAdjacency:
             affinity.normalize_adjacency(a)
 
 
+def test_stacks_match_matrix_by_matrix():
+    # a (v, n, n) stack selects and normalizes bitwise as each matrix alone
+    rng = np.random.default_rng(12)
+    stack = rng.uniform(size=(4, 9, 9))
+    stack = (stack + stack.transpose(0, 2, 1)) / 2
+    idx = [7, 2, 5, 0]
+    sub = affinity.sub_affinity(stack, idx)
+    norm = affinity.normalize_adjacency(sub)
+    assert sub.shape == norm.shape == (4, 4, 4)
+    for view in range(4):
+        alone = affinity.sub_affinity(stack[view], idx)
+        assert np.array_equal(sub[view], alone)
+        assert np.array_equal(norm[view], affinity.normalize_adjacency(alone))
+    stack[2, 1, 3] = np.nan
+    with pytest.raises(ValidationError):
+        affinity.normalize_adjacency(stack)
+    with pytest.raises(PreconditionError):
+        affinity.sub_affinity(stack, [1, 9])
+
+
 class TestSubAffinity:
     def test_full_selection_is_identity(self):
         a = np.random.default_rng(0).uniform(size=(4, 4))

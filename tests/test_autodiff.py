@@ -251,6 +251,33 @@ def test_batched_primitives_gradients():
     g = grad_of(lambda a: build_block(a, ad.constant(tall0)), adj0)
     assert rel_err(g, finite_difference(lambda arr: np_block(arr, tall0), adj0)) < 1e-5
 
+    # a (3, 2, 2) adjacency stack over stacked and over shared rows
+    stack0 = rng.uniform(size=(3, 2, 2))
+    for x0 in (rng.standard_normal((6, 3)), rng.standard_normal((2, 3))):
+        def sq_stack(x):
+            y = ad.stack_matmul(stack0, x)
+            return ad.mean(ad.mul(y, y))
+
+        g = grad_of(sq_stack, x0)
+        assert rel_err(g, finite_difference(lambda arr: sq_stack(ad.Tensor(arr)).item(),
+                                            x0)) < 1e-5
+
+    # three blocks, each through its own weight: the rows and every weight
+    rows0 = rng.standard_normal((6, 3))
+    weights0 = [rng.standard_normal((3, 4)) for _ in range(3)]
+
+    def sq_blocks(values, which):
+        inputs = [rows0] + weights0
+        tensors = [ad.constant(v) for v in inputs]
+        tensors[which] = values
+        y = ad.per_block_matmul(tensors[0], tensors[1:])
+        return ad.mean(ad.mul(y, y))
+
+    for which, x0 in enumerate([rows0] + weights0):
+        g = grad_of(lambda t: sq_blocks(t, which), x0)
+        fd = finite_difference(lambda arr: sq_blocks(ad.Tensor(arr), which).item(), x0)
+        assert rel_err(g, fd) < 1e-5, f"input {which}"
+
 
 class TestBlockPrimitives:
     def test_block_matmul_is_per_block_matmul(self):
@@ -274,6 +301,55 @@ class TestBlockPrimitives:
                                                      [[8, 9], [10, 11]]]
         with pytest.raises(DimensionError):
             ad.split_rows(x, 4)
+
+    def test_stack_matmul_is_per_block_matmul(self):
+        rng = np.random.default_rng(15)
+        adjs = rng.uniform(size=(3, 4, 4))
+        tall = rng.standard_normal((12, 5))
+        shared = rng.standard_normal((4, 5))
+        out = ad.stack_matmul(adjs, ad.constant(tall)).data
+        out_shared = ad.stack_matmul(adjs, ad.constant(shared)).data
+        for b in range(3):
+            assert np.array_equal(out[4 * b:4 * b + 4], adjs[b] @ tall[4 * b:4 * b + 4])
+            assert np.array_equal(out_shared[4 * b:4 * b + 4], adjs[b] @ shared)
+        with pytest.raises(DimensionError):  # 8 rows are neither 4 nor 3x4
+            ad.stack_matmul(adjs, ad.constant(np.zeros((8, 5))))
+        with pytest.raises(DimensionError):
+            ad.stack_matmul(np.zeros((3, 4, 5)), ad.constant(tall))
+
+    def test_per_block_matmul_is_per_block_matmul(self):
+        rng = np.random.default_rng(16)
+        tall = rng.standard_normal((12, 5))
+        weights = [rng.standard_normal((5, 2)) for _ in range(3)]
+        out = ad.per_block_matmul(ad.constant(tall), [ad.constant(w) for w in weights]).data
+        for b in range(3):
+            assert np.array_equal(out[4 * b:4 * b + 4], tall[4 * b:4 * b + 4] @ weights[b])
+        with pytest.raises(DimensionError):  # 12 rows are not 5 blocks
+            ad.per_block_matmul(ad.constant(tall), [ad.constant(weights[0])] * 5)
+        with pytest.raises(DimensionError):  # weights of different shapes
+            ad.per_block_matmul(ad.constant(tall), [ad.constant(weights[0]),
+                                                    ad.constant(np.zeros((5, 3)))])
+
+    def test_out_receives_the_result(self):
+        rng = np.random.default_rng(17)
+        buffer = np.zeros((10, 3))
+        x = ad.constant(rng.standard_normal((8, 2)))
+        y = ad.per_block_matmul(x, [ad.constant(rng.standard_normal((2, 3)))] * 2,
+                                out=buffer[2:])
+        assert np.shares_memory(y.data, buffer) and np.array_equal(buffer[2:], y.data)
+        z = ad.stack_matmul(rng.uniform(size=(2, 3, 3)), ad.constant(np.ones((3, 3))),
+                            out=buffer[:6])
+        assert np.shares_memory(z.data, buffer) and np.array_equal(buffer[:6], z.data)
+        with pytest.raises(DimensionError):  # not C-contiguous
+            ad.stack_matmul(rng.uniform(size=(2, 3, 3)), ad.constant(np.ones((3, 3))),
+                            out=np.zeros((3, 6)).T)
+
+    def test_slice_rows_bounds(self):
+        x = ad.constant(np.arange(6.0).reshape(3, 2))
+        assert ad.slice_rows(x, 1, 3).data.tolist() == [[2, 3], [4, 5]]
+        for start, stop in ((2, 2), (-1, 2), (1, 4)):
+            with pytest.raises(DimensionError):
+                ad.slice_rows(x, start, stop)
 
     def test_unused_split_block_gets_zero_gradient(self):
         x = ad.parameter(np.ones((4, 1)))
@@ -325,6 +401,30 @@ class TestAdam:
         st = ad.AdamState.for_param(p)
         with pytest.raises(DimensionError):
             ad.adam_step(st, p, np.zeros((2, 2)))
+
+    def test_adam_in_place_matches_adam_step(self):
+        # three steps over parameters of different shapes, one of them off
+        # the tape (zero gradient): bitwise the functional update
+        rng = np.random.default_rng(21)
+        shapes = [(3, 4), (4, 1), (2, 2)]
+        params = [ad.parameter(rng.standard_normal(s)) for s in shapes]
+        refs = [ad.parameter(p.data.copy()) for p in params]
+        opt = ad.Adam(params, lr=0.01, beta1=0.5, beta2=0.999)
+        states = [ad.AdamState.for_param(p, lr=0.01, beta1=0.5, beta2=0.999) for p in refs]
+        m_arrays = [st.m for st in opt.states]
+        for _ in range(3):
+            with ad.Tape() as tape:
+                loss = ad.add(ad.sum_all(ad.mul(params[0], params[0])),
+                              ad.sum_all(ad.sigmoid(params[1])))
+            grads = ad.backward(tape, loss)
+            opt.step(grads, tape)
+            for p, ref, st in zip(params, refs, states):
+                g = grads[p.node_id] if p.node_id in grads and p._tape is tape else None
+                ad.adam_step(st, ref, g if g is not None else np.zeros(ref.shape))
+            for p, ref, st, mine in zip(params, refs, states, opt.states):
+                assert np.array_equal(p.data, ref.data)
+                assert np.array_equal(mine.m, st.m) and np.array_equal(mine.v, st.v)
+        assert all(st.m is m for st, m in zip(opt.states, m_arrays))  # updated in place
 
     def test_step_counter_increases(self):
         p = ad.parameter([[0.0]])

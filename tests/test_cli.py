@@ -169,7 +169,7 @@ class TestTrainPredict:
 
         real_info_max = training.info_max_loss
         monkeypatch.setattr(training, "info_max_loss",
-                            lambda probs: ad.scale(real_info_max(probs), float("nan")))
+                            lambda probs, k: ad.scale(real_info_max(probs, k), float("nan")))
         model = tmp_path / "model.bin"
         assert run(*train_args(dataset, model)) == 4
         assert "iteration 0: L_inf is nan" in capsys.readouterr().err

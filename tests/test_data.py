@@ -65,6 +65,17 @@ class TestDevectorize:
         with pytest.raises(DimensionError):
             data.devectorize([1.0, 2.0], 3)
 
+    def test_stack_matches_row_by_row(self):
+        rng = np.random.default_rng(3)
+        rows = rng.uniform(-0.5, 1.0, size=(2, 3, 10))  # negatives are clamped
+        stack = data.devectorize(rows, 5)
+        assert stack.shape == (2, 3, 5, 5)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(stack[i, j], data.devectorize(rows[i, j], 5))
+        with pytest.raises(DimensionError):
+            data.devectorize(np.zeros((4, 9)), 5)
+
     def test_round_trip_100_random(self):
         rng = np.random.default_rng(0)
         for _ in range(100):

@@ -6,73 +6,135 @@ from connectogen import losses, topology
 from connectogen.data import devectorize
 from connectogen.errors import DimensionError, PreconditionError
 
+import oracles
+
 
 def col(values):
     return ad.constant(np.asarray(values, dtype=float).reshape(-1, 1))
 
 
+def stack(blocks):
+    return col(np.concatenate([np.ravel(b) for b in blocks]))
+
+
 class TestAdversarialLoss:
     def test_zero_critic(self):
-        out = losses.adversarial_loss(col([0, 0]), [col([0, 0]), col([0, 0])])
+        out = losses.adversarial_loss(col([0, 0]), col([0, 0, 0, 0]))
         assert out.item() == 0.0
 
     def test_perfect_critic_separation(self):
-        out = losses.adversarial_loss(col([1, 1]), [col([0, 0]), col([0, 0])])
+        out = losses.adversarial_loss(col([1, 1]), col([0, 0, 0, 0]))
         assert out.item() == -1.0
 
     def test_matches_manual_formula(self):
         rng = np.random.default_rng(0)
         real = rng.standard_normal(6)
         fakes = [rng.standard_normal(6) for _ in range(3)]
-        out = losses.adversarial_loss(col(real), [col(f) for f in fakes])
+        out = losses.adversarial_loss(col(real), stack(fakes))
         expected = -real.mean() + np.mean([f.mean() for f in fakes])
         assert abs(out.item() - expected) < 1e-12
 
     def test_no_targets_rejected(self):
         with pytest.raises(PreconditionError):
-            losses.adversarial_loss(col([0.0]), [])
+            losses.adversarial_loss(col([0.0]), ad.constant(np.zeros((0, 1))))
+
+    def test_fakes_must_stack_source_blocks(self):
+        with pytest.raises(DimensionError):
+            losses.adversarial_loss(col([0.0, 0.0]), col([0.0, 0.0, 0.0]))
 
 
 class TestDomainClassificationLoss:
     def test_perfect_classifier(self):
-        out = losses.domain_classification_loss([col([0, 0])], [col([1, 1])])
+        out = losses.domain_classification_loss(col([0, 0]), col([1, 1]), 1)
         assert out.item() == 0.0
 
     def test_half_probs_single_subject(self):
-        out = losses.domain_classification_loss([col([0.5])], [col([0.5])])
+        out = losses.domain_classification_loss(col([0.5]), col([0.5]), 1)
         assert abs(out.item() - 0.5) < 1e-15
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            fake = [col(rng.uniform(size=4)) for _ in range(2)]
-            real = [col(rng.uniform(size=4)) for _ in range(2)]
-            assert losses.domain_classification_loss(fake, real).item() >= 0.0
+            fake = col(rng.uniform(size=8))
+            real = col(rng.uniform(size=8))
+            assert losses.domain_classification_loss(fake, real, 2).item() >= 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            losses.domain_classification_loss([col([0.5])], [])
+            losses.domain_classification_loss(col([0.5]), col([0.5, 0.5]), 1)
+        with pytest.raises(DimensionError):  # 3 rows are not 2 view blocks
+            losses.domain_classification_loss(col([0.5] * 3), col([0.5] * 3), 2)
 
 
 class TestInfoMaxLoss:
     def test_confident_probs_vanish(self):
-        out = losses.info_max_loss([col([1.0 - 1e-9])])
+        out = losses.info_max_loss(col([1.0 - 1e-9]), 1)
         assert out.item() < 1e-6
 
     def test_half_prob_is_ln2(self):
-        out = losses.info_max_loss([col([0.5])])
+        out = losses.info_max_loss(col([0.5]), 1)
         assert abs(out.item() - np.log(2.0)) < 1e-10
 
     def test_monotone_decreasing_in_probs(self):
-        values = [losses.info_max_loss([col([p])]).item() for p in (0.2, 0.5, 0.9)]
+        values = [losses.info_max_loss(col([p]), 1).item() for p in (0.2, 0.5, 0.9)]
         assert values[0] > values[1] > values[2]
 
     def test_gradient_flows_through_clip(self):
         p = ad.parameter([[0.5]])
         with ad.Tape() as tape:
-            loss = losses.info_max_loss([p])
+            loss = losses.info_max_loss(p, 1)
         g = ad.backward(tape, loss)[p.node_id].data
         assert abs(g[0, 0] + 2.0) < 1e-9  # d(-ln p)/dp = -1/p = -2
+
+    def test_views_sum(self):
+        # two views at 0.5 score 2 ln 2
+        assert abs(losses.info_max_loss(col([0.5, 0.5]), 2).item() - 2 * np.log(2.0)) < 1e-10
+
+    def test_no_views_rejected(self):
+        with pytest.raises(PreconditionError):
+            losses.info_max_loss(col([0.5]), 0)
+
+
+class TestStackedLossesMatchPerViewOracles:
+    """Each stacked loss against the per-view loop it replaces, in value and
+    in the gradient w.r.t. every stacked input, within 1e-12 relative."""
+
+    @staticmethod
+    def _check(stacked, per_view, inputs):
+        params = [ad.parameter(x) for x in inputs]
+        results = []
+        for build in (stacked, per_view):
+            with ad.Tape() as tape:
+                loss = build(*params)
+            grads = ad.backward(tape, loss)
+            results.append((loss.item(), [grads[p.node_id].data for p in params]))
+        (value, grads), (ref_value, ref_grads) = results
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        for g, ref in zip(grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_all_four(self, k):
+        rng = np.random.default_rng(20 + k)
+        n = 7
+
+        def blocks(x):
+            return ad.split_rows(x, n)
+
+        source = rng.standard_normal((n, 1))
+        fakes = rng.standard_normal((k * n, 1))
+        self._check(losses.adversarial_loss,
+                    lambda s, f: oracles.adversarial_loss_per_view(s, blocks(f)),
+                    [source, fakes])
+        self._check(losses.generator_fooling_term,
+                    lambda f: oracles.generator_fooling_term_per_view(blocks(f)), [fakes])
+        probs_fake = rng.uniform(0.05, 0.95, size=(k * n, 1))
+        probs_real = rng.uniform(0.05, 0.95, size=(k * n, 1))
+        self._check(lambda f, r: losses.domain_classification_loss(f, r, k),
+                    lambda f, r: oracles.domain_classification_loss_per_view(
+                        blocks(f), blocks(r)), [probs_fake, probs_real])
+        self._check(lambda p: losses.info_max_loss(p, k),
+                    lambda p: oracles.info_max_loss_per_view(blocks(p)), [probs_fake])
 
 
 class TestGradientPenalty:
@@ -294,7 +356,7 @@ class TestGeneratorLoss:
     def test_fooling_term_formula(self):
         rng = np.random.default_rng(14)
         critic_vals = [rng.standard_normal(5) for _ in range(3)]
-        out = losses.generator_fooling_term([col(v) for v in critic_vals])
+        out = losses.generator_fooling_term(stack(critic_vals))
         expected = -np.mean([v.mean() for v in critic_vals])
         assert abs(out.item() - expected) < 1e-12
 

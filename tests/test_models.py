@@ -78,11 +78,11 @@ class TestNetworks:
         bundle = models.init_params(small_dims(), seed=0)
         rng = np.random.default_rng(3)
         z = ad.constant(rng.standard_normal((6, 16)))
-        norm_a = ad.constant(np.eye(6))
         mixed = np.full((6, 6), 1.0 / 6)
-        out_a = models.generate(bundle.generator(0, 0), z, norm_a)
-        out_b = models.generate(bundle.generator(0, 0), z, ad.constant(mixed))
-        assert out_a.shape == (6, 10)
+        out = models.generate(bundle.generators[0], z, np.stack([np.eye(6), mixed]))
+        assert out.shape == (12, 10)
+        out_a = models.generate([bundle.generator(0, 0)], z, np.eye(6)[None])
+        out_b = models.generate([bundle.generator(0, 0)], z, mixed[None])
         assert not np.allclose(out_a.data, out_b.data)  # adjacency matters
 
     def test_generate_zero_weights(self):
@@ -90,8 +90,47 @@ class TestNetworks:
         gen = bundle.generator(1, 1)
         for p in gen.params():
             p.data[...] = 0.0
-        out = models.generate(gen, ad.constant(np.ones((3, 16))), ad.constant(np.eye(3)))
+        out = models.generate([gen], ad.constant(np.ones((3, 16))), np.eye(3)[None])
         assert np.all(out.data == 0.0)
+
+    @pytest.mark.parametrize("r", [5, 10])  # f = 10 < 32 and f = 45 > 32
+    def test_generate_matches_per_view_layers(self, r):
+        # block i of the stacked decode is generator i's two gcn_forward
+        # layers through adjacency i: bitwise forward, gradients to 1e-12
+        bundle = models.init_params(models.Dims(r=r, v=4, c=1), seed=7)
+        gens = bundle.generators[0]
+        rng = np.random.default_rng(8)
+        n = 5
+        adjs = rng.uniform(size=(3, n, n))
+        z0 = rng.standard_normal((n, 16))
+        weights0 = rng.standard_normal((3 * n, gens[0].layer2.weight.shape[1]))
+
+        def per_view(z):
+            blocks = [models.gcn_forward(g.layer2, models.gcn_forward(
+                g.layer1, z, ad.constant(adjs[i])), ad.constant(adjs[i]))
+                for i, g in enumerate(gens)]
+            return ad.vstack(blocks)
+
+        def run(decode):
+            z = ad.parameter(z0)
+            with ad.Tape() as tape:
+                out = decode(z)
+                loss = ad.mean(ad.mul(out, ad.constant(weights0)))
+            grads = ad.backward(tape, loss)
+            params = [z] + [p for g in gens for p in g.params()]
+            return out.data, [grads[p.node_id].data for p in params]
+
+        out, grads = run(lambda z: models.generate(gens, z, adjs))
+        ref_out, ref_grads = run(per_view)
+        assert np.array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_generate_count_mismatch(self):
+        bundle = models.init_params(small_dims(), seed=0)
+        with pytest.raises(DimensionError):
+            models.generate(bundle.generators[0], ad.constant(np.ones((3, 16))),
+                            np.eye(3)[None])
 
     def test_discriminate_zero_weights(self):
         bundle = models.init_params(small_dims(), seed=0)
@@ -220,8 +259,8 @@ class TestNetworks:
         norm = ad.constant(np.full((6, 6), 1.0 / 6) + np.eye(6) * 0.5)
         with ad.Tape() as tape:
             z = models.encode(bundle.encoder, feats, norm)
-            preds = [models.generate(bundle.generator(j, i), z, norm)
-                     for j in range(2) for i in range(2)]
+            preds = [models.generate(bundle.generators[j], z, np.stack([norm.data] * 2))
+                     for j in range(2)]
             heads = []
             for p in preds:
                 disc = bundle.discriminator

@@ -437,6 +437,30 @@ def test_batched_kernels_match_oracles():
     assert np.allclose(raw_bc[-1], [12, 4, 6, 4, 6, 0, 0, 4], rtol=0, atol=1e-12)
 
 
+def test_betweenness_chunks_change_no_bit(monkeypatch):
+    """A stack cut into several chunks by a lowered byte bound gives the
+    one-chunk result bit for bit."""
+    from connectogen import _topology_kernels as kernels
+
+    r = 12
+    stack = simulate_population(s=7, r=r, v=2, clusters=2, seed=6).tensor.reshape(-1, r, r)
+    lengths = np.stack([oracles.length_matrix(w) for w in stack])  # 14 graphs
+    whole = kernels.brandes_betweenness(lengths)
+    per_graph = 5 * 8 * r * r
+    monkeypatch.setattr(kernels, "_BETWEENNESS_CHUNK_BYTES", 3 * per_graph)  # 5 chunks
+    assert np.array_equal(kernels.brandes_betweenness(lengths), whole)
+    monkeypatch.setattr(kernels, "_BETWEENNESS_CHUNK_BYTES", 1)  # one graph per chunk
+    assert np.array_equal(kernels.brandes_betweenness(lengths), whole)
+
+
+def test_betweenness_chunk_holds_an_evaluation_stack():
+    # evaluating 2 subjects x 5 views with a baseline hands the kernel 30
+    # graphs at r=35, which must still run as one chunk
+    from connectogen import _topology_kernels as kernels
+
+    assert kernels._BETWEENNESS_CHUNK_BYTES // (5 * 8 * 35 * 35) >= 30
+
+
 def _symmetric(upper):
     upper = np.triu(upper, k=1)
     return upper + np.swapaxes(upper, -1, -2)

@@ -8,6 +8,8 @@ from connectogen import data, models, training
 from connectogen.errors import DimensionError, NumericError, PreconditionError, TrainingError
 from connectogen.losses import LossWeights
 
+import oracles
+
 warnings.filterwarnings("ignore", message="knn=")
 
 
@@ -62,7 +64,7 @@ class TestTrainLoop:
         # a NaN info-max term must stop training before the Adam step
         real_info_max = training.info_max_loss
         monkeypatch.setattr(training, "info_max_loss",
-                            lambda probs: ad.scale(real_info_max(probs), float("nan")))
+                            lambda probs, k: ad.scale(real_info_max(probs, k), float("nan")))
         with pytest.raises(TrainingError, match="iteration 0: L_inf is nan"):
             training.train(small_dataset(), 0, small_config())
 
@@ -117,6 +119,27 @@ class TestCriticWidth:
             projections = [s for s in shapes if s != gram]
             assert projections == [((cfg.batch_size * (2 * k + 1), f), (f, hidden))
                                    ] * cfg.clusters
+
+
+class TestOpCounts:
+    def test_step_records_do_not_grow_with_views(self, monkeypatch):
+        # one critic step and one generator step record the same number of
+        # tape ops for k = 2 and k = 5 target views
+        records = []
+        real_backward = ad.backward
+
+        def counting(tape, loss):
+            records.append(len(tape._records))
+            return real_backward(tape, loss)
+
+        monkeypatch.setattr(ad, "backward", counting)
+        counts = {}
+        for v in (3, 6):
+            records.clear()
+            training.train(small_dataset(s=24, r=6, v=v), 0,
+                           small_config(iterations=1, n_critic=1))
+            counts[v] = list(records)  # [critic step, generator step]
+        assert counts[3] == counts[6], counts
 
 
 class TestParameterIsolation:
@@ -176,10 +199,10 @@ class TestParameterIsolation:
 
 
 class TestStepIsolationDirect:
-    """One hand-driven critic step and one generator step on a live bundle."""
+    """One hand-driven critic step and one generator step on a live bundle,
+    with the stacked losses checked against the per-view oracles."""
 
     def test_single_critic_and_generator_step(self):
-        import connectogen.autodiff as ad
         from connectogen.affinity import learn_affinity, normalize_adjacency
         from connectogen.losses import (adversarial_loss,
                                         discriminator_loss,
@@ -189,9 +212,11 @@ class TestStepIsolationDirect:
         from connectogen.models import discriminate, encode, generate, project
 
         ds = small_dataset(s=12, r=6, v=3)
+        n, k = 12, 2
         bundle = models.init_params(models.Dims(r=6, v=3, c=1), seed=0)
         feats = {v: ds.feature_matrix(v) for v in range(3)}
-        norm = ad.constant(normalize_adjacency(learn_affinity(feats[0])))
+        norm_np = normalize_adjacency(learn_affinity(feats[0]))
+        norm = ad.constant(norm_np)
         weights = LossWeights(lambda_gp=0.0)
 
         def score(x):
@@ -200,25 +225,28 @@ class TestStepIsolationDirect:
         def snapshot(params):
             return [p.data.copy() for p in params]
 
+        def close(value, reference):
+            assert abs(value.item() - reference.item()) <= 1e-12 * abs(reference.item())
+
         d_before = snapshot(bundle.discriminator.params())
         g_before = snapshot(bundle.encoder.params() + bundle.generator_params())
 
         # critic step: fakes detached
         z = encode(bundle.encoder, ad.constant(feats[0]), norm)
-        fakes = [generate(bundle.generator(0, i), z, norm).detached()
-                 for i in range(2)]
+        fakes = generate(bundle.generators[0], z, np.stack([norm_np] * k)).detached()
+        reals = ad.constant(np.vstack([feats[1], feats[2]]))
         opt_d = ad.Adam(bundle.discriminator.params(), lr=1e-3)
         with ad.Tape() as tape:
             critic_real, _ = score(ad.constant(feats[0]))
-            critic_fakes, probs_fake = [], []
-            for fk in fakes:
-                c, p = score(fk)
-                critic_fakes.append(c)
-                probs_fake.append(p)
-            probs_real = [score(ad.constant(feats[i + 1]))[1] for i in range(2)]
+            critic_fakes, probs_fake = score(fakes)
+            probs_real = score(reals)[1]
             l_adv = adversarial_loss(critic_real, critic_fakes)
-            l_gdc = domain_classification_loss(probs_fake, probs_real)
+            l_gdc = domain_classification_loss(probs_fake, probs_real, k)
             loss_d = discriminator_loss([(l_adv, ad.constant([[0.0]]), l_gdc)], weights)
+        close(l_adv, oracles.adversarial_loss_per_view(critic_real,
+                                                       ad.split_rows(critic_fakes, n)))
+        close(l_gdc, oracles.domain_classification_loss_per_view(
+            ad.split_rows(probs_fake, n), ad.split_rows(probs_real, n)))
         opt_d.step(ad.backward(tape, loss_d), tape)
 
         assert all(not np.array_equal(b, p.data)
@@ -233,15 +261,13 @@ class TestStepIsolationDirect:
         opt_g = ad.Adam(gen_params, lr=1e-3)
         with ad.Tape() as tape:
             z = encode(bundle.encoder, ad.constant(feats[0]), norm)
-            critic_fakes, probs_fake = [], []
-            for i in range(2):
-                fk = generate(bundle.generator(0, i), z, norm)
-                c, p = score(fk)
-                critic_fakes.append(c)
-                probs_fake.append(p)
-            loss_g = generator_loss(
-                [(generator_fooling_term(critic_fakes), ad.constant([[0.0]]),
-                  info_max_loss(probs_fake))], weights)
+            critic_fakes, probs_fake = score(
+                generate(bundle.generators[0], z, np.stack([norm_np] * k)))
+            fooling = generator_fooling_term(critic_fakes)
+            l_inf = info_max_loss(probs_fake, k)
+            loss_g = generator_loss([(fooling, ad.constant([[0.0]]), l_inf)], weights)
+        close(fooling, oracles.generator_fooling_term_per_view(ad.split_rows(critic_fakes, n)))
+        close(l_inf, oracles.info_max_loss_per_view(ad.split_rows(probs_fake, n)))
         opt_g.step(ad.backward(tape, loss_g), tape)
 
         assert all(np.array_equal(b, p.data)
@@ -277,11 +303,31 @@ class TestPredict:
         bundle, _ = training.train(ds, 0, small_config(iterations=1, clusters=1))
         feats = ds.feature_matrix(0)[:6]
         pred = training.predict_multigraph(bundle, feats)
-        norm = ad.constant(normalize_adjacency(learn_affinity(feats)))
-        z = encode(bundle.encoder, ad.constant(feats), norm)
-        direct = generate(bundle.generator(0, 0), z, norm).data
+        norm = normalize_adjacency(learn_affinity(feats))
+        z = encode(bundle.encoder, ad.constant(feats), ad.constant(norm))
+        direct = generate([bundle.generator(0, 0)], z, norm[None]).data
         for s in range(6):
             assert np.allclose(pred[s, :, :, 0], devectorize(direct[s], ds.r))
+
+    def test_matches_per_view_per_subject_expansion(self):
+        # the batched decode and expansion equal a loop over views, clusters
+        # and subjects, bit for bit
+        from connectogen.affinity import learn_affinity, normalize_adjacency
+        from connectogen.data import devectorize
+        from connectogen.models import encode, generate
+
+        ds, bundle = self._trained()
+        feats = ds.feature_matrix(0)[:6]
+        pred = training.predict_multigraph(bundle, feats)
+        norm = normalize_adjacency(learn_affinity(feats))
+        z = encode(bundle.encoder, ad.constant(feats), ad.constant(norm))
+        for i in range(ds.k):
+            acc = np.zeros((6, ds.f))
+            for j in range(bundle.dims.c):
+                acc += generate([bundle.generator(j, i)], z, norm[None]).data
+            acc /= bundle.dims.c
+            for s in range(6):
+                assert np.array_equal(pred[s, :, :, i], devectorize(acc[s], ds.r))
 
     def test_permutation_equivariance(self):
         ds, bundle = self._trained()
