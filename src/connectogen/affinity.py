@@ -19,17 +19,17 @@ from .errors import PreconditionError, ValidationError
 
 @dataclass(frozen=True)
 class MKMLConfig:
-    num_kernels: int = 10
     knn_values: tuple[int, ...] = (10, 15)
     sigma_multipliers: tuple[float, ...] = (1.0, 1.25, 1.5, 1.75, 2.0)
     weight_iters: int = 10
     rho: float = 1.0
 
+    @property
+    def num_kernels(self) -> int:
+        """One kernel per (knn, sigma) pair of the grid."""
+        return len(self.knn_values) * len(self.sigma_multipliers)
+
     def __post_init__(self):
-        if len(self.knn_values) * len(self.sigma_multipliers) != self.num_kernels:
-            raise PreconditionError(
-                f"kernel grid {len(self.knn_values)}x{len(self.sigma_multipliers)} "
-                f"does not match num_kernels={self.num_kernels}")
         if self.rho <= 0 or self.weight_iters < 1:
             raise PreconditionError("rho must be > 0 and weight_iters >= 1")
 

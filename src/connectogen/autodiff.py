@@ -10,10 +10,10 @@ There is no broadcasting except scalar*tensor; binary ops demand equal
 shapes.  Subgradient conventions: relu'(0) = 0, sign(0) = 0.
 
 A batch of B equal blocks travels as one tall (B*n, c) matrix.  The block
-primitives apply one (n, n) matrix to every block (:func:`block_matmul`), a
-constant (B, n, n) stack block by block (:func:`stack_matmul`), or one
-weight tensor per block (:func:`per_block_matmul`), so a step over B blocks
-records as many ops as a step over one.
+primitives apply a constant adjacency, one (n, n) matrix or a (B, n, n)
+stack, as a plain numpy array (:func:`stack_matmul`), or one weight tensor
+per block (:func:`per_block_matmul`), so a step over B blocks records as
+many ops as a step over one.
 """
 
 from __future__ import annotations
@@ -74,29 +74,6 @@ class Tensor:
         if self.data.size != 1:
             raise DimensionError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.data[0, 0])
-
-    def detached(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __repr__(self):
         grad = ", grad" if self.requires_grad else ""
@@ -511,40 +488,6 @@ def split_rows(x: Tensor, block_rows: int) -> list[Tensor]:
     return [slice_rows(x, start, start + block_rows) for start in range(0, rows, block_rows)]
 
 
-def block_matmul(adj: Tensor, x: Tensor) -> Tensor:
-    """Apply one (n, n) matrix to each n-row block of a tall (B*n, c) matrix.
-
-    Equal to a matmul with the block-diagonal matrix diag(adj, ..., adj)
-    without building it; the backward applies adj^T per block.
-    """
-    n = adj.shape[0]
-    rows, cols = x.shape
-    if adj.shape != (n, n):
-        raise DimensionError(f"block_matmul: adjacency {adj.shape} is not square")
-    if rows % n:
-        raise DimensionError(f"block_matmul: {rows} rows are not blocks of {n}")
-    blocks = rows // n
-    a_data = adj.data
-    x3 = x.data.reshape(blocks, n, cols)
-    out = _result(np.matmul(a_data, x3).reshape(rows, cols))
-
-    def build(ids):
-        ia, ix = ids
-
-        def bw(g):
-            g3 = g.reshape(blocks, n, cols)
-            contrib = []
-            if ia is not None:
-                contrib.append((ia, np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)))
-            if ix is not None:
-                contrib.append((ix, np.matmul(a_data.T, g3).reshape(rows, cols)))
-            return contrib
-
-        return bw
-
-    return _emit(out, [adj, x], build)
-
-
 def _check_out(out, shape, op: str):
     if out is None:
         return np.empty(shape)
@@ -554,19 +497,21 @@ def _check_out(out, shape, op: str):
 
 
 def stack_matmul(adjs: np.ndarray, x: Tensor, out: np.ndarray | None = None) -> Tensor:
-    """Apply each matrix of a constant (B, n, n) stack to its own n-row block.
+    """Apply a constant adjacency to the n-row blocks of ``x``.
 
-    ``x`` is either a tall (B*n, c) matrix, whose block b goes through
-    adjs[b], or one (n, c) matrix that every adjs[b] is applied to; the
-    result is (B*n, c) either way, written into ``out`` when it is given.
-    The stack gets no gradient.
+    ``adjs`` is one (n, n) matrix, applied to every block of a tall
+    (B*n, c) ``x``, or a (B, n, n) stack whose matrix b is applied to block
+    b of a (B*n, c) ``x`` or to all of one (n, c) ``x``.  The result is
+    (B*n, c), written into ``out`` when it is given.  The adjacency stays a
+    numpy array and gets no gradient.
     """
-    blocks, n, n2 = adjs.shape
     rows, cols = x.shape
-    if n != n2:
-        raise DimensionError(f"stack_matmul: stack {adjs.shape} is not of square matrices")
+    if adjs.ndim not in (2, 3) or adjs.shape[-1] != adjs.shape[-2]:
+        raise DimensionError(f"stack_matmul: {adjs.shape} is not a square matrix or stack")
+    n = adjs.shape[-1]
+    blocks = adjs.shape[0] if adjs.ndim == 3 else rows // n
     if rows not in (n, blocks * n):
-        raise DimensionError(f"stack_matmul: {rows} rows are neither {n} nor {blocks}x{n}")
+        raise DimensionError(f"stack_matmul: {rows} rows are not blocks for {adjs.shape}")
     shared = rows != blocks * n
     x_in = x.data if shared else x.data.reshape(blocks, n, cols)
     data = _check_out(out, (blocks * n, cols), "stack_matmul")
@@ -577,7 +522,7 @@ def stack_matmul(adjs: np.ndarray, x: Tensor, out: np.ndarray | None = None) -> 
         (ix,) = ids
 
         def bw(g):
-            gx = np.matmul(adjs.transpose(0, 2, 1), g.reshape(blocks, n, cols))
+            gx = np.matmul(np.swapaxes(adjs, -1, -2), g.reshape(blocks, n, cols))
             return [(ix, gx.sum(axis=0) if shared else gx.reshape(rows, cols))]
 
         return bw

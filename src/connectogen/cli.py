@@ -26,6 +26,8 @@ from . import __version__
 from . import evaluation, topology
 from .data import (
     PopulationDataset,
+    _parse_matrix_csv,
+    check_connectivity,
     kfold_split,
     load_dataset,
     save_dataset,
@@ -205,28 +207,45 @@ def _cmd_predict(args) -> int:
 
 
 def _load_prediction_dir(root: Path) -> tuple[list[str], dict[int, np.ndarray]]:
-    """Prediction directories hold view_<orig index> subdirs for targets only."""
+    """Prediction directories hold view_<orig index> subdirs for targets only.
+
+    Every graph is parsed and validated as :func:`load_dataset` does it, and
+    all of them must have the same size; any fault is an IngestionError.
+    """
     manifest = root / "manifest.txt"
     if not manifest.is_file():
         raise IngestionError(f"{manifest}: manifest not found")
     ids = [ln.strip() for ln in manifest.read_text(encoding="utf-8").splitlines()
            if ln.strip()]
     views = {}
+    shape = None
     for view_dir in sorted(root.glob("view_*")):
-        idx = int(view_dir.name.split("_", 1)[1])
+        suffix = view_dir.name[len("view_"):]
+        if not (suffix.isascii() and suffix.isdigit()):
+            raise IngestionError(f"{view_dir}: view directory name must be view_<index>")
+        idx = int(suffix)
+        if idx in views:
+            raise IngestionError(f"{view_dir}: a second directory for view {idx}")
         mats = []
         for sid in ids:
             path = view_dir / f"{sid}.csv"
             if not path.is_file():
                 raise IngestionError(f"{path}: missing prediction file")
-            mats.append(np.loadtxt(path, delimiter=",", ndmin=2))
+            try:
+                w = check_connectivity(_parse_matrix_csv(path), name=str(path))
+            except ValidationError as exc:
+                raise IngestionError(str(exc)) from exc
+            shape = shape or w.shape
+            if w.shape != shape:
+                raise IngestionError(f"{path}: {w.shape[0]} ROIs, expected {shape[0]}")
+            mats.append(w)
         views[idx] = np.stack(mats)
     if not views:
         raise IngestionError(f"{root}: no view_* directories")
     return ids, views
 
 
-def _tensorize(ids, views: dict[int, np.ndarray]):
+def _tensorize(views: dict[int, np.ndarray]):
     order = sorted(views)
     stack = np.stack([views[i] for i in order], axis=-1)
     return order, stack
@@ -237,17 +256,23 @@ def _evaluate_pair(args) -> int:
     truth = load_dataset(args.truth)
     if list(truth.subject_ids) != pred_ids:
         raise IngestionError("prediction and truth subject lists differ")
-    order, pred_tensor = _tensorize(pred_ids, pred_views)
+    order, pred_tensor = _tensorize(pred_views)
     if any(v >= truth.v for v in order):
         raise IngestionError(f"prediction views {order} exceed truth views {truth.v}")
     truth_tensor = np.stack([truth.tensor[:, v] for v in order], axis=-1)
+    if pred_tensor.shape != truth_tensor.shape:
+        raise IngestionError(
+            f"prediction graphs {pred_tensor.shape} do not match truth {truth_tensor.shape}")
     inputs = [Path(args.pred), Path(args.truth)]
     base_tensor = None
     if args.baseline:
         base_ids, base_views = _load_prediction_dir(Path(args.baseline))
         if base_ids != pred_ids or sorted(base_views) != order:
             raise IngestionError("baseline predictions do not match the prediction set")
-        _, base_tensor = _tensorize(base_ids, base_views)
+        _, base_tensor = _tensorize(base_views)
+        if base_tensor.shape != truth_tensor.shape:
+            raise IngestionError(
+                f"baseline graphs {base_tensor.shape} do not match truth {truth_tensor.shape}")
         inputs.append(Path(args.baseline))
     report = evaluation.evaluate(pred_tensor, truth_tensor, interp=args.interp,
                                  view_labels=[str(v) for v in order], baseline=base_tensor)
@@ -348,7 +373,6 @@ def _cmd_metrics(args) -> int:
     except (OSError, ValueError) as exc:
         raise IngestionError(f"{path}: cannot parse graph CSV ({exc})") from exc
     try:
-        from .data import check_connectivity
         weights = check_connectivity(weights, name=str(path))
     except ValidationError as exc:
         raise IngestionError(str(exc)) from exc

@@ -193,13 +193,6 @@ def _subject_maes(real: np.ndarray, pred: np.ndarray) -> np.ndarray:
     return np.abs(real - pred).mean(axis=2)
 
 
-def subject_metric_maes(pred: np.ndarray, truth: np.ndarray, metric: str,
-                        interp: str = topology.DISTANCE) -> np.ndarray:
-    """(k, m) per-subject centrality MAEs for one metric."""
-    return _subject_maes(centrality_table(truth, metric, interp),
-                         centrality_table(pred, metric, interp))
-
-
 def evaluate(pred: np.ndarray, truth: np.ndarray, interp: str = topology.DISTANCE,
              hist: HistogramSpec = HistogramSpec(),
              view_labels: list[str] | None = None,

@@ -1,11 +1,13 @@
 """GCN building blocks: encoder, cluster-specific generators, discriminator.
 
 Every layer computes phi(normA @ F @ W) where normA is a normalized
-subject-affinity adjacency.  The encoder maps f -> 32 -> 16, generators map
-16 -> 32 -> f, and the discriminator trunk maps f -> 32 -> 16 with a linear
-critic head and a sigmoid domain-classifier head on top.  A cluster's k
-generators decode together (:func:`generate`): one op per layer applies the
-k target-view adjacencies, one more the k weight matrices, whatever k is.
+subject-affinity adjacency: a constant numpy array, which
+:func:`autodiff.stack_matmul` applies and which gets no gradient.  The
+encoder maps f -> 32 -> 16, generators map 16 -> 32 -> f, and the
+discriminator trunk maps f -> 32 -> 16 with a linear critic head and a
+sigmoid domain-classifier head on top.  A cluster's k generators decode
+together (:func:`generate`): one op per layer applies the k target-view
+adjacencies, one more the k weight matrices, whatever k is.
 The discriminator's first-layer projection is split out (:func:`project`),
 so its only f-wide product runs once per batch.
 
@@ -47,13 +49,6 @@ class GCNLayer:
             raise PreconditionError(f"unknown activation {self.activation!r}")
 
 
-def _propagate(norm_adj: ad.Tensor, x: ad.Tensor) -> ad.Tensor:
-    """normA @ x, or normA applied to each block of a stack of batches."""
-    if x.shape[0] == norm_adj.shape[0]:
-        return ad.matmul(norm_adj, x)
-    return ad.block_matmul(norm_adj, x)
-
-
 def _activate(pre: ad.Tensor, activation: str) -> ad.Tensor:
     if activation == "relu":
         return ad.relu(pre)
@@ -62,24 +57,17 @@ def _activate(pre: ad.Tensor, activation: str) -> ad.Tensor:
     return pre
 
 
-def gcn_forward(layer: GCNLayer, features: ad.Tensor, norm_adj: ad.Tensor) -> ad.Tensor:
+def gcn_forward(layer: GCNLayer, features: ad.Tensor, norm_adj: np.ndarray) -> ad.Tensor:
     """phi(normA @ F @ W), recorded on the active tape.
 
     ``features`` may stack B batches of the adjacency's n subjects, (B*n, f);
     each n-row block then propagates through normA on its own.
     """
-    n = norm_adj.shape[0]
-    if norm_adj.shape != (n, n) or features.shape[0] % n:
-        raise DimensionError(f"adjacency {norm_adj.shape} does not match "
-                             f"{features.shape[0]} subject rows")
-    if features.shape[1] != layer.weight.shape[0]:
-        raise DimensionError(
-            f"features {features.shape} incompatible with weight {layer.weight.shape}")
     if layer.weight.shape[1] < features.shape[1]:
         # shrink the wide dimension first; associativity keeps the math exact
-        pre = _propagate(norm_adj, ad.matmul(features, layer.weight))
+        pre = ad.stack_matmul(norm_adj, ad.matmul(features, layer.weight))
     else:
-        pre = ad.matmul(_propagate(norm_adj, features), layer.weight)
+        pre = ad.matmul(ad.stack_matmul(norm_adj, features), layer.weight)
     return _activate(pre, layer.activation)
 
 
@@ -145,7 +133,7 @@ def frozen(disc: DiscriminatorModel) -> DiscriminatorModel:
                                               disc.classifier_head)))
 
 
-def encode(encoder: EncoderModel, features: ad.Tensor, norm_adj: ad.Tensor) -> ad.Tensor:
+def encode(encoder: EncoderModel, features: ad.Tensor, norm_adj: np.ndarray) -> ad.Tensor:
     """Two-layer GCN embedding, (n, f) -> (n, 16)."""
     hidden = gcn_forward(encoder.layer1, features, norm_adj)
     return gcn_forward(encoder.layer2, hidden, norm_adj)
@@ -184,23 +172,14 @@ def first_layer_gram(disc: DiscriminatorModel) -> ad.Tensor:
     return ad.matmul(ad.transpose(weight), weight)
 
 
-def _check_projections(disc: DiscriminatorModel, projections: ad.Tensor,
-                       norm_adj: ad.Tensor) -> None:
-    n = norm_adj.shape[0]
-    width = disc.layer1.weight.shape[1]
-    if projections.shape[1] != width or projections.shape[0] % n:
-        raise DimensionError(f"projections {projections.shape} are not (B*{n}, {width})")
-
-
 def discriminate(disc: DiscriminatorModel, projections: ad.Tensor,
-                 norm_adj: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+                 norm_adj: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
     """Critic scores (unbounded) and domain probabilities, both (rows, 1).
 
     Takes the inputs' :func:`project` output; the rows may stack several
     batches, as in :func:`gcn_forward`.
     """
-    _check_projections(disc, projections, norm_adj)
-    h1 = ad.relu(_propagate(norm_adj, projections))
+    h1 = ad.relu(ad.stack_matmul(norm_adj, projections))
     trunk = gcn_forward(disc.layer2, h1, norm_adj)
     critic = gcn_forward(disc.critic_head, trunk, norm_adj)
     probs = gcn_forward(disc.classifier_head, trunk, norm_adj)
@@ -208,7 +187,7 @@ def discriminate(disc: DiscriminatorModel, projections: ad.Tensor,
 
 
 def discriminator_gradient_norms(disc: DiscriminatorModel, projections: ad.Tensor,
-                                 norm_adj: ad.Tensor, gram: ad.Tensor) -> ad.Tensor:
+                                 norm_adj: np.ndarray, gram: ad.Tensor) -> ad.Tensor:
     """Row norms of the summed critic's gradient w.r.t. its input rows, (rows, 1).
 
     The input gradient is Q @ W1^T with Q = normA^T G1 the (rows, 32)
@@ -219,19 +198,20 @@ def discriminator_gradient_norms(disc: DiscriminatorModel, projections: ad.Tenso
     parameters.  ``gram`` is :func:`first_layer_gram`, which a caller forms
     once for all its batches.  Used by the gradient penalty.
     """
-    _check_projections(disc, projections, norm_adj)
-    pre1 = _propagate(norm_adj, projections)
+    pre1 = ad.stack_matmul(norm_adj, projections)
     h1 = ad.relu(pre1)
-    pre2 = _propagate(norm_adj, ad.matmul(h1, disc.layer2.weight))
+    pre2 = ad.stack_matmul(norm_adj, ad.matmul(h1, disc.layer2.weight))
     mask1 = ad.constant((pre1.data > 0).astype(float))
     mask2 = ad.constant((pre2.data > 0).astype(float))
     ones = ad.constant(np.ones((projections.shape[0], 1)))
-    norm_t = ad.transpose(norm_adj)
+    # a contiguous copy: with a transposed view numpy takes other BLAS
+    # paths for some of the products below, which round differently
+    norm_t = np.ascontiguousarray(norm_adj.T)
     # d(sum critic)/dh2 back through critic head, then the trunk layers
-    g2 = ad.mul(ad.matmul(_propagate(norm_t, ones), ad.transpose(disc.critic_head.weight)),
-                mask2)
-    g1 = ad.mul(ad.matmul(_propagate(norm_t, g2), ad.transpose(disc.layer2.weight)), mask1)
-    q = _propagate(norm_t, g1)
+    g2 = ad.mul(ad.matmul(ad.stack_matmul(norm_t, ones),
+                          ad.transpose(disc.critic_head.weight)), mask2)
+    g1 = ad.mul(ad.matmul(ad.stack_matmul(norm_t, g2), ad.transpose(disc.layer2.weight)), mask1)
+    q = ad.stack_matmul(norm_t, g1)
     squares = ad.matmul(ad.mul(q, ad.matmul(q, gram)),
                         ad.constant(np.ones((q.shape[1], 1))))
     # the quadratic form can round below zero where the norm vanishes

@@ -155,7 +155,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
     bundle = init_params(Dims(r=r, v=dataset.v, c=cfg.clusters), seed=cfg.seed)
 
     # cluster the initial source embeddings over the full training population
-    norm_full = ad.constant(normalize_adjacency(affinity_source))
+    norm_full = normalize_adjacency(affinity_source)
     z_full = encode(bundle.encoder, ad.constant(feats[0]), norm_full)
     assignment = cluster_source_embeddings(z_full.data, mkml, cfg.clusters, cfg.seed)
 
@@ -192,7 +192,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
         np.take(ctx.features[0], local_idx, axis=0, out=blocks[0], mode="clip")
         np.take(ctx.features[1:], local_idx, axis=1, out=blocks[1 + fake_blocks:],
                 mode="clip")
-        return ad.constant(norms[0]), norms[1:], rows
+        return norms[0], norms[1:], rows
 
     disc = bundle.discriminator
 
@@ -294,7 +294,7 @@ def predict_multigraph(bundle: ModelBundle, test_source_features,
         raise PreconditionError("no test subjects")
     affinity = np.ones((1, 1)) if m == 1 else learn_affinity(f_test, mkml)
     norm = normalize_adjacency(affinity)
-    z = encode(bundle.encoder, ad.constant(f_test), ad.constant(norm))
+    z = encode(bundle.encoder, ad.constant(f_test), norm)
 
     # every view decodes through the test population's one adjacency
     norm_views = np.broadcast_to(norm, (dims.k, m, m))

@@ -8,8 +8,7 @@ from connectogen.errors import PreconditionError, ValidationError
 class TestKernelBank:
     def test_identical_subjects_give_unit_kernel_entries(self):
         feats = np.vstack([np.ones(4), np.ones(4), np.zeros(4)])
-        cfg = affinity.MKMLConfig(num_kernels=2, knn_values=(2,),
-                                  sigma_multipliers=(1.0, 2.0))
+        cfg = affinity.MKMLConfig(knn_values=(2,), sigma_multipliers=(1.0, 2.0))
         for k in affinity.gaussian_kernel_bank(feats, cfg):
             assert k[0, 1] == 1.0 and k[1, 0] == 1.0
             assert np.all(np.diag(k) == 1.0)
@@ -17,14 +16,14 @@ class TestKernelBank:
     def test_far_subjects_kernel_to_zero(self):
         # two tight pairs far apart: bandwidths stay small, cross terms vanish
         feats = np.array([[0.0], [0.01], [1e6], [1e6 + 0.01]])
-        cfg = affinity.MKMLConfig(num_kernels=1, knn_values=(1,), sigma_multipliers=(1.0,))
+        cfg = affinity.MKMLConfig(knn_values=(1,), sigma_multipliers=(1.0,))
         k = affinity.gaussian_kernel_bank(feats, cfg)[0]
         assert k[0, 2] < 1e-12 and k[1, 3] < 1e-12
 
     def test_matches_direct_formula_evaluation(self):
         rng = np.random.default_rng(4)
         feats = rng.standard_normal((5, 3))
-        cfg = affinity.MKMLConfig(num_kernels=1, knn_values=(2,), sigma_multipliers=(1.0,))
+        cfg = affinity.MKMLConfig(knn_values=(2,), sigma_multipliers=(1.0,))
         k = affinity.gaussian_kernel_bank(feats, cfg)[0]
 
         dist = np.array([[np.linalg.norm(a - b) for b in feats] for a in feats])
@@ -38,14 +37,10 @@ class TestKernelBank:
 
     def test_knn_clamped_with_warning(self):
         feats = np.random.default_rng(0).standard_normal((3, 2))
-        cfg = affinity.MKMLConfig(num_kernels=1, knn_values=(5,), sigma_multipliers=(1.0,))
+        cfg = affinity.MKMLConfig(knn_values=(5,), sigma_multipliers=(1.0,))
         with pytest.warns(UserWarning, match="clamping"):
             bank = affinity.gaussian_kernel_bank(feats, cfg)
         assert len(bank) == 1
-
-    def test_kernel_grid_must_match_count(self):
-        with pytest.raises(PreconditionError):
-            affinity.MKMLConfig(num_kernels=3, knn_values=(1,), sigma_multipliers=(1.0,))
 
     def test_default_config_has_ten_kernels(self):
         cfg = affinity.MKMLConfig()
@@ -66,8 +61,7 @@ class TestLearnAffinity:
         block1 = rng.normal(0.0, 0.05, size=(10, 6))
         block2 = rng.normal(5.0, 0.05, size=(10, 6))
         feats = np.vstack([block1, block2])
-        cfg = affinity.MKMLConfig(num_kernels=2, knn_values=(3,),
-                                  sigma_multipliers=(1.0, 1.5))
+        cfg = affinity.MKMLConfig(knn_values=(3,), sigma_multipliers=(1.0, 1.5))
         a = affinity.learn_affinity(feats, cfg)
         off = ~np.eye(20, dtype=bool)
         within = np.r_[a[:10, :10][off[:10, :10]], a[10:, 10:][off[:10, :10]]]
@@ -77,8 +71,7 @@ class TestLearnAffinity:
     def test_uniform_weights_fixed_point_for_identical_kernels(self):
         # equally-spaced points on a line: all kernels in a 1-knn grid coincide
         feats = np.arange(6, dtype=float)[:, None]
-        cfg = affinity.MKMLConfig(num_kernels=2, knn_values=(2,),
-                                  sigma_multipliers=(1.0, 1.0))
+        cfg = affinity.MKMLConfig(knn_values=(2,), sigma_multipliers=(1.0, 1.0))
         bank = affinity.gaussian_kernel_bank(feats, cfg)
         assert np.allclose(bank[0], bank[1])
         a = affinity.learn_affinity(feats, cfg)
@@ -89,8 +82,7 @@ class TestLearnAffinity:
         for _ in range(10):
             n = int(rng.integers(6, 25))
             feats = rng.standard_normal((n, 5))
-            cfg = affinity.MKMLConfig(num_kernels=2, knn_values=(3,),
-                                      sigma_multipliers=(1.0, 2.0))
+            cfg = affinity.MKMLConfig(knn_values=(3,), sigma_multipliers=(1.0, 2.0))
             a = affinity.learn_affinity(feats, cfg)
             assert np.allclose(a, a.T)
             assert np.all(a >= 0)
@@ -179,8 +171,7 @@ def test_kernel_weights_stay_on_simplex():
     # exercised via learn_affinity internals: re-run the update manually
     rng = np.random.default_rng(9)
     feats = rng.standard_normal((12, 4))
-    cfg = affinity.MKMLConfig(num_kernels=4, knn_values=(2, 3),
-                              sigma_multipliers=(1.0, 2.0))
+    cfg = affinity.MKMLConfig(knn_values=(2, 3), sigma_multipliers=(1.0, 2.0))
     kernels = affinity.gaussian_kernel_bank(feats, cfg)
     weights = np.full(len(kernels), 1.0 / len(kernels))
     for _ in range(cfg.weight_iters):

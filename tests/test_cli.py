@@ -283,6 +283,33 @@ class TestEvaluate:
     def test_missing_args_usage_error(self):
         assert run("evaluate") == 2
 
+    @pytest.mark.parametrize("fault", ["unparsable_cell", "view_x", "one_small_graph",
+                                       "fewer_rois"])
+    def test_unreadable_predictions_are_ingestion_errors(self, tmp_path, fault):
+        dataset = tmp_path / "ds"
+        run(*simulate_args(dataset, subjects=6, rois=5))
+        ds = data.load_dataset(dataset)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "manifest.txt").write_text("\n".join(ds.subject_ids) + "\n")
+        rois = 4 if fault == "fewer_rois" else 5
+        for view in (1, 2):
+            (pred / f"view_{view}").mkdir()
+            for i, sid in enumerate(ds.subject_ids):
+                data.write_matrix_csv(pred / f"view_{view}" / f"{sid}.csv",
+                                      ds.tensor[i, view, :rois, :rois])
+        first = pred / "view_1" / f"{ds.subject_ids[0]}.csv"
+        if fault == "unparsable_cell":
+            first.write_text(first.read_text().replace("0", "zero", 1))
+        elif fault == "view_x":
+            (pred / "view_x").mkdir()
+        elif fault == "one_small_graph":
+            data.write_matrix_csv(first, np.ones((2, 2)) - np.eye(2))
+        out = tmp_path / "rep"
+        assert run("evaluate", "--pred", str(pred), "--truth", str(dataset),
+                   "--out", str(out)) == 3
+        assert not list(tmp_path.glob("rep*"))
+
     @pytest.mark.parametrize("flag,value", [("--iterations", "7"), ("--lambda-top", "3"),
                                             ("--sigma-gp", "2"), ("--seed", "0"),
                                             ("--data", "ds"), ("--source-view", "0")])

@@ -85,7 +85,7 @@ class TestPipeline:
         return np.vstack([a, b]), np.r_[np.zeros(n_half), np.ones(n_half)]
 
     def test_planted_clusters_recovered(self):
-        cfg = MKMLConfig(num_kernels=2, knn_values=(4,), sigma_multipliers=(1.0, 1.5))
+        cfg = MKMLConfig(knn_values=(4,), sigma_multipliers=(1.0, 1.5))
         hits = 0
         for seed in range(10):
             z, truth = self._embeddings(seed)
@@ -100,7 +100,7 @@ class TestPipeline:
         assert np.all(res.labels == 0)
 
     def test_permutation_equivariance_up_to_relabeling(self):
-        cfg = MKMLConfig(num_kernels=2, knn_values=(4,), sigma_multipliers=(1.0, 1.5))
+        cfg = MKMLConfig(knn_values=(4,), sigma_multipliers=(1.0, 1.5))
         z, _ = self._embeddings(4)
         rng = np.random.default_rng(7)
         perm = rng.permutation(z.shape[0])
@@ -110,7 +110,7 @@ class TestPipeline:
 
     def test_labels_partition_subjects(self):
         z = np.random.default_rng(11).standard_normal((20, 5))
-        cfg = MKMLConfig(num_kernels=2, knn_values=(4,), sigma_multipliers=(1.0, 1.5))
+        cfg = MKMLConfig(knn_values=(4,), sigma_multipliers=(1.0, 1.5))
         res = clustering.cluster_source_embeddings(z, cfg, c=3, seed=2)
         assert res.labels.shape == (20,)
         assert np.all((res.labels >= 0) & (res.labels < 3))

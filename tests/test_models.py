@@ -16,13 +16,13 @@ class TestGCNForward:
     def test_identity_case(self):
         layer = models.GCNLayer(ad.parameter(np.eye(3)), "linear")
         feats = ad.constant(np.arange(6, dtype=float).reshape(2, 3))
-        out = models.gcn_forward(layer, feats, ad.constant(np.eye(2)))
+        out = models.gcn_forward(layer, feats, np.eye(2))
         assert np.array_equal(out.data, feats.data)
 
     def test_hand_two_node_case(self):
         # normA=[[2/3,1/3],[1/3,2/3]], F=[[1],[0]], W=[[3]], relu -> [[2],[1]]
         layer = models.GCNLayer(ad.parameter([[3.0]]), "relu")
-        norm = ad.constant([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
+        norm = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
         out = models.gcn_forward(layer, ad.constant([[1.0], [0.0]]), norm)
         assert np.allclose(out.data, [[2.0], [1.0]], atol=1e-12)
 
@@ -34,13 +34,13 @@ class TestGCNForward:
 
         def np_loss(wv):
             layer = models.GCNLayer(ad.Tensor(wv), "relu")
-            out = models.gcn_forward(layer, ad.constant(feats), ad.constant(norm))
+            out = models.gcn_forward(layer, ad.constant(feats), norm)
             return (out.data ** 2).mean()
 
         weight = ad.parameter(w0.copy())
         layer = models.GCNLayer(weight, "relu")
         with ad.Tape() as tape:
-            out = models.gcn_forward(layer, ad.constant(feats), ad.constant(norm))
+            out = models.gcn_forward(layer, ad.constant(feats), norm)
             loss = ad.mean(ad.mul(out, out))
         grad = ad.backward(tape, loss)[weight.node_id].data
         fd = finite_difference(np_loss, w0)
@@ -49,16 +49,16 @@ class TestGCNForward:
     def test_shape_mismatch(self):
         layer = models.GCNLayer(ad.parameter(np.zeros((3, 2))))
         with pytest.raises(DimensionError):
-            models.gcn_forward(layer, ad.constant(np.zeros((2, 4))), ad.constant(np.eye(2)))
+            models.gcn_forward(layer, ad.constant(np.zeros((2, 4))), np.eye(2))
         with pytest.raises(DimensionError):  # 5 rows are not blocks of 2 subjects
-            models.gcn_forward(layer, ad.constant(np.zeros((5, 3))), ad.constant(np.eye(2)))
+            models.gcn_forward(layer, ad.constant(np.zeros((5, 3))), np.eye(2))
 
 
 class TestNetworks:
     def test_encode_shape_and_zero_weights(self):
         bundle = models.init_params(small_dims(), seed=0)
         feats = ad.constant(np.random.default_rng(1).uniform(size=(6, 10)))
-        norm = ad.constant(np.eye(6))
+        norm = np.eye(6)
         z = models.encode(bundle.encoder, feats, norm)
         assert z.shape == (6, 16)
         for p in bundle.encoder.params():
@@ -69,7 +69,7 @@ class TestNetworks:
     def test_encode_deterministic(self):
         bundle = models.init_params(small_dims(), seed=3)
         feats = ad.constant(np.random.default_rng(2).uniform(size=(4, 10)))
-        norm = ad.constant(np.eye(4))
+        norm = np.eye(4)
         a = models.encode(bundle.encoder, feats, norm).data
         b = models.encode(bundle.encoder, feats, norm).data
         assert np.array_equal(a, b)
@@ -107,7 +107,7 @@ class TestNetworks:
 
         def per_view(z):
             blocks = [models.gcn_forward(g.layer2, models.gcn_forward(
-                g.layer1, z, ad.constant(adjs[i])), ad.constant(adjs[i]))
+                g.layer1, z, adjs[i]), adjs[i])
                 for i, g in enumerate(gens)]
             return ad.vstack(blocks)
 
@@ -138,7 +138,7 @@ class TestNetworks:
             p.data[...] = 0.0
         disc = bundle.discriminator
         critic, probs = models.discriminate(
-            disc, models.project(disc, ad.constant(np.ones((4, 10)))), ad.constant(np.eye(4)))
+            disc, models.project(disc, ad.constant(np.ones((4, 10)))), np.eye(4))
         assert np.all(critic.data == 0.0)
         assert np.all(probs.data == 0.5)
 
@@ -149,14 +149,14 @@ class TestNetworks:
         for _ in range(100):
             feats = ad.constant(rng.standard_normal((3, 10)))
             _, probs = models.discriminate(disc, models.project(disc, feats),
-                                           ad.constant(np.eye(3)))
+                                           np.eye(3))
             assert np.all((probs.data > 0) & (probs.data < 1))
 
     def test_discriminate_takes_projections(self):
         bundle = models.init_params(small_dims(), seed=0)
         disc = bundle.discriminator
         feats = ad.constant(np.ones((4, 10)))
-        norm = ad.constant(np.eye(2))
+        norm = np.eye(2)
         assert models.project(disc, feats).shape == (4, 32)
         with pytest.raises(DimensionError):  # unprojected rows
             models.discriminate(disc, feats, norm)
@@ -188,14 +188,13 @@ class TestNetworks:
         grad = np.vstack([input_gradient(stacked[b * n:(b + 1) * n]) for b in range(blocks)])
 
         def critic_sum(arr):
-            critic, _ = models.discriminate(disc, models.project(disc, ad.Tensor(arr)),
-                                            ad.constant(norm))
+            critic, _ = models.discriminate(disc, models.project(disc, ad.Tensor(arr)), norm)
             return critic.data.sum()
 
         fd = finite_difference(critic_sum, stacked)
         assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-5
         norms = models.discriminator_gradient_norms(
-            disc, models.project(disc, ad.constant(stacked)), ad.constant(norm),
+            disc, models.project(disc, ad.constant(stacked)), norm,
             models.first_layer_gram(disc))
         assert norms.shape == (n * blocks, 1)
         assert np.abs(norms.data[:, 0] - np.linalg.norm(grad, axis=1)).max() <= 1e-12
@@ -207,7 +206,7 @@ class TestNetworks:
         rng = np.random.default_rng(12)
         n, blocks = 6, 5
         affin = rng.uniform(size=(n, n))
-        norm = ad.constant(np.full((n, n), 0.1) + np.eye(n) * 0.4 + 0.05 * (affin + affin.T))
+        norm = np.full((n, n), 0.1) + np.eye(n) * 0.4 + 0.05 * (affin + affin.T)
         stacked = rng.uniform(0.1, 1.0, size=(n * blocks, 10))
 
         critic, probs = models.discriminate(
@@ -225,7 +224,7 @@ class TestNetworks:
         disc = bundle.discriminator
         rng = np.random.default_rng(14)
         n, blocks = 4, 3
-        norm = ad.constant(np.full((n, n), 0.2) + np.eye(n) * 0.3)
+        norm = np.full((n, n), 0.2) + np.eye(n) * 0.3
         stacked = rng.uniform(0.1, 1.0, size=(n * blocks, 10))
 
         def grads(loss_of):
@@ -256,10 +255,10 @@ class TestNetworks:
         bundle = models.init_params(small_dims(), seed=9)
         rng = np.random.default_rng(10)
         feats = ad.constant(rng.uniform(0.1, 1.0, size=(6, 10)))
-        norm = ad.constant(np.full((6, 6), 1.0 / 6) + np.eye(6) * 0.5)
+        norm = np.full((6, 6), 1.0 / 6) + np.eye(6) * 0.5
         with ad.Tape() as tape:
             z = models.encode(bundle.encoder, feats, norm)
-            preds = [models.generate(bundle.generators[j], z, np.stack([norm.data] * 2))
+            preds = [models.generate(bundle.generators[j], z, np.stack([norm] * 2))
                      for j in range(2)]
             heads = []
             for p in preds:
@@ -354,8 +353,7 @@ def test_forward_permutation_equivariance():
     norm = normalize_adjacency(affin)
     perm = rng.permutation(6)
 
-    z = models.encode(bundle.encoder, ad.constant(feats), ad.constant(norm)).data
-    z_perm = models.encode(
-        bundle.encoder, ad.constant(feats[perm]),
-        ad.constant(normalize_adjacency(affin[np.ix_(perm, perm)]))).data
+    z = models.encode(bundle.encoder, ad.constant(feats), norm).data
+    z_perm = models.encode(bundle.encoder, ad.constant(feats[perm]),
+                           normalize_adjacency(affin[np.ix_(perm, perm)])).data
     assert np.allclose(z[perm], z_perm, atol=1e-12)

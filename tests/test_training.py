@@ -215,8 +215,7 @@ class TestStepIsolationDirect:
         n, k = 12, 2
         bundle = models.init_params(models.Dims(r=6, v=3, c=1), seed=0)
         feats = {v: ds.feature_matrix(v) for v in range(3)}
-        norm_np = normalize_adjacency(learn_affinity(feats[0]))
-        norm = ad.constant(norm_np)
+        norm = normalize_adjacency(learn_affinity(feats[0]))
         weights = LossWeights(lambda_gp=0.0)
 
         def score(x):
@@ -233,7 +232,7 @@ class TestStepIsolationDirect:
 
         # critic step: fakes detached
         z = encode(bundle.encoder, ad.constant(feats[0]), norm)
-        fakes = generate(bundle.generators[0], z, np.stack([norm_np] * k)).detached()
+        fakes = ad.constant(generate(bundle.generators[0], z, np.stack([norm] * k)).data)
         reals = ad.constant(np.vstack([feats[1], feats[2]]))
         opt_d = ad.Adam(bundle.discriminator.params(), lr=1e-3)
         with ad.Tape() as tape:
@@ -262,7 +261,7 @@ class TestStepIsolationDirect:
         with ad.Tape() as tape:
             z = encode(bundle.encoder, ad.constant(feats[0]), norm)
             critic_fakes, probs_fake = score(
-                generate(bundle.generators[0], z, np.stack([norm_np] * k)))
+                generate(bundle.generators[0], z, np.stack([norm] * k)))
             fooling = generator_fooling_term(critic_fakes)
             l_inf = info_max_loss(probs_fake, k)
             loss_g = generator_loss([(fooling, ad.constant([[0.0]]), l_inf)], weights)
@@ -304,7 +303,7 @@ class TestPredict:
         feats = ds.feature_matrix(0)[:6]
         pred = training.predict_multigraph(bundle, feats)
         norm = normalize_adjacency(learn_affinity(feats))
-        z = encode(bundle.encoder, ad.constant(feats), ad.constant(norm))
+        z = encode(bundle.encoder, ad.constant(feats), norm)
         direct = generate([bundle.generator(0, 0)], z, norm[None]).data
         for s in range(6):
             assert np.allclose(pred[s, :, :, 0], devectorize(direct[s], ds.r))
@@ -320,7 +319,7 @@ class TestPredict:
         feats = ds.feature_matrix(0)[:6]
         pred = training.predict_multigraph(bundle, feats)
         norm = normalize_adjacency(learn_affinity(feats))
-        z = encode(bundle.encoder, ad.constant(feats), ad.constant(norm))
+        z = encode(bundle.encoder, ad.constant(feats), norm)
         for i in range(ds.k):
             acc = np.zeros((6, ds.f))
             for j in range(bundle.dims.c):
