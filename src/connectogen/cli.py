@@ -26,10 +26,10 @@ from . import __version__
 from . import evaluation, topology
 from .data import (
     PopulationDataset,
-    _parse_matrix_csv,
-    check_connectivity,
+    format_matrix_csv,
     kfold_split,
     load_dataset,
+    read_matrix_csv,
     save_dataset,
     simulate_population,
 )
@@ -193,8 +193,7 @@ def _cmd_predict(args) -> int:
         view_dir.mkdir(exist_ok=True)
         for s, sid in enumerate(dataset.subject_ids):
             path = view_dir / f"{sid}.csv"
-            lines = [",".join(f"{x:.17g}" for x in row) for row in pred[s, :, :, slot]]
-            _atomic_write_text(path, "\n".join(lines) + "\n")
+            _atomic_write_text(path, format_matrix_csv(pred[s, :, :, slot]))
             written.append(path)
 
     _write_manifest(
@@ -231,10 +230,7 @@ def _load_prediction_dir(root: Path) -> tuple[list[str], dict[int, np.ndarray]]:
             path = view_dir / f"{sid}.csv"
             if not path.is_file():
                 raise IngestionError(f"{path}: missing prediction file")
-            try:
-                w = check_connectivity(_parse_matrix_csv(path), name=str(path))
-            except ValidationError as exc:
-                raise IngestionError(str(exc)) from exc
+            w = read_matrix_csv(path)
             shape = shape or w.shape
             if w.shape != shape:
                 raise IngestionError(f"{path}: {w.shape[0]} ROIs, expected {shape[0]}")
@@ -368,14 +364,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_metrics(args) -> int:
     path = Path(args.graph)
-    try:
-        weights = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise IngestionError(f"{path}: cannot parse graph CSV ({exc})") from exc
-    try:
-        weights = check_connectivity(weights, name=str(path))
-    except ValidationError as exc:
-        raise IngestionError(str(exc)) from exc
+    weights = read_matrix_csv(path)
 
     rows = [("cc", topology.closeness(weights, args.interp)),
             ("bc", topology.betweenness(weights, args.interp)),

@@ -10,7 +10,14 @@ On-disk layout::
     <root>/manifest.txt          one subject id per line (UTF-8)
     <root>/view_<k>/<id>.csv     r lines of r comma-separated decimals
 
-The writer emits 17 significant digits so float64 values round-trip exactly.
+Every matrix CSV (dataset views, predictions, the ``metrics`` graph) goes
+through one reader and one formatter, each a single bulk call per file.  The reader converts all
+cells with one ``np.array(rows, dtype=np.float64)``; numpy applies
+``float`` to each cell, so the accepted syntax is Python's: surrounding
+whitespace, ``1_0``, non-ASCII digits, ``nan`` and ``inf`` all load.
+Blank lines are skipped; ``#`` lines are not comments.  The formatter
+fills one ``%.17g`` template per matrix, so float64 values round-trip
+exactly.
 """
 
 from __future__ import annotations
@@ -124,33 +131,54 @@ class PopulationDataset:
 
 
 def _parse_matrix_csv(path: Path) -> np.ndarray:
+    """Parse one matrix CSV into a square float64 array; any fault is an IngestionError.
+
+    Only when the bulk conversion fails are the lines converted again one at
+    a time, to name the first unparsable line; an unparsable value wins over
+    ragged rows.
+    """
     try:
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append([float(cell) for cell in line.split(",")])
-                except ValueError as exc:
-                    raise IngestionError(f"{path}:{line_no}: unparsable value ({exc})") from exc
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc})") from exc
     except OSError as exc:
         raise IngestionError(f"{path}: cannot read ({exc})") from exc
+    rows = [line.split(",") for line in map(str.strip, lines) if line]
     if not rows:
         raise IngestionError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise IngestionError(f"{path}: ragged rows")
-    arr = np.asarray(rows, dtype=np.float64)
+    try:
+        arr = np.array(rows, dtype=np.float64)
+    except ValueError:
+        for line_no, line in enumerate(map(str.strip, lines), 1):
+            try:
+                if line:
+                    list(map(float, line.split(",")))
+            except ValueError as exc:
+                raise IngestionError(f"{path}:{line_no}: unparsable value ({exc})") from exc
+        raise IngestionError(f"{path}: ragged rows") from None
     if arr.shape[0] != arr.shape[1]:
         raise IngestionError(f"{path}: matrix is {arr.shape[0]}x{arr.shape[1]}, expected square")
     return arr
 
 
+def read_matrix_csv(path: Path) -> np.ndarray:
+    """Parse and validate one connectivity CSV; any fault is an IngestionError."""
+    try:
+        return check_connectivity(_parse_matrix_csv(path), name=str(path))
+    except ValidationError as exc:
+        raise IngestionError(str(exc)) from exc
+
+
+def format_matrix_csv(weights: np.ndarray) -> str:
+    """One line per row of comma-separated ``%.17g`` cells, each line ending in a newline."""
+    w = np.asarray(weights, dtype=np.float64)
+    rows, cols = w.shape
+    return ((",".join(["%.17g"] * cols) + "\n") * rows) % tuple(w.ravel().tolist())
+
+
 def write_matrix_csv(path: Path, weights: np.ndarray) -> None:
-    lines = [",".join(f"{x:.17g}" for x in row) for row in np.asarray(weights)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a 2-D matrix as UTF-8 :func:`format_matrix_csv` text; float64 round-trips exactly."""
+    Path(path).write_text(format_matrix_csv(weights), encoding="utf-8")
 
 
 def load_dataset(root) -> PopulationDataset:
@@ -186,11 +214,7 @@ def load_dataset(root) -> PopulationDataset:
             path = by_index[k] / f"{sid}.csv"
             if not path.is_file():
                 raise IngestionError(f"{path}: missing matrix file")
-            w = _parse_matrix_csv(path)
-            try:
-                w = check_connectivity(w, name=str(path))
-            except ValidationError as exc:
-                raise IngestionError(str(exc)) from exc
+            w = read_matrix_csv(path)
             if r is None:
                 r = w.shape[0]
             elif w.shape[0] != r:

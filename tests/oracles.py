@@ -7,12 +7,15 @@ eigenvector/pagerank scores from dense linear algebra, and neighbourhood
 metrics from direct formula evaluation in vectorized form.  The per-view
 losses below loop over the k target views one block at a time, as the
 formulas read; they are built from autodiff primitives, so they give
-reference gradients as well as values for the stacked losses.
+reference gradients as well as values for the stacked losses.  Matrix CSVs
+are read line by line with one ``float`` per cell and written with one
+f-string per cell.
 """
 
 import numpy as np
 
 from connectogen import autodiff as ad
+from connectogen.errors import IngestionError
 
 PROB_FLOOR = 1e-7
 
@@ -276,3 +279,35 @@ def generator_fooling_term_per_view(critic_fakes):
     """-(1/k) * sum_i E[D(fake_i)]."""
     k = len(critic_fakes)
     return _sum([ad.scale(ad.mean(fake), -1.0 / k) for fake in critic_fakes])
+
+
+def parse_matrix_csv_by_line(path) -> np.ndarray:
+    """Matrix CSV reader converting one cell at a time, faults checked in file order."""
+    try:
+        rows = []
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rows.append([float(cell) for cell in line.split(",")])
+                except ValueError as exc:
+                    raise IngestionError(f"{path}:{line_no}: unparsable value ({exc})") from exc
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read ({exc})") from exc
+    if not rows:
+        raise IngestionError(f"{path}: empty matrix file")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise IngestionError(f"{path}: ragged rows")
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.shape[0] != arr.shape[1]:
+        raise IngestionError(f"{path}: matrix is {arr.shape[0]}x{arr.shape[1]}, expected square")
+    return arr
+
+
+def format_matrix_csv_by_cell(weights) -> str:
+    """Matrix CSV text built from one ``.17g`` f-string per cell."""
+    lines = [",".join(f"{x:.17g}" for x in row) for row in np.asarray(weights)]
+    return "\n".join(lines) + "\n"

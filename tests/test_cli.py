@@ -108,6 +108,14 @@ class TestTrainPredict:
                    "--out", str(tmp_path / "m.bin"), "--iterations", "1")
         assert code != 0
 
+    def test_undecodable_dataset_csv_is_ingestion_error(self, dataset, tmp_path, capsys):
+        path = dataset / "view_1" / "subj0003.csv"
+        path.write_bytes(path.read_bytes().replace(b"0", b"\xff", 1))
+        model = tmp_path / "m.bin"
+        assert run(*train_args(dataset, model)) == 3
+        assert f"ingestion error: {path}: not UTF-8 text" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_dataset_is_ingestion_error(self, tmp_path):
         code = run("train", "--data", str(tmp_path / "nope"), "--source-view", "0",
                    "--out", str(tmp_path / "m.bin"))
@@ -284,8 +292,8 @@ class TestEvaluate:
         assert run("evaluate") == 2
 
     @pytest.mark.parametrize("fault", ["unparsable_cell", "view_x", "one_small_graph",
-                                       "fewer_rois"])
-    def test_unreadable_predictions_are_ingestion_errors(self, tmp_path, fault):
+                                       "fewer_rois", "undecodable_byte"])
+    def test_unreadable_predictions_are_ingestion_errors(self, tmp_path, capsys, fault):
         dataset = tmp_path / "ds"
         run(*simulate_args(dataset, subjects=6, rois=5))
         ds = data.load_dataset(dataset)
@@ -305,10 +313,14 @@ class TestEvaluate:
             (pred / "view_x").mkdir()
         elif fault == "one_small_graph":
             data.write_matrix_csv(first, np.ones((2, 2)) - np.eye(2))
+        elif fault == "undecodable_byte":
+            first.write_bytes(first.read_bytes().replace(b"0", b"\xff", 1))
         out = tmp_path / "rep"
         assert run("evaluate", "--pred", str(pred), "--truth", str(dataset),
                    "--out", str(out)) == 3
         assert not list(tmp_path.glob("rep*"))
+        if fault == "undecodable_byte":
+            assert f"ingestion error: {first}: not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--iterations", "7"), ("--lambda-top", "3"),
                                             ("--sigma-gp", "2"), ("--seed", "0"),
@@ -374,6 +386,12 @@ class TestMetrics:
         path = tmp_path / "bad.csv"
         path.write_text("0,x\nx,0\n")
         assert run("metrics", "--graph", str(path)) == 3
+
+    def test_comment_line_rejected_as_in_datasets(self, tmp_path, capsys):
+        path = tmp_path / "k3.csv"
+        path.write_text("# comment\n" + data.format_matrix_csv(np.ones((3, 3)) - np.eye(3)))
+        assert run("metrics", "--graph", str(path)) == 3
+        assert f"{path}:1: unparsable value" in capsys.readouterr().err
 
     def test_asymmetric_graph_rejected(self, tmp_path):
         path = tmp_path / "asym.csv"

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import oracles
 from connectogen import data
 from connectogen.errors import DimensionError, IngestionError, PreconditionError, ValidationError
 
@@ -149,6 +153,65 @@ class TestLoadDataset:
         back = data.load_dataset(tmp_path / "out")
         assert back.subject_ids == ds.subject_ids
         assert np.array_equal(back.tensor, ds.tensor)
+
+
+_SPECIALS = np.array([[-0.0, 5e-324, 2.2250738585072009e-308],
+                      [1e308, -np.inf, 0.1], [np.inf, 1e-310, -1.7976931348623157e308]])
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hnp.arrays(np.float64, st.integers(1, 8).map(lambda r: (r, r)),
+                  elements=st.floats(allow_nan=False)))
+@example(_SPECIALS)
+def test_matrix_csv_matches_oracles_and_round_trips_bitwise(tmp_path, w):
+    assert data.format_matrix_csv(w) == oracles.format_matrix_csv_by_cell(w)
+    path = tmp_path / "w.csv"
+    data.write_matrix_csv(path, w)
+    back = data._parse_matrix_csv(path)
+    assert back.dtype == np.float64 and back.tobytes() == w.tobytes()
+
+
+# (name, file text, expected: None for an array, else a fragment of the message)
+_READER_CASES = [
+    ("bad_cell_later_line", "0,1\n1,0\n0,x\n", ":3: unparsable value"),
+    ("blank_line_before_bad_cell", "\n0,1\n\n1,x\n", ":4: unparsable value"),
+    ("empty_cell", "0,1\n1,\n", ":2: unparsable value (could not convert string to float: '')"),
+    ("trailing_comma", "0,1,\n1,0,\n", ":1: unparsable value"),
+    ("ragged_rows", "0,1\n1\n", "ragged rows"),
+    ("ragged_then_bad_cell", "0,1\n1\n2,y\n", ":3: unparsable value"),
+    ("bad_cell_then_ragged", "0,z\n1\n", ":1: unparsable value"),
+    ("blank_lines", "\n0,1\n\n  \n1,0\n\n", None),
+    ("crlf", "0,1\r\n1,0\r\n", None),
+    ("whitespace_around_cells", " 0 , 1\t\n\t1 ,0 \n", None),
+    ("underscore_digits", "0,1_0\n1_0,0\n", None),
+    ("non_ascii_digits", "0,\u0967\n\u0967,0\n", None),
+    ("nan_and_inf", "nan,inf\n-inf,NaN\n", None),
+    ("no_final_newline", "0,2.5\n2.5,0", None),
+    ("empty_file", "", "empty matrix file"),
+    ("blank_file", "\n \n\t\n", "empty matrix file"),
+    ("non_square", "0,1,2\n1,0,2\n", "matrix is 2x3, expected square"),
+    ("comment_line", "# comment\n0,1\n1,0\n", ":1: unparsable value"),
+]
+
+
+@pytest.mark.parametrize("text,expected", [c[1:] for c in _READER_CASES],
+                         ids=[c[0] for c in _READER_CASES])
+def test_reader_matches_line_by_line_oracle(tmp_path, text, expected):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = oracles.parse_matrix_csv_by_line(path)
+    except IngestionError as exc:
+        assert expected is not None and expected in str(exc)
+        with pytest.raises(IngestionError) as got:
+            data._parse_matrix_csv(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert expected is None
+        got = data._parse_matrix_csv(path)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSplits:
