@@ -6,6 +6,12 @@ scores.  A length stack is symmetric, holds np.inf for absent edges and 0
 on the diagonal, and its edge lengths are strictly positive.  A weight
 stack is symmetric, nonnegative and zero on the diagonal.
 
+Floyd-Warshall and the betweenness sweeps run over a stack in chunks of
+graphs, cut by one rule: a chunk holds as many graphs as keep the sweeps'
+five (chunk, r, r) temporaries within ``_BETWEENNESS_CHUNK_BYTES``, which
+is sized to a core's L2 cache.  Graphs do not interact, so the chunking
+changes no bit of any result.
+
 Betweenness matches distance ties within the absolute tolerance
 ``_TIE_TOL``.  For a source s, the edge v->w belongs to the shortest-path
 DAG when D[s,v] + L[v,w] lies within that tolerance of D[s,w] and v
@@ -19,8 +25,15 @@ every edge once.
 import numpy as np
 
 _TIE_TOL = 1e-12
-# bound on the bytes of brandes_betweenness's five (graphs, r, r) temporaries
-_BETWEENNESS_CHUNK_BYTES = 64 * 2**20
+# bound on the bytes of a chunk's five (graphs, r, r) betweenness temporaries;
+# Floyd-Warshall runs over the same chunks
+_BETWEENNESS_CHUNK_BYTES = 2 * 2**20
+
+
+def _chunks(n, r):
+    """Slices that cut a stack of n graphs of r nodes into chunks."""
+    size = max(1, _BETWEENNESS_CHUNK_BYTES // max(1, 5 * 8 * r * r))
+    return [slice(start, start + size) for start in range(0, n, size)]
 
 
 def dijkstra_all(lengths):
@@ -30,8 +43,13 @@ def dijkstra_all(lengths):
     benchmark's per-kernel metrics are keyed by it.)
     """
     dist = np.array(lengths, dtype=np.float64)
-    for mid in range(dist.shape[-1]):
-        np.minimum(dist, dist[:, :, mid, None] + dist[:, None, mid, :], out=dist)
+    n, r, _ = dist.shape
+    for part in _chunks(n, r):
+        chunk = dist[part]
+        via = np.empty_like(chunk)
+        for mid in range(r):
+            np.add(chunk[:, :, mid, None], chunk[:, None, mid, :], out=via)
+            np.minimum(chunk, via, out=chunk)
     return dist
 
 
@@ -41,33 +59,31 @@ def _within_tolerance(gap):
     np.less_equal(np.abs(gap, out=gap), _TIE_TOL, out=gap)
 
 
-def brandes_betweenness(lengths):
+def brandes_betweenness(lengths, dist):
     """Unnormalized betweenness of each graph, by Brandes' accumulation.
 
-    Returns, per node, the sum over ordered pairs (s, t) of the fraction of
-    shortest s-t paths passing through it (endpoints excluded).  Every
-    source of every graph runs at once, in two sweeps over its settle order
-    (Brandes 2001).  The forward sweep counts shortest paths: sigma[s, w]
-    is the sum of sigma[s, v] over the DAG edges v->w.  The backward sweep
-    accumulates dependencies: delta[s, v] is sigma[s, v] times the sum of
-    (1 + delta[s, w]) / sigma[s, w] over the DAG edges v->w.  A step
-    gathers one length row per source, so a graph costs O(r^3).  The stack
-    runs in chunks of graphs whose five (chunk, r, r) temporaries fit in
-    ``_BETWEENNESS_CHUNK_BYTES``; graphs do not interact, so the chunking
-    changes no bit of the result.
+    ``dist`` holds the graphs' shortest-path distances, from
+    :func:`dijkstra_all`.  Returns, per node, the sum over ordered pairs
+    (s, t) of the fraction of shortest s-t paths passing through it
+    (endpoints excluded).  Every source of every graph runs at once, in two
+    sweeps over its settle order (Brandes 2001).  The forward sweep counts
+    shortest paths: sigma[s, w] is the sum of sigma[s, v] over the DAG
+    edges v->w.  The backward sweep accumulates dependencies: delta[s, v]
+    is sigma[s, v] times the sum of (1 + delta[s, w]) / sigma[s, w] over
+    the DAG edges v->w.  A step gathers one length row per source, so a
+    graph costs O(r^3).
     """
     lengths = np.asarray(lengths, dtype=np.float64)
+    dist = np.asarray(dist, dtype=np.float64)
     n, r, _ = lengths.shape
-    chunk = max(1, _BETWEENNESS_CHUNK_BYTES // (5 * 8 * r * r))
-    if n <= chunk:
-        return _brandes_stack(lengths)
-    return np.concatenate([_brandes_stack(lengths[start:start + chunk])
-                           for start in range(0, n, chunk)])
+    parts = _chunks(n, r)
+    if len(parts) == 1:
+        return _brandes_stack(lengths, dist)
+    return np.concatenate([_brandes_stack(lengths[part], dist[part]) for part in parts])
 
 
-def _brandes_stack(lengths):
+def _brandes_stack(lengths, dist):
     """:func:`brandes_betweenness` of one chunk, all of it at once."""
-    dist = dijkstra_all(lengths)
     n, r, _ = dist.shape
     order = np.argsort(dist, axis=2, kind="stable")  # order[g, s, t]: t-th settled
     at = (np.arange(n)[:, None] * r + np.arange(r)) * r  # flat index of [g, s, 0]

@@ -29,6 +29,7 @@ from .data import (
     format_matrix_csv,
     kfold_split,
     load_dataset,
+    read_manifest,
     read_matrix_csv,
     save_dataset,
     simulate_population,
@@ -208,14 +209,11 @@ def _cmd_predict(args) -> int:
 def _load_prediction_dir(root: Path) -> tuple[list[str], dict[int, np.ndarray]]:
     """Prediction directories hold view_<orig index> subdirs for targets only.
 
-    Every graph is parsed and validated as :func:`load_dataset` does it, and
-    all of them must have the same size; any fault is an IngestionError.
+    The manifest and every graph are read and validated as
+    :func:`load_dataset` reads them, and all graphs must have the same size;
+    any fault is an IngestionError.
     """
-    manifest = root / "manifest.txt"
-    if not manifest.is_file():
-        raise IngestionError(f"{manifest}: manifest not found")
-    ids = [ln.strip() for ln in manifest.read_text(encoding="utf-8").splitlines()
-           if ln.strip()]
+    ids = read_manifest(root)
     views = {}
     shape = None
     for view_dir in sorted(root.glob("view_*")):
@@ -366,15 +364,10 @@ def _cmd_metrics(args) -> int:
     path = Path(args.graph)
     weights = read_matrix_csv(path)
 
-    rows = [("cc", topology.closeness(weights, args.interp)),
-            ("bc", topology.betweenness(weights, args.interp)),
-            ("ec", topology.eigenvector(weights)),
-            ("pc", topology.pagerank(weights)),
-            ("eff", topology.effective_size(weights)),
-            ("clst", topology.clustering_coefficient(weights))]
+    scores = topology.centralities(weights, args.interp)
     r = weights.shape[0]
     lines = ["metric," + ",".join(f"roi_{i}" for i in range(r))]
-    for name, values in rows:
+    for name, values in scores.items():
         lines.append(name + "," + ",".join(f"{x:.17g}" for x in values))
     text = "\n".join(lines) + "\n"
 

@@ -130,6 +130,31 @@ class PopulationDataset:
         )
 
 
+def _read_text(path: Path) -> str:
+    """A file's UTF-8 text; a file that cannot be read or decoded is an IngestionError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read ({exc})") from exc
+
+
+def read_manifest(root: Path) -> list[str]:
+    """The subject ids that ``<root>/manifest.txt`` lists, one per non-blank
+    line; a missing, unreadable or empty manifest, or a repeated id, is an
+    IngestionError."""
+    manifest = Path(root) / "manifest.txt"
+    if not manifest.is_file():
+        raise IngestionError(f"{manifest}: manifest not found")
+    ids = [line.strip() for line in _read_text(manifest).splitlines() if line.strip()]
+    if not ids:
+        raise IngestionError(f"{manifest}: no subjects listed")
+    if len(set(ids)) != len(ids):
+        raise IngestionError(f"{manifest}: duplicate subject ids")
+    return ids
+
+
 def _parse_matrix_csv(path: Path) -> np.ndarray:
     """Parse one matrix CSV into a square float64 array; any fault is an IngestionError.
 
@@ -137,12 +162,7 @@ def _parse_matrix_csv(path: Path) -> np.ndarray:
     a time, to name the first unparsable line; an unparsable value wins over
     ragged rows.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path}: not UTF-8 text ({exc})") from exc
-    except OSError as exc:
-        raise IngestionError(f"{path}: cannot read ({exc})") from exc
+    lines = _read_text(path).split("\n")
     rows = [line.split(",") for line in map(str.strip, lines) if line]
     if not rows:
         raise IngestionError(f"{path}: empty matrix file")
@@ -184,15 +204,7 @@ def write_matrix_csv(path: Path, weights: np.ndarray) -> None:
 def load_dataset(root) -> PopulationDataset:
     """Load and fully validate a dataset directory."""
     root = Path(root)
-    manifest = root / "manifest.txt"
-    if not manifest.is_file():
-        raise IngestionError(f"{manifest}: manifest not found")
-    subject_ids = [line.strip() for line in manifest.read_text(encoding="utf-8").splitlines()
-                   if line.strip()]
-    if not subject_ids:
-        raise IngestionError(f"{manifest}: no subjects listed")
-    if len(set(subject_ids)) != len(subject_ids):
-        raise IngestionError(f"{manifest}: duplicate subject ids")
+    subject_ids = read_manifest(root)
 
     view_dirs = sorted(root.glob("view_*"), key=lambda p: p.name)
     indices = []

@@ -2,9 +2,17 @@
 two-tailed paired t-tests, and report emission.
 
 Graph MAE averages absolute differences over strict upper-triangular
-entries (symmetric matrices would only double-count).  KL divergence
-discretizes both score samples on their joint range with epsilon-smoothed
-histogram bins and uses natural logs, direction KL(real || predicted).
+entries (symmetric matrices would only double-count), first per subject,
+then over subjects.  KL divergence discretizes both score samples on their
+joint range with epsilon-smoothed histogram bins and uses natural logs,
+direction KL(real || predicted).
+
+:func:`evaluate` is array code over whole stacks: one
+:func:`topology.centralities` pass over truth, prediction and baseline
+stacked together, one KL pass over every (view, metric) cell, and graph
+MAEs as expressions over the (view, subject) grid.  The public single-case
+functions (:func:`mae_graphs`, :func:`subject_graph_maes`,
+:func:`kl_divergence`) run on the same code.
 """
 
 from __future__ import annotations
@@ -33,10 +41,24 @@ class HistogramSpec:
             raise PreconditionError("epsilon must be > 0")
 
 
-def _upper(values: np.ndarray) -> np.ndarray:
-    r = values.shape[0]
+def _upper_maes(real: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """Mean absolute upper-triangular difference of each graph pair of two
+    equal (..., r, r) stacks, as (...)."""
+    r = real.shape[-1]
     iu, ju = np.triu_indices(r, k=1)
-    return values[iu, ju]
+    upper = iu * r + ju
+
+    def entries(graphs):
+        # np.take leaves each graph's entries contiguous, so every mean sums
+        # them in the order one graph's mean would
+        return np.take(graphs.reshape(graphs.shape[:-2] + (r * r,)), upper, axis=-1)
+
+    return np.abs(entries(real) - entries(pred)).mean(axis=-1)
+
+
+def _mean_in_order(values: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, summed left to right."""
+    return np.cumsum(values, axis=-1)[..., -1] / values.shape[-1]
 
 
 def mae_graphs(real, pred) -> float:
@@ -46,13 +68,13 @@ def mae_graphs(real, pred) -> float:
         raise DimensionError(f"{len(real)} real vs {len(pred)} predicted graphs")
     if not real:
         raise PreconditionError("no graphs to compare")
-    total = 0.0
-    for a, b in zip(real, pred):
-        a, b = np.asarray(a), np.asarray(b)
-        if a.shape != b.shape:
-            raise DimensionError(f"graph shapes differ: {a.shape} vs {b.shape}")
-        total += float(np.abs(_upper(a) - _upper(b)).mean())
-    return total / len(real)
+    try:
+        real, pred = np.asarray(real), np.asarray(pred)
+    except ValueError:
+        raise DimensionError("the graphs of one comparison must share one shape") from None
+    if real.shape != pred.shape:
+        raise DimensionError(f"graph shapes differ: {real.shape[1:]} vs {pred.shape[1:]}")
+    return float(_mean_in_order(_upper_maes(real, pred)))
 
 
 def mae_topology(real, pred, metric: str, interp: str = topology.DISTANCE) -> float:
@@ -64,22 +86,43 @@ def mae_topology(real, pred, metric: str, interp: str = topology.DISTANCE) -> fl
     return float(np.abs(x_real - x_pred).mean())
 
 
+def _kl_rows(real: np.ndarray, pred: np.ndarray, spec: HistogramSpec) -> np.ndarray:
+    """KL(real || predicted) of each row pair of (n, a) and (n, b) samples.
+
+    Each row pair is binned on its own joint range, with the counts
+    ``np.histogram`` gives for the edges ``np.linspace`` gives: a sample x
+    falls in the bin whose left edge is the last edge <= x, and the last bin
+    also holds its right edge.
+    """
+    lo = np.minimum(real.min(axis=1), pred.min(axis=1))
+    hi = np.maximum(real.max(axis=1), pred.max(axis=1))
+    hi = np.where(hi == lo, lo + 1.0, hi)  # all mass lands in one shared bin either way
+    bins = spec.bins
+    # the left edges of the bins, by np.linspace's arithmetic row by row
+    delta = (hi - lo)[:, None]
+    step = delta / bins
+    ramp = np.arange(float(bins))
+    left = np.where(step == 0, ramp / bins * delta, ramp * step) + lo[:, None]
+
+    def smoothed(samples):
+        index = (samples[:, :, None] >= left[:, None, :]).sum(axis=2) - 1
+        index += np.arange(len(samples))[:, None] * bins
+        counts = np.bincount(index.ravel(), minlength=len(samples) * bins)
+        hist = counts.reshape(len(samples), bins) + spec.epsilon
+        hist /= hist.sum(axis=1, keepdims=True)
+        return hist
+
+    p, q = smoothed(real), smoothed(pred)
+    return (p * np.log(p / q)).sum(axis=1)
+
+
 def kl_divergence(real_scores, pred_scores, spec: HistogramSpec = HistogramSpec()) -> float:
     """KL(real || predicted) between epsilon-smoothed histograms (natural log)."""
     real = np.asarray(real_scores, dtype=np.float64).ravel()
     pred = np.asarray(pred_scores, dtype=np.float64).ravel()
     if real.size == 0 or pred.size == 0:
         raise PreconditionError("score lists must be nonempty")
-    lo = min(real.min(), pred.min())
-    hi = max(real.max(), pred.max())
-    if hi == lo:
-        hi = lo + 1.0  # all mass lands in one shared bin either way
-    edges = np.linspace(lo, hi, spec.bins + 1)
-    p = np.histogram(real, bins=edges)[0].astype(np.float64) + spec.epsilon
-    q = np.histogram(pred, bins=edges)[0].astype(np.float64) + spec.epsilon
-    p /= p.sum()
-    q /= q.sum()
-    return float(np.sum(p * np.log(p / q)))
+    return float(_kl_rows(real[None], pred[None], spec)[0])
 
 
 def _betacf(a: float, b: float, x: float, tol: float = 1e-10) -> float:
@@ -172,25 +215,20 @@ class EvaluationReport:
 
 def subject_graph_maes(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """(k, m) per-subject graph MAEs, for paired significance tests."""
-    m, _, _, k = pred.shape
-    out = np.empty((k, m))
-    for i in range(k):
-        for s in range(m):
-            out[i, s] = np.abs(_upper(truth[s, :, :, i]) - _upper(pred[s, :, :, i])).mean()
-    return out
+    return _upper_maes(np.moveaxis(truth, -1, 0), np.moveaxis(pred, -1, 0))
+
+
+def _graph_stack(tensor: np.ndarray) -> np.ndarray:
+    """The graphs of an (m, r, r, k) tensor as a (k * m, r, r) stack, view-major."""
+    m, r, _, k = tensor.shape
+    return np.moveaxis(tensor, -1, 0).reshape(k * m, r, r)
 
 
 def centrality_table(tensor: np.ndarray, metric: str,
                      interp: str = topology.DISTANCE) -> np.ndarray:
     """(k, m, r) centralities of every graph of an (m, r, r, k) tensor."""
     m, r, _, k = tensor.shape
-    graphs = np.moveaxis(tensor, -1, 0).reshape(k * m, r, r)
-    return topology.centrality_matrix(graphs, metric, interp).reshape(k, m, r)
-
-
-def _subject_maes(real: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    """(k, m) per-subject mean absolute differences between two (k, m, r) tables."""
-    return np.abs(real - pred).mean(axis=2)
+    return topology.centrality_matrix(_graph_stack(tensor), metric, interp).reshape(k, m, r)
 
 
 def evaluate(pred: np.ndarray, truth: np.ndarray, interp: str = topology.DISTANCE,
@@ -201,8 +239,8 @@ def evaluate(pred: np.ndarray, truth: np.ndarray, interp: str = topology.DISTANC
 
     With a ``baseline`` prediction tensor, the report also carries two-tailed
     paired t-test p-values of the per-subject MAEs, ours against the
-    baseline's.  Each metric is one centrality pass over truth, prediction
-    and baseline stacked together.
+    baseline's.  All six centralities come from one pass over truth,
+    prediction and baseline stacked together.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -214,37 +252,34 @@ def evaluate(pred: np.ndarray, truth: np.ndarray, interp: str = topology.DISTANC
         if baseline.shape != truth.shape:
             raise DimensionError(
                 f"baseline {baseline.shape} and truth {truth.shape} must be equal (m, r, r, k)")
-    m, _, _, k = pred.shape
+    m, r, _, k = pred.shape
     if m == 0 or k == 0:
         raise PreconditionError("need at least one subject and one target view")
     labels = view_labels if view_labels is not None else [str(i + 1) for i in range(k)]
 
+    runs = [pred] + ([baseline] if baseline is not None else [])
+    scores = topology.centralities(_graph_stack(np.concatenate([truth] + runs)), interp)
+    # (metric, view, run, subject, node); run 0 is the truth
+    tables = np.stack([scores[metric].reshape(k, len(runs) + 1, m, r)
+                       for metric in METRIC_ORDER])
+    x_real, x_pred = tables[:, :, 0], tables[:, :, 1]
+    graph_maes = [subject_graph_maes(run, truth) for run in runs]
+
     mae = np.empty((k, len(MAE_COLUMNS)))
+    mae[:, 0] = _mean_in_order(graph_maes[0])
+    mae[:, 1:] = np.abs(x_real - x_pred).reshape(len(METRIC_ORDER), k, -1).mean(axis=2).T
     kl = np.empty((k, len(METRIC_ORDER)))
-    for i in range(k):
-        mae[i, 0] = mae_graphs(truth[..., i], pred[..., i])
+    kl[:] = _kl_rows(x_real.reshape(-1, m * r), x_pred.reshape(-1, m * r),
+                     hist).reshape(len(METRIC_ORDER), k).T
+
     p_values = None
     if baseline is not None:
-        p_values = np.empty_like(mae)
-        ours = subject_graph_maes(pred, truth)
-        base = subject_graph_maes(baseline, truth)
-        for i in range(k):
-            p_values[i, 0] = paired_ttest(ours[i], base[i])[1]
-
-    # truth, prediction and baseline share one stack, so each metric makes
-    # one pass over every graph
-    stack = np.concatenate([truth, pred] + ([baseline] if baseline is not None else []))
-    for col, metric in enumerate(METRIC_ORDER, start=1):
-        table = centrality_table(stack, metric, interp)
-        x_real, x_pred = table[:, :m], table[:, m:2 * m]
-        mae[:, col] = np.abs(x_real - x_pred).reshape(k, -1).mean(axis=1)
-        for i in range(k):
-            kl[i, col - 1] = kl_divergence(x_real[i].ravel(), x_pred[i].ravel(), hist)
-        if baseline is not None:
-            ours = _subject_maes(x_real, x_pred)
-            base = _subject_maes(x_real, table[:, 2 * m:])
-            for i in range(k):
-                p_values[i, col] = paired_ttest(ours[i], base[i])[1]
+        # (column of MAE_COLUMNS, view, subject) per-subject MAEs of each run
+        ours, base = (np.concatenate([graph_maes[j][None],
+                                      np.abs(x_real - tables[:, :, j + 1]).mean(axis=3)])
+                      for j in range(2))
+        p_values = np.array([[paired_ttest(ours[col, i], base[col, i])[1]
+                              for col in range(len(MAE_COLUMNS))] for i in range(k)])
 
     return EvaluationReport(view_labels=list(labels), mae=mae, mae_avg=mae.mean(axis=0),
                             kl=kl, kl_avg=kl.mean(axis=0), p_values=p_values)

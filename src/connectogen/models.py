@@ -268,9 +268,32 @@ class ModelBundle:
         return [p.data for p in self.all_params()]
 
 
-def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> ad.Tensor:
-    limit = np.sqrt(6.0 / (n_in + n_out))
-    return ad.parameter(rng.uniform(-limit, limit, size=(n_in, n_out)))
+def _assemble(dims: Dims, weight) -> ModelBundle:
+    """A bundle whose weight matrices come from ``weight(n_in, n_out)``, called
+    in serialization order."""
+    f, d = dims.f, dims.d
+    encoder = EncoderModel(
+        layer1=GCNLayer(weight(f, HIDDEN_WIDE), "relu"),
+        layer2=GCNLayer(weight(HIDDEN_WIDE, d), "linear"),
+    )
+    generators = []
+    for j in range(dims.c):
+        row = []
+        for i in range(dims.k):
+            row.append(GeneratorModel(
+                layer1=GCNLayer(weight(d, HIDDEN_WIDE), "relu"),
+                layer2=GCNLayer(weight(HIDDEN_WIDE, f), "linear"),
+                cluster=j, target_view=i,
+            ))
+        generators.append(row)
+    discriminator = DiscriminatorModel(
+        layer1=GCNLayer(weight(f, HIDDEN_WIDE), "relu"),
+        layer2=GCNLayer(weight(HIDDEN_WIDE, d), "relu"),
+        critic_head=GCNLayer(weight(d, 1), "linear"),
+        classifier_head=GCNLayer(weight(d, 1), "sigmoid"),
+    )
+    return ModelBundle(encoder=encoder, generators=generators,
+                       discriminator=discriminator, dims=dims)
 
 
 def init_params(dims: Dims, seed: int) -> ModelBundle:
@@ -279,29 +302,14 @@ def init_params(dims: Dims, seed: int) -> ModelBundle:
     if dims.r < 3 or dims.v < 2 or dims.c < 1:
         raise PreconditionError(f"invalid dims {dims}")
     rng = np.random.default_rng(seed)
-    f, d = dims.f, dims.d
-    encoder = EncoderModel(
-        layer1=GCNLayer(_glorot(rng, f, HIDDEN_WIDE), "relu"),
-        layer2=GCNLayer(_glorot(rng, HIDDEN_WIDE, d), "linear"),
-    )
-    generators = []
-    for j in range(dims.c):
-        row = []
-        for i in range(dims.k):
-            row.append(GeneratorModel(
-                layer1=GCNLayer(_glorot(rng, d, HIDDEN_WIDE), "relu"),
-                layer2=GCNLayer(_glorot(rng, HIDDEN_WIDE, f), "linear"),
-                cluster=j, target_view=i,
-            ))
-        generators.append(row)
-    discriminator = DiscriminatorModel(
-        layer1=GCNLayer(_glorot(rng, f, HIDDEN_WIDE), "relu"),
-        layer2=GCNLayer(_glorot(rng, HIDDEN_WIDE, d), "relu"),
-        critic_head=GCNLayer(_glorot(rng, d, 1), "linear"),
-        classifier_head=GCNLayer(_glorot(rng, d, 1), "sigmoid"),
-    )
-    return ModelBundle(encoder=encoder, generators=generators,
-                       discriminator=discriminator, dims=dims, seed=seed)
+
+    def glorot(n_in, n_out):
+        limit = np.sqrt(6.0 / (n_in + n_out))
+        return ad.parameter(rng.uniform(-limit, limit, size=(n_in, n_out)))
+
+    bundle = _assemble(dims, glorot)
+    bundle.seed = seed
+    return bundle
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
@@ -330,7 +338,7 @@ def load_bundle(path) -> ModelBundle:
     if not (3 <= r <= 10_000 and 2 <= v <= 1_000 and 1 <= c <= 1_000):
         raise SerializationError(f"{path}: implausible dims r={r}, v={v}, c={c}")
     dims = Dims(r=r, v=v, c=c, d=d)
-    bundle = init_params(dims, seed=0)
+    bundle = _assemble(dims, lambda n_in, n_out: ad.parameter(np.zeros((n_in, n_out))))
     blobs = bundle._blobs()
     expected = sum(b.size for b in blobs) * 8
     if len(raw) - offset != expected:
@@ -341,5 +349,4 @@ def load_bundle(path) -> ModelBundle:
         size = blob.size * 8
         blob[...] = np.frombuffer(raw[offset:offset + size], dtype="<f8").reshape(blob.shape)
         offset += size
-    bundle.seed = None
     return bundle

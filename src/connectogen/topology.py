@@ -10,6 +10,10 @@ Path-based metrics need a weight-to-length mapping:
   means the edge is absent.  Morphological dissimilarity networks fit this.
 * ``"inverse"``: length = 1/weight for positive weights, absent otherwise.
 
+:func:`centralities` computes all six for a stack in one pass, with one set
+of shortest paths that closeness and betweenness share; evaluation and the
+``metrics`` command call it.  Each metric's own function computes it alone.
+
 Eigenvector centrality, from one forward for every caller, is also recorded
 on the tape over vectorized graphs and differentiated at its fixed point.
 """
@@ -66,28 +70,40 @@ def shortest_paths(weights, interp: str = DISTANCE) -> np.ndarray:
     return _unstack(dijkstra_all(_length_matrix(w, interp)), single)
 
 
+def _closeness(dist: np.ndarray) -> np.ndarray:
+    """Closeness of each graph from its (n, r, r) distance stack."""
+    sums = dist.sum(axis=2)
+    out = np.zeros(sums.shape)
+    finite = np.isfinite(sums) & (sums > 0)
+    out[finite] = (dist.shape[-1] - 1) / sums[finite]
+    return out
+
+
+def _betweenness(lengths: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Normalized betweenness of each graph from its lengths and distances."""
+    r = lengths.shape[-1]
+    # raw counts ordered pairs; unordered pairs x the Eq-normalization
+    return brandes_betweenness(lengths, dist) / ((r - 1) * (r - 2))
+
+
+def _need_nodes(r: int, least: int, metric: str) -> None:
+    if r < least:
+        raise PreconditionError(f"{metric} needs at least {least} nodes")
+
+
 def closeness(weights, interp: str = DISTANCE) -> np.ndarray:
     """(r-1) / sum of distances; 0 whenever any pair is unreachable."""
     w, single = _as_stack(weights)
-    r = w.shape[-1]
-    if r < 2:
-        raise PreconditionError("closeness needs at least 2 nodes")
-    sums = dijkstra_all(_length_matrix(w, interp)).sum(axis=2)
-    out = np.zeros(sums.shape)
-    finite = np.isfinite(sums) & (sums > 0)
-    out[finite] = (r - 1) / sums[finite]
-    return _unstack(out, single)
+    _need_nodes(w.shape[-1], 2, "closeness")
+    return _unstack(_closeness(dijkstra_all(_length_matrix(w, interp))), single)
 
 
 def betweenness(weights, interp: str = DISTANCE) -> np.ndarray:
     """Shortest-path betweenness normalized by 2/((r-1)(r-2))."""
     w, single = _as_stack(weights)
-    r = w.shape[-1]
-    if r < 3:
-        raise PreconditionError("betweenness needs at least 3 nodes")
-    raw = brandes_betweenness(_length_matrix(w, interp))
-    # raw counts ordered pairs; unordered pairs x the Eq-normalization
-    return _unstack(raw / ((r - 1) * (r - 2)), single)
+    _need_nodes(w.shape[-1], 3, "betweenness")
+    lengths = _length_matrix(w, interp)
+    return _unstack(_betweenness(lengths, dijkstra_all(lengths)), single)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -156,11 +172,15 @@ def _principal_eigenpairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vec, lam
 
 
+def _need_edges(w: np.ndarray) -> None:
+    if not np.all(np.any(w > 0, axis=(1, 2))):
+        raise DegenerateError("eigenvector centrality of an all-zero graph")
+
+
 def eigenvector(weights) -> np.ndarray:
     """Principal-eigenvector centrality, unit L2 norm, positive orientation."""
     w, single = _as_stack(weights)
-    if not np.all(np.any(w > 0, axis=(1, 2))):
-        raise DegenerateError("eigenvector centrality of an all-zero graph")
+    _need_edges(w)
     return _unstack(_principal_eigenpairs(w)[0], single)
 
 
@@ -172,6 +192,11 @@ def pagerank(weights, damping: float = 0.85) -> np.ndarray:
     w, single = _as_stack(weights)
     if not 0.0 <= damping < 1.0:
         raise PreconditionError(f"damping must be in [0, 1), got {damping}")
+    return _unstack(_pagerank(w, damping), single)
+
+
+def _pagerank(w: np.ndarray, damping: float = 0.85) -> np.ndarray:
+    """:func:`pagerank` of a validated (n, r, r) stack."""
     n, r, _ = w.shape
     row_sums = w.sum(axis=2)
     linked = row_sums > 0
@@ -184,7 +209,7 @@ def pagerank(weights, damping: float = 0.85) -> np.ndarray:
 
     p, _ = _power_iterate(step, transition.transpose(0, 2, 1), np.full((n, r), 1.0 / r),
                           1e-10, 10_000, lambda a, b: np.abs(a - b).sum(axis=1))
-    return _unstack(p / p.sum(axis=1, keepdims=True), single)
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def effective_size(weights) -> np.ndarray:
@@ -207,6 +232,32 @@ METRICS = {
     "eff": lambda w, interp: effective_size(w),
     "clst": lambda w, interp: clustering_coefficient(w),
 }
+
+
+def centralities(weights, interp: str = DISTANCE) -> dict[str, np.ndarray]:
+    """All six centralities of one graph or an (n, r, r) stack, in one pass.
+
+    Returns a dict keyed as :data:`METRICS`, each value what the metric's
+    own function returns.  The stack is validated once, its length matrix
+    built once, and Floyd-Warshall run once: closeness and betweenness read
+    the same distances.  A graph unfit for a metric raises what that
+    metric's function raises, checked in :data:`METRICS` order.
+    """
+    w, single = _as_stack(weights)
+    _need_nodes(w.shape[-1], 2, "closeness")
+    lengths = _length_matrix(w, interp)
+    _need_nodes(w.shape[-1], 3, "betweenness")
+    _need_edges(w)
+    dist = dijkstra_all(lengths)
+    scores = {
+        "cc": _closeness(dist),
+        "bc": _betweenness(lengths, dist),
+        "ec": _principal_eigenpairs(w)[0],
+        "pc": _pagerank(w),
+        "eff": burt_effective_size(w),
+        "clst": onnela_clustering(w),
+    }
+    return {key: _unstack(value, single) for key, value in scores.items()}
 
 
 def centrality_matrix(graphs, metric: str, interp: str = DISTANCE) -> np.ndarray:

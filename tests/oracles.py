@@ -1,6 +1,6 @@
 """Independent oracles the test suite checks library results against.
 
-Nothing here imports the library's own kernels: distances come from
+The centrality oracles use none of the library's kernels: distances come from
 Floyd-Warshall, betweenness from exhaustive simple-path enumeration or,
 on graphs too large to enumerate, from dense linear solves,
 eigenvector/pagerank scores from dense linear algebra, and neighbourhood
@@ -9,7 +9,10 @@ losses below loop over the k target views one block at a time, as the
 formulas read; they are built from autodiff primitives, so they give
 reference gradients as well as values for the stacked losses.  Matrix CSVs
 are read line by line with one ``float`` per cell and written with one
-f-string per cell.
+f-string per cell.  The evaluation oracles loop as the formulas read: one
+``np.histogram`` per KL sample and one graph MAE per (view, subject); the
+report oracle takes its centralities from the library's per-metric
+functions, one pass per metric, which the centrality oracles check.
 """
 
 import numpy as np
@@ -217,6 +220,8 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
 
 
 def kl_by_hand(real, pred, bins: int, epsilon: float) -> float:
+    """KL(real || pred) of epsilon-smoothed ``np.histogram`` counts on the
+    samples' joint range, one histogram call per sample."""
     real = np.asarray(real, dtype=float)
     pred = np.asarray(pred, dtype=float)
     lo = min(real.min(), pred.min())
@@ -229,6 +234,68 @@ def kl_by_hand(real, pred, bins: int, epsilon: float) -> float:
     p = p / p.sum()
     q = q / q.sum()
     return float(np.sum(p * np.log(p / q)))
+
+
+def _graph_mae(a, b) -> float:
+    a, b = np.asarray(a), np.asarray(b)
+    iu, ju = np.triu_indices(a.shape[0], k=1)
+    return float(np.abs(a[iu, ju] - b[iu, ju]).mean())
+
+
+def mae_graphs_by_subject(real, pred) -> float:
+    """Mean over subjects of mean absolute upper-triangular difference,
+    one subject at a time."""
+    total = 0.0
+    for a, b in zip(real, pred):
+        total += _graph_mae(a, b)
+    return total / len(real)
+
+
+def subject_graph_maes_by_loop(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """(k, m) per-subject graph MAEs of (m, r, r, k) tensors, one cell at a time."""
+    m, _, _, k = pred.shape
+    out = np.empty((k, m))
+    for i in range(k):
+        for s in range(m):
+            out[i, s] = _graph_mae(truth[s, :, :, i], pred[s, :, :, i])
+    return out
+
+
+def evaluate_per_metric(pred, truth, interp="distance", hist=None, baseline=None):
+    """The evaluation report, filled cell by cell: one centrality pass per
+    metric over truth, prediction and baseline stacked together, one KL per
+    (view, metric) and one graph MAE per (view, subject)."""
+    from connectogen import evaluation
+
+    hist = hist or evaluation.HistogramSpec()
+    m, _, _, k = pred.shape
+    mae = np.empty((k, len(evaluation.MAE_COLUMNS)))
+    kl = np.empty((k, len(evaluation.METRIC_ORDER)))
+    for i in range(k):
+        mae[i, 0] = mae_graphs_by_subject(truth[..., i], pred[..., i])
+    p_values = None
+    if baseline is not None:
+        p_values = np.empty_like(mae)
+        ours = subject_graph_maes_by_loop(pred, truth)
+        base = subject_graph_maes_by_loop(baseline, truth)
+        for i in range(k):
+            p_values[i, 0] = evaluation.paired_ttest(ours[i], base[i])[1]
+    stack = np.concatenate([truth, pred] + ([baseline] if baseline is not None else []))
+    for col, metric in enumerate(evaluation.METRIC_ORDER, start=1):
+        table = evaluation.centrality_table(stack, metric, interp)
+        x_real, x_pred = table[:, :m], table[:, m:2 * m]
+        mae[:, col] = np.abs(x_real - x_pred).reshape(k, -1).mean(axis=1)
+        for i in range(k):
+            kl[i, col - 1] = kl_by_hand(x_real[i].ravel(), x_pred[i].ravel(),
+                                        hist.bins, hist.epsilon)
+        if baseline is not None:
+            ours = np.abs(x_real - x_pred).mean(axis=2)
+            base = np.abs(x_real - table[:, 2 * m:]).mean(axis=2)
+            for i in range(k):
+                p_values[i, col] = evaluation.paired_ttest(ours[i], base[i])[1]
+    return evaluation.EvaluationReport(
+        view_labels=[str(i + 1) for i in range(k)], mae=mae, mae_avg=mae.mean(axis=0),
+        kl=kl, kl_avg=kl.mean(axis=0), p_values=p_values)
 
 
 def random_connectivity(rng: np.random.Generator, r: int, density: float = 0.7,

@@ -116,6 +116,14 @@ class TestTrainPredict:
         assert f"ingestion error: {path}: not UTF-8 text" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_undecodable_manifest_is_ingestion_error(self, dataset, tmp_path, capsys):
+        manifest = dataset / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes().replace(b"0", b"\xff", 1))
+        model = tmp_path / "m.bin"
+        assert run(*train_args(dataset, model)) == 3
+        assert f"ingestion error: {manifest}: not UTF-8 text" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_dataset_is_ingestion_error(self, tmp_path):
         code = run("train", "--data", str(tmp_path / "nope"), "--source-view", "0",
                    "--out", str(tmp_path / "m.bin"))
@@ -291,6 +299,36 @@ class TestEvaluate:
     def test_missing_args_usage_error(self):
         assert run("evaluate") == 2
 
+    @pytest.mark.parametrize("fault,message", [
+        ("undecodable_byte", "view_1/subj0000.csv: not UTF-8 text"),
+        ("undecodable_manifest", "manifest.txt: not UTF-8 text"),
+        ("empty_manifest", "manifest.txt: no subjects listed"),
+    ])
+    def test_unreadable_prediction_set_names_the_file(self, tmp_path, capsys, fault, message):
+        dataset = tmp_path / "ds"
+        run(*simulate_args(dataset, subjects=6, rois=5))
+        ds = data.load_dataset(dataset)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        manifest = pred / "manifest.txt"
+        manifest.write_text("\n".join(ds.subject_ids) + "\n")
+        for view in (1, 2):
+            (pred / f"view_{view}").mkdir()
+            for i, sid in enumerate(ds.subject_ids):
+                data.write_matrix_csv(pred / f"view_{view}" / f"{sid}.csv", ds.tensor[i, view])
+        first = pred / "view_1" / f"{ds.subject_ids[0]}.csv"
+        if fault == "undecodable_byte":
+            first.write_bytes(first.read_bytes().replace(b"0", b"\xff", 1))
+        elif fault == "undecodable_manifest":
+            manifest.write_bytes(manifest.read_bytes().replace(b"0", b"\xff", 1))
+        else:
+            manifest.write_text("\n")
+        out = tmp_path / "rep"
+        assert run("evaluate", "--pred", str(pred), "--truth", str(dataset),
+                   "--out", str(out)) == 3
+        assert f"ingestion error: {pred}/{message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("rep*"))
+
     @pytest.mark.parametrize("fault", ["unparsable_cell", "view_x", "one_small_graph",
                                        "fewer_rois", "undecodable_byte"])
     def test_unreadable_predictions_are_ingestion_errors(self, tmp_path, capsys, fault):
@@ -381,6 +419,24 @@ class TestMetrics:
         run("metrics", "--graph", str(path), "--interp", "inverse")
         cc_inv = capsys.readouterr().out.splitlines()[1]
         assert cc_dist != cc_inv
+
+    @pytest.mark.parametrize("interp", ["distance", "inverse"])
+    def test_rows_equal_the_per_metric_functions(self, tmp_path, capsys, interp):
+        from connectogen import topology
+
+        w = data.simulate_population(s=2, r=9, v=2, seed=3).tensor[0, 1]
+        w[:4, 4:] = w[4:, :4] = 0.0  # two components: closeness 0
+        path = tmp_path / "g.csv"
+        data.write_matrix_csv(path, w)
+        assert run("metrics", "--graph", str(path), "--interp", interp) == 0
+        rows = [("cc", topology.closeness(w, interp)), ("bc", topology.betweenness(w, interp)),
+                ("ec", topology.eigenvector(w)), ("pc", topology.pagerank(w)),
+                ("eff", topology.effective_size(w)),
+                ("clst", topology.clustering_coefficient(w))]
+        expected = ["metric," + ",".join(f"roi_{i}" for i in range(9))]
+        expected += [name + "," + ",".join(f"{x:.17g}" for x in values)
+                     for name, values in rows]
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from connectogen import _topology_kernels as kernels
 from connectogen import evaluation, topology
-from connectogen.data import devectorize
+from connectogen.data import devectorize, simulate_population
 from connectogen.errors import DimensionError, PreconditionError
 
 import oracles
@@ -83,6 +86,64 @@ class TestKLDivergence:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             evaluation.kl_divergence([], [1.0])
+
+
+@st.composite
+def _kl_row_pairs(draw):
+    """(bins, real rows, pred rows): rows of one width each, every row pair
+    on its own range, drawn as plain floats, small integers (ties), exact
+    bin edges of the pair's range, or a constant.  (Ranges of a few subnormal
+    steps are left out: their np.linspace edges can decrease, and
+    np.histogram then rejects them.)"""
+    bins = draw(st.integers(2, 12))
+    n, a, b = draw(st.integers(1, 5)), draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    reals, preds = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["floats", "ties", "edges", "constant"]))
+        scale = draw(st.sampled_from([1e-6, 1.0, 3.0, 1e4]))
+        shift = draw(st.floats(-100.0, 100.0))
+        if kind == "floats":
+            values = st.floats(-1.0, 1.0)
+        elif kind == "ties":
+            values = st.integers(-3, 3).map(float)
+        elif kind == "edges":
+            lo, hi = sorted(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
+            edges = np.linspace(lo, hi, bins + 1)
+            values = st.sampled_from(edges.tolist())
+        else:
+            values = st.just(draw(st.floats(-1.0, 1.0)))
+        real = np.array(draw(st.lists(values, min_size=a, max_size=a))) * scale + shift
+        pred = np.array(draw(st.lists(values, min_size=b, max_size=b))) * scale + shift
+        if kind == "edges":  # pin the joint range to the drawn edges
+            real[0], pred[-1] = edges[0] * scale + shift, edges[-1] * scale + shift
+        reals.append(real)
+        preds.append(pred)
+    return bins, np.array(reals), np.array(preds)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_kl_row_pairs(), st.sampled_from([1e-9, 1e-6, 0.5]))
+def test_vectorized_kl_matches_histogram_oracle_bitwise(case, epsilon):
+    bins, real, pred = case
+    spec = evaluation.HistogramSpec(bins=bins, epsilon=epsilon)
+    got = evaluation._kl_rows(real, pred, spec)
+    expected = [oracles.kl_by_hand(a, b, bins, epsilon) for a, b in zip(real, pred)]
+    assert got.tolist() == expected
+    assert evaluation.kl_divergence(real[0], pred[0], spec) == expected[0]
+
+
+@pytest.mark.parametrize("real, pred, bins", [
+    # 0.25 and 0.5 sit on inner edges and go right; 1.0 is the last edge and
+    # stays in the last bin
+    ([0.0, 0.25, 0.5, 0.5, 1.0], [0.0, 0.1, 0.3, 0.75, 1.0], 4),
+    # a range of 2 subnormal steps: the bin width underflows to 0, and
+    # np.linspace scales the ramp by the range instead
+    ([0.0, 5e-324, 5e-324], [0.0, 1e-323], 32),
+])
+def test_kl_bins_hold_edge_samples_as_histogram_does(real, pred, bins):
+    spec = evaluation.HistogramSpec(bins=bins, epsilon=1e-3)
+    assert evaluation._kl_rows(np.array([real]), np.array([pred]), spec)[0] == (
+        oracles.kl_by_hand(real, pred, bins, 1e-3))
 
 
 class TestPairedTTest:
@@ -167,26 +228,81 @@ class TestEvaluate:
         assert np.all(np.isfinite(report.kl))
 
     @pytest.mark.parametrize("with_baseline", [False, True])
-    def test_one_centrality_pass_per_metric(self, monkeypatch, with_baseline):
+    def test_one_centrality_pass(self, monkeypatch, with_baseline):
+        """One call scores every graph of truth, prediction and baseline for
+        all six metrics, and each graph goes through Floyd-Warshall once."""
         rng = np.random.default_rng(17)
         pred, truth, base = (_random_multigraph_tensor(rng, m=3, r=5, k=2) for _ in range(3))
-        calls = []
-        inner = topology.centrality_matrix
+        calls, paths = [], []
+        inner, inner_paths = topology.centralities, kernels.dijkstra_all
 
-        def counted(graphs, metric, interp=topology.DISTANCE):
-            calls.append((metric, len(graphs)))
-            return inner(graphs, metric, interp)
+        def counted(graphs, interp=topology.DISTANCE):
+            calls.append(len(graphs))
+            return inner(graphs, interp)
 
-        monkeypatch.setattr(topology, "centrality_matrix", counted)
+        def counted_paths(lengths):
+            paths.append(np.array(lengths))
+            return inner_paths(lengths)
+
+        monkeypatch.setattr(topology, "centralities", counted)
+        for module in (topology, kernels):
+            monkeypatch.setattr(module, "dijkstra_all", counted_paths)
+        monkeypatch.setattr(topology, "centrality_matrix", None)  # no per-metric pass
         evaluation.evaluate(pred, truth, baseline=base if with_baseline else None)
-        stacked = (3 if with_baseline else 2) * 3 * 2  # tensors x subjects x views
-        assert calls == [(metric, stacked) for metric in evaluation.METRIC_ORDER]
+        runs = [truth, pred] + ([base] if with_baseline else [])
+        stacked = len(runs) * 3 * 2  # tensors x subjects x views
+        assert calls == [stacked]
+        assert len(paths) == 1 and len(paths[0]) == stacked
+        graphs = evaluation._graph_stack(np.concatenate(runs))
+        expected = np.stack([oracles.length_matrix(w) for w in graphs])
+        assert np.array_equal(paths[0], expected)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(12)
         with pytest.raises(DimensionError):
             evaluation.evaluate(_random_multigraph_tensor(rng, m=3),
                                 _random_multigraph_tensor(rng, m=4))
+
+
+def _population_tensors(m, r, k, seed):
+    """Truth, prediction and baseline (m, r, r, k) tensors of simulated graphs,
+    the prediction sparsified so that some graphs fall apart."""
+    views = simulate_population(s=3 * m, r=r, v=k, clusters=2, seed=seed).tensor
+    truth, pred, base = (np.moveaxis(views[j * m:(j + 1) * m], 1, -1) for j in range(3))
+    pred = np.where(pred > np.quantile(pred, 0.7, axis=(1, 2), keepdims=True), pred, 0.0)
+    return truth, pred, base
+
+
+@pytest.mark.parametrize("interp", [topology.DISTANCE, topology.INVERSE])
+@pytest.mark.parametrize("with_baseline", [False, True])
+@pytest.mark.parametrize("m, r, k, seed", [(2, 35, 5, 101), (9, 7, 9, 3)])
+def test_report_text_matches_per_metric_oracle(interp, with_baseline, m, r, k, seed):
+    """Every CSV and markdown byte equals the cell-by-cell oracle's, at the
+    benchmark's size and with 9 subjects and 9 views, where numpy sums
+    pairwise rather than left to right."""
+    truth, pred, base = _population_tensors(m, r, k, seed)
+    base = base if with_baseline else None
+    got = evaluation.evaluate(pred, truth, interp=interp, baseline=base)
+    want = oracles.evaluate_per_metric(pred, truth, interp=interp, baseline=base)
+    writers = [evaluation.report_csv, evaluation.kl_csv, evaluation.report_markdown]
+    if with_baseline:
+        writers.append(evaluation.pvalues_csv)
+    for write in writers:
+        assert write(got) == write(want), write.__name__
+
+
+def test_graph_maes_match_loop_oracles_bitwise():
+    truth, pred, _ = _population_tensors(9, 7, 3, 5)
+    assert np.array_equal(evaluation.subject_graph_maes(pred, truth),
+                          oracles.subject_graph_maes_by_loop(pred, truth))
+    for i in range(3):
+        assert (evaluation.mae_graphs(truth[..., i], pred[..., i])
+                == oracles.mae_graphs_by_subject(truth[..., i], pred[..., i]))
+    with pytest.raises(DimensionError):
+        evaluation.mae_graphs([np.zeros((3, 3))], [np.zeros((4, 4))])
+    with pytest.raises(DimensionError):
+        evaluation.mae_graphs([np.zeros((3, 3)), np.zeros((4, 4))],
+                              [np.zeros((3, 3)), np.zeros((4, 4))])
 
 
 class TestReportIO:

@@ -313,6 +313,21 @@ class TestSerialization:
         models.save_bundle(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_loading_draws_no_weights(self, tmp_path, monkeypatch):
+        bundle = models.init_params(small_dims(), seed=11)
+        path = tmp_path / "model.bin"
+        models.save_bundle(bundle, path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_bundle drew random numbers")
+
+        monkeypatch.setattr(models.np.random, "default_rng", no_draws)
+        back = models.load_bundle(path)
+        assert back.seed is None
+        for pa, pb in zip(bundle.all_params(), back.all_params()):
+            assert np.array_equal(pa.data, pb.data)
+            assert pb.requires_grad
+
     def test_corrupted_magic(self, tmp_path):
         bundle = models.init_params(small_dims(), seed=0)
         path = tmp_path / "model.bin"

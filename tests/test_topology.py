@@ -420,7 +420,7 @@ def test_batched_kernels_match_oracles():
     lengths = np.stack([oracles.length_matrix(w) for w in graphs])
 
     dist = kernels.dijkstra_all(lengths)
-    raw_bc = kernels.brandes_betweenness(lengths)
+    raw_bc = kernels.brandes_betweenness(lengths, dist)
     eff = kernels.burt_effective_size(weights)
     clst = kernels.onnela_clustering(weights)
     for i, w in enumerate(graphs):
@@ -431,7 +431,7 @@ def test_batched_kernels_match_oracles():
         assert np.allclose(clst[i], oracles.clustering_by_triangles(w), rtol=0, atol=1e-12), i
         one = slice(i, i + 1)
         assert np.array_equal(dist[i], kernels.dijkstra_all(lengths[one])[0])
-        assert np.array_equal(raw_bc[i], kernels.brandes_betweenness(lengths[one])[0])
+        assert np.array_equal(raw_bc[i], kernels.brandes_betweenness(lengths[one], dist[one])[0])
         assert np.array_equal(eff[i], kernels.burt_effective_size(weights[one])[0])
         assert np.array_equal(clst[i], kernels.onnela_clustering(weights[one])[0])
     assert np.allclose(raw_bc[-1], [12, 4, 6, 4, 6, 0, 0, 4], rtol=0, atol=1e-12)
@@ -445,12 +445,32 @@ def test_betweenness_chunks_change_no_bit(monkeypatch):
     r = 12
     stack = simulate_population(s=7, r=r, v=2, clusters=2, seed=6).tensor.reshape(-1, r, r)
     lengths = np.stack([oracles.length_matrix(w) for w in stack])  # 14 graphs
-    whole = kernels.brandes_betweenness(lengths)
+    dist = kernels.dijkstra_all(lengths)
+    whole = kernels.brandes_betweenness(lengths, dist)
     per_graph = 5 * 8 * r * r
     monkeypatch.setattr(kernels, "_BETWEENNESS_CHUNK_BYTES", 3 * per_graph)  # 5 chunks
-    assert np.array_equal(kernels.brandes_betweenness(lengths), whole)
+    assert np.array_equal(kernels.brandes_betweenness(lengths, dist), whole)
     monkeypatch.setattr(kernels, "_BETWEENNESS_CHUNK_BYTES", 1)  # one graph per chunk
-    assert np.array_equal(kernels.brandes_betweenness(lengths), whole)
+    assert np.array_equal(kernels.brandes_betweenness(lengths, dist), whole)
+
+
+def test_floyd_warshall_chunks_change_no_bit(monkeypatch):
+    """Floyd-Warshall over several chunks, cut by a lowered byte bound,
+    gives the one-chunk distances bit for bit."""
+    from connectogen import _topology_kernels as kernels
+
+    r = 12
+    stack = simulate_population(s=7, r=r, v=2, clusters=2, seed=6).tensor.reshape(-1, r, r)
+    for interp in (topology.DISTANCE, topology.INVERSE):
+        lengths = np.stack([oracles.length_matrix(w, interp) for w in stack])  # 14 graphs
+        assert len(kernels._chunks(len(lengths), r)) == 1
+        whole = kernels.dijkstra_all(lengths)
+        per_graph = 5 * 8 * r * r
+        for bound, chunks in ((3 * per_graph, 5), (1, 14)):
+            monkeypatch.setattr(kernels, "_BETWEENNESS_CHUNK_BYTES", bound)
+            assert len(kernels._chunks(len(lengths), r)) == chunks
+            assert np.array_equal(kernels.dijkstra_all(lengths), whole)
+        monkeypatch.undo()
 
 
 def test_betweenness_chunk_holds_an_evaluation_stack():
@@ -484,7 +504,7 @@ def test_betweenness_sweep_matches_solver(interp):
     ]
     for stack in stacks:
         lengths = np.stack([oracles.length_matrix(w, interp) for w in stack])
-        raw = kernels.brandes_betweenness(lengths)
+        raw = kernels.brandes_betweenness(lengths, kernels.dijkstra_all(lengths))
         for i in range(len(stack)):
             ref = oracles.betweenness_by_solve(lengths[i])
             assert np.abs(raw[i] - ref).max() <= 1e-12 * np.abs(ref).max(), (stack.shape, i)
@@ -522,6 +542,30 @@ def test_metrics_accept_stacks():
         assert batched.shape[0] == 3
         for i in range(3):
             assert np.array_equal(batched[i], fn(stack[i])), fn.__name__
+
+
+@pytest.mark.parametrize("interp", [topology.DISTANCE, topology.INVERSE])
+def test_centralities_equal_the_per_metric_functions(interp):
+    rng = np.random.default_rng(21)
+    stack = np.stack([oracles.random_connectivity(rng, 9, density=d) for d in (0.9, 0.4, 0.2)]
+                     + [star_graph(8), path_graph(9)])
+    scores = topology.centralities(stack, interp)
+    assert list(scores) == list(topology.METRICS)
+    for metric, values in scores.items():
+        assert np.array_equal(values, topology.centrality_matrix(stack, metric, interp)), metric
+        single = topology.centralities(stack[1], interp)[metric]
+        assert np.array_equal(single, topology.METRICS[metric](stack[1], interp)), metric
+
+
+def test_centralities_raise_what_the_first_unfit_metric_raises():
+    with pytest.raises(PreconditionError, match="closeness needs at least 2 nodes"):
+        topology.centralities(np.zeros((1, 1)), "no such interpretation")
+    with pytest.raises(PreconditionError, match="unknown interpretation"):
+        topology.centralities(np.ones((2, 2)) - np.eye(2), "no such interpretation")
+    with pytest.raises(PreconditionError, match="betweenness needs at least 3 nodes"):
+        topology.centralities(np.ones((2, 2)) - np.eye(2))
+    with pytest.raises(DegenerateError):
+        topology.centralities(np.stack([star_graph(3), np.zeros((4, 4))]))
 
 
 def test_vectorize_devectorize_consistency_with_metrics():
