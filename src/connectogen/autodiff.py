@@ -372,19 +372,6 @@ def log(x: Tensor) -> Tensor:
     return _emit(out, [x], build)
 
 
-def reciprocal(x: Tensor) -> Tensor:
-    if np.any(x.data == 0):
-        raise PreconditionError("reciprocal requires nonzero entries")
-    inv = 1.0 / x.data
-    out = _result(inv)
-
-    def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, -g * inv * inv)]
-
-    return _emit(out, [x], build)
-
-
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     out = _result(np.clip(x.data, lo, hi))
     mask = ((x.data >= lo) & (x.data <= hi)).astype(np.float64)
@@ -409,18 +396,6 @@ def mean(x: Tensor) -> Tensor:
     def build(ids):
         (ix,) = ids
         return lambda g: [(ix, np.full(shape, g[0, 0] / size))]
-
-    return _emit(out, [x], build)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    _check_nonempty(x, "sum")
-    out = _result(x.data.sum(keepdims=True))
-    shape = x.shape
-
-    def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, np.full(shape, g[0, 0]))]
 
     return _emit(out, [x], build)
 
@@ -478,14 +453,6 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         return bw
 
     return _emit(out, [x], build)
-
-
-def split_rows(x: Tensor, block_rows: int) -> list[Tensor]:
-    """Cut a tall (B*n, c) matrix into its B consecutive n-row blocks."""
-    rows = x.shape[0]
-    if block_rows < 1 or rows % block_rows:
-        raise DimensionError(f"split_rows: {rows} rows are not blocks of {block_rows}")
-    return [slice_rows(x, start, start + block_rows) for start in range(0, rows, block_rows)]
 
 
 def _check_out(out, shape, op: str):
@@ -625,30 +592,16 @@ class AdamState:
                    lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
-def adam_step(state: AdamState, param: Tensor, grad) -> Tensor:
-    """One bias-corrected Adam update; mutates ``param`` in place."""
-    g = grad.data if isinstance(grad, Tensor) else np.asarray(grad, dtype=np.float64)
-    if g.shape != param.shape or state.m.shape != param.shape:
-        raise DimensionError(
-            f"adam_step: param {param.shape}, grad {g.shape}, state {state.m.shape} must agree")
-    state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    param.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return param
-
-
 class Adam:
     """Adam over a fixed parameter list, pulling grads from a backward() map.
 
-    Each step updates every parameter and its m and v accumulators in place,
-    with the arithmetic of :func:`adam_step` in the same order, so the
-    parameters stay bitwise equal to it.  A step holds one scratch array the
-    size of the largest parameter, for each parameter's temporaries in turn,
-    and one fresh array per parameter for the final quotient; neither
-    outlives the step, so no optimizer memory stays resident between steps.
+    Step t makes the bias-corrected update m = b1 m + (1 - b1) g,
+    v = b2 v + (1 - b2) g^2, param -= lr (m / (1 - b1^t)) /
+    (sqrt(v / (1 - b2^t)) + eps) in place, on every parameter and its m and
+    v accumulators.  A step holds one scratch array the size of the largest
+    parameter, for each parameter's temporaries in turn, and one fresh array
+    per parameter for the final quotient; neither outlives the step, so no
+    optimizer memory stays resident between steps.
     """
 
     def __init__(self, params: list[Tensor], lr=1e-4, beta1=0.5, beta2=0.999, epsilon=1e-8):

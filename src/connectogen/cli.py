@@ -247,13 +247,12 @@ def _tensorize(views: dict[int, np.ndarray]):
 
 def _evaluate_pair(args) -> int:
     pred_ids, pred_views = _load_prediction_dir(Path(args.pred))
-    truth = load_dataset(args.truth)
+    order, pred_tensor = _tensorize(pred_views)
+    # only the scored views: the truth's source view is never read
+    truth = load_dataset(args.truth, views=order)
     if list(truth.subject_ids) != pred_ids:
         raise IngestionError("prediction and truth subject lists differ")
-    order, pred_tensor = _tensorize(pred_views)
-    if any(v >= truth.v for v in order):
-        raise IngestionError(f"prediction views {order} exceed truth views {truth.v}")
-    truth_tensor = np.stack([truth.tensor[:, v] for v in order], axis=-1)
+    truth_tensor = np.ascontiguousarray(np.moveaxis(truth.tensor, 1, -1))
     if pred_tensor.shape != truth_tensor.shape:
         raise IngestionError(
             f"prediction graphs {pred_tensor.shape} do not match truth {truth_tensor.shape}")

@@ -201,8 +201,13 @@ def write_matrix_csv(path: Path, weights: np.ndarray) -> None:
     Path(path).write_text(format_matrix_csv(weights), encoding="utf-8")
 
 
-def load_dataset(root) -> PopulationDataset:
-    """Load and fully validate a dataset directory."""
+def load_dataset(root, views=None) -> PopulationDataset:
+    """Load and fully validate a dataset directory.
+
+    ``views``, a list of view indices, reads only those views' matrices;
+    the result's view axis then holds them in that order.  An index with
+    no view directory is an IngestionError.
+    """
     root = Path(root)
     subject_ids = read_manifest(root)
 
@@ -215,14 +220,19 @@ def load_dataset(root) -> PopulationDataset:
             raise IngestionError(f"{d}: view directory name must be view_<index>")
     if sorted(indices) != list(range(len(indices))) or not indices:
         raise IngestionError(f"{root}: view directories must be view_0..view_{{v-1}}")
-    v = len(indices)
     by_index = {int(d.name.split("_", 1)[1]): d for d in view_dirs}
+    if views is None:
+        views = sorted(by_index)
+    for k in views:
+        if k not in by_index:
+            raise IngestionError(
+                f"{root}: no view_{k} directory (views are view_0..view_{len(indices) - 1})")
 
     r = None
     matrices = []
     for sid in subject_ids:
         per_view = []
-        for k in range(v):
+        for k in views:
             path = by_index[k] / f"{sid}.csv"
             if not path.is_file():
                 raise IngestionError(f"{path}: missing matrix file")

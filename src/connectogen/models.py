@@ -250,9 +250,6 @@ class ModelBundle:
     loss_weights: LossWeights | None = None
     format_version: int = FORMAT_VERSION
 
-    def generator(self, cluster: int, view: int) -> GeneratorModel:
-        return self.generators[cluster][view]
-
     def generator_params(self) -> list[ad.Tensor]:
         out = []
         for row in self.generators:

@@ -1,17 +1,26 @@
 """Adversarial training loop and test-time multigraph prediction.
 
 One iteration = n_critic discriminator updates followed by one generator
-update; each update evaluates its objective summed over all clusters on a
-freshly sampled within-cluster batch.  The discriminator sees real/generated
-features through the cluster's source-affinity adjacency, all of a cluster's
-blocks (source, fakes, real targets) stacked into one pass whose first-layer
-projection the gradient penalty reuses.  A cluster's k generators decode
-the batch together, through the (k, n, n) stack of its target-view
-affinities, and the losses read the stacked critic outputs by row range, so
-a step records the same number of tape ops for any k.  The generator update
-sees the discriminator's weights as constants.  Training stops with
-TrainingError at the first non-finite loss.  Everything is deterministic
-given the seed.
+update; each update evaluates its objective summed over all clusters, each
+on a within-cluster batch.  A cluster larger than the batch size gets a
+freshly sampled batch per update.  A cluster that fits in one batch is used
+whole, in member order, by every update: its rows and adjacencies are set
+up once, and its fakes are decoded once per iteration, at the first critic
+update, since only the generator update changes the encoder and
+generators.  Sampling such a batch would only permute it, which changes no
+estimate: every loss is a mean over rows, the GCN layers are
+permutation-equivariant, and the gradient penalty draws each row's mixing
+weight i.i.d.
+
+The discriminator sees real/generated features through the cluster's
+source-affinity adjacency, all of a cluster's blocks (source, fakes, real
+targets) stacked into one pass whose first-layer projection the gradient
+penalty reuses.  A cluster's k generators decode the batch together,
+through the (k, n, n) stack of its target-view affinities, and the losses
+read the stacked critic outputs by row range, so a step records the same
+number of tape ops for any k.  The generator update sees the
+discriminator's weights as constants.  Training stops with TrainingError
+at the first non-finite loss.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -109,16 +118,37 @@ def target_views(v: int, source_view: int) -> list[int]:
 
 
 class _ClusterContext:
-    """Precomputed per-cluster stacks, views in the order [source, *targets]:
-    (v, members, members) affinities, (v, members, f) features, and the
-    (k, members, r) eigenvector centralities of the real target views."""
+    """One cluster's training data, views in the order [source, *targets].
 
-    def __init__(self, members: np.ndarray, affinities: np.ndarray, features: np.ndarray,
-                 real_cent: np.ndarray):
+    ``rows`` holds the feature rows of the n members, in member order, as
+    one ((1 + b + k) * n, f) buffer [source; b fake slots; k real targets].
+    A cluster that fits in one batch (``whole``) is trained on all of its
+    members at every step, so it has b = k slots for its decoded fakes, its
+    (v, n, n) adjacencies ``norms`` are normalized once, and its real-target
+    eigenvector centralities ``real_cent`` are laid out as (k * n, r).  A
+    larger cluster samples a batch per step from the ``source`` and
+    ``targets`` blocks (b = 0), its (v, n, n) ``affinities`` and its
+    (k, n, r) ``real_cent``.
+    """
+
+    def __init__(self, members: np.ndarray, feats: np.ndarray, real_cent: np.ndarray,
+                 whole: bool, mkml: MKMLConfig):
+        n, k, f = members.size, feats.shape[0] - 1, feats.shape[2]
         self.members = members
-        self.affinities = affinities
-        self.features = features
-        self.real_cent = real_cent
+        self.whole = whole
+        self.rows = np.empty(((1 + (k if whole else 0) + k) * n, f))
+        blocks = self.rows.reshape(-1, n, f)
+        self.source, self.targets = blocks[0], blocks[-k:]
+        # the members are valid indices, so "clip" gathers unbuffered
+        np.take(feats[0], members, axis=0, out=self.source, mode="clip")
+        np.take(feats[1:], members, axis=1, out=self.targets, mode="clip")
+        affinities = np.stack([learn_affinity(x, mkml) for x in (self.source, *self.targets)])
+        if whole:
+            self.norms = normalize_adjacency(affinities)
+            self.real_cent = real_cent.reshape(k * n, -1)
+        else:
+            self.affinities = affinities
+            self.real_cent = real_cent
 
 
 def _check_finite(iteration: int, losses: dict[str, float]) -> None:
@@ -165,11 +195,10 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
         if members.size < 2:
             raise TrainingError(
                 f"cluster {j} has {members.size} subject(s); lower --clusters")
-        features = np.take(feats, members, axis=1)  # contiguous, unlike feats[:, members]
-        affinities = np.stack([learn_affinity(x, mkml) for x in features])
         real_cent = np.stack([topology.ec_or_zero(dataset.tensor[members, view])
                               for view in targets])
-        clusters.append(_ClusterContext(members, affinities, features, real_cent))
+        clusters.append(_ClusterContext(members, feats, real_cent,
+                                        cfg.batch_size >= members.size, mkml))
 
     opt_d = ad.Adam(bundle.discriminator.params(), lr=cfg.lr,
                     beta1=cfg.beta1, beta2=cfg.beta2)
@@ -177,35 +206,40 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
     opt_g = ad.Adam(gen_params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
 
     def sample_batch(ctx: _ClusterContext) -> np.ndarray:
-        size = min(cfg.batch_size, ctx.members.size)
-        return rng_batch.choice(ctx.members.size, size=size, replace=False)
+        return rng_batch.choice(ctx.members.size, size=cfg.batch_size, replace=False)
 
     def batch_tensors(ctx: _ClusterContext, local_idx: np.ndarray, fake_blocks: int):
         """The source adjacency, the (k, n, n) target-view adjacencies and
         the feature rows [source; fake_blocks unfilled blocks; k real
-        targets], gathered into one array."""
+        targets] of a cluster larger than the batch, gathered into one
+        array."""
         norms = normalize_adjacency(sub_affinity(ctx.affinities, local_idx))
         n = local_idx.size
         rows = np.empty(((1 + fake_blocks + k) * n, dataset.f))
         blocks = rows.reshape(-1, n, dataset.f)
         # sample_batch draws valid indices, so "clip" gathers unbuffered
-        np.take(ctx.features[0], local_idx, axis=0, out=blocks[0], mode="clip")
-        np.take(ctx.features[1:], local_idx, axis=1, out=blocks[1 + fake_blocks:],
-                mode="clip")
+        np.take(ctx.source, local_idx, axis=0, out=blocks[0], mode="clip")
+        np.take(ctx.targets, local_idx, axis=1, out=blocks[1 + fake_blocks:], mode="clip")
         return norms[0], norms[1:], rows
 
     disc = bundle.discriminator
 
-    def critic_step(iteration: int) -> tuple[float, float, float, float]:
-        """One discriminator update; returns (L_D, L_adv, L_gp, L_gdc)."""
+    def critic_step(iteration: int, decode: bool) -> tuple[float, float, float, float]:
+        """One discriminator update; returns (L_D, L_adv, L_gp, L_gdc).
+
+        A whole cluster's fakes are decoded only when ``decode`` is set: the
+        encoder and generators change only in the generator step."""
         batches = []
         for j, ctx in enumerate(clusters):
-            local_idx = sample_batch(ctx)
-            norm_s, norm_t, rows = batch_tensors(ctx, local_idx, k)
-            n = local_idx.size
-            # generated graphs are constants for the critic update
-            z = encode(bundle.encoder, ad.constant(rows[:n]), norm_s)
-            generate(bundle.generators[j], z, norm_t, out=rows[n:(k + 1) * n])
+            if ctx.whole:
+                norm_s, norm_t, rows = ctx.norms[0], ctx.norms[1:], ctx.rows
+            else:
+                norm_s, norm_t, rows = batch_tensors(ctx, sample_batch(ctx), k)
+            n = rows.shape[0] // (2 * k + 1)
+            if decode or not ctx.whole:
+                # generated graphs are constants for the critic update
+                z = encode(bundle.encoder, ad.constant(rows[:n]), norm_s)
+                generate(bundle.generators[j], z, norm_t, out=rows[n:(k + 1) * n])
             batches.append((norm_s, n, rows))
 
         with ad.Tape() as tape:
@@ -242,14 +276,23 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
             parts = []
             sums = [0.0, 0.0]
             for j, ctx in enumerate(clusters):
-                local_idx = sample_batch(ctx)
-                norm_s, norm_t, rows = batch_tensors(ctx, local_idx, 0)
-                n = local_idx.size
+                if ctx.whole:
+                    norm_s, norm_t, rows = ctx.norms[0], ctx.norms[1:], ctx.rows
+                    real_cent = ctx.real_cent
+                    n = ctx.members.size
+                    # the next critic step overwrites these fake slots
+                    out = rows[n:(k + 1) * n]
+                else:
+                    local_idx = sample_batch(ctx)
+                    norm_s, norm_t, rows = batch_tensors(ctx, local_idx, 0)
+                    n = local_idx.size
+                    real_cent = np.take(ctx.real_cent, local_idx, axis=1).reshape(k * n, r)
+                    out = None
                 z = encode(bundle.encoder, ad.constant(rows[:n]), norm_s)
-                fakes = generate(bundle.generators[j], z, norm_t)
+                fakes = generate(bundle.generators[j], z, norm_t, out=out)
                 critic, probs = discriminate(fixed, project(fixed, fakes), norm_s)
-                real_cent = np.take(ctx.real_cent, local_idx, axis=1).reshape(k * n, r)
-                l_top = topological_loss(rows[n:], fakes, r, k, real_centralities=real_cent)
+                l_top = topological_loss(rows[-k * n:], fakes, r, k,
+                                         real_centralities=real_cent)
                 l_inf = info_max_loss(probs, k)
                 parts.append((generator_fooling_term(critic), l_top, l_inf))
                 sums[0] += l_top.item()
@@ -262,8 +305,8 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
     trace = TrainingTrace()
     t0 = time.perf_counter()
     for iteration in range(cfg.iterations):
-        for _ in range(cfg.n_critic):
-            l_d, l_adv, l_gp, l_gdc = critic_step(iteration)
+        for step in range(cfg.n_critic):
+            l_d, l_adv, l_gp, l_gdc = critic_step(iteration, decode=step == 0)
         l_g, l_top, l_inf = generator_step(iteration)
         trace.records.append(TraceRecord(
             iteration=iteration, l_d=l_d, l_adv=l_adv, l_gp=l_gp, l_gdc=l_gdc,

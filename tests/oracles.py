@@ -18,7 +18,7 @@ functions, one pass per metric, which the centrality oracles check.
 import numpy as np
 
 from connectogen import autodiff as ad
-from connectogen.errors import IngestionError
+from connectogen.errors import DimensionError, IngestionError
 
 PROB_FLOOR = 1e-7
 
@@ -308,6 +308,41 @@ def random_connectivity(rng: np.random.Generator, r: int, density: float = 0.7,
     if ensure_edge and not np.any(w > 0):
         w[0, 1] = w[1, 0] = 1.0
     return w
+
+
+# ---------------------------------------------------------------------------
+# autodiff helpers built from the library's primitives
+
+def sum_all(x):
+    """The sum of every entry of ``x`` as a 1x1 tensor, ones^T @ x @ ones;
+    its gradient is the upstream gradient in every entry, exactly."""
+    rows, cols = x.shape
+    return ad.matmul(ad.matmul(ad.constant(np.ones((1, rows))), x),
+                     ad.constant(np.ones((cols, 1))))
+
+
+def split_rows(x, block_rows: int):
+    """Cut a tall (B*n, c) matrix into its B consecutive n-row blocks."""
+    rows = x.shape[0]
+    if block_rows < 1 or rows % block_rows:
+        raise DimensionError(f"split_rows: {rows} rows are not blocks of {block_rows}")
+    return [ad.slice_rows(x, start, start + block_rows) for start in range(0, rows, block_rows)]
+
+
+def adam_step(state, param, grad):
+    """One bias-corrected Adam update of ``param`` in place, in the textbook
+    arithmetic; ``state`` is an ``ad.AdamState``."""
+    g = grad.data if isinstance(grad, ad.Tensor) else np.asarray(grad, dtype=np.float64)
+    if g.shape != param.shape or state.m.shape != param.shape:
+        raise DimensionError(
+            f"adam_step: param {param.shape}, grad {g.shape}, state {state.m.shape} must agree")
+    state.step += 1
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+    m_hat = state.m / (1.0 - state.beta1 ** state.step)
+    v_hat = state.v / (1.0 - state.beta2 ** state.step)
+    param.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    return param
 
 
 # ---------------------------------------------------------------------------

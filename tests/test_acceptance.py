@@ -83,15 +83,14 @@ def test_criterion_1_autodiff_vs_finite_differences():
         "absolute": lambda x: sq_mean(ad.absolute(x)),
         "clip": lambda x: sq_mean(ad.clip(x, -0.5, 0.5)),
         "transpose": lambda x: sq_mean(ad.transpose(x)),
-        "split_rows": lambda x: sq_mean(ad.vstack(ad.split_rows(x, 1)[::-1])),
+        "slice_rows": lambda x: sq_mean(ad.vstack([ad.slice_rows(x, 1, 2),
+                                                   ad.slice_rows(x, 0, 1)])),
         "vstack": lambda x: sq_mean(ad.vstack([x, ad.constant(b_const)])),
         "mean": lambda x: ad.mul(ad.mean(x), ad.mean(x)),
-        "sum_all": lambda x: ad.mul(ad.sum_all(x), ad.sum_all(x)),
     }
     positives = {
         "sqrt": lambda x: sq_mean(ad.sqrt(x)),
         "log": lambda x: sq_mean(ad.log(x)),
-        "reciprocal": lambda x: sq_mean(ad.reciprocal(x)),
     }
     worst = {}
     for name, build in primitives.items():
@@ -194,7 +193,7 @@ def test_criterion_1_autodiff_vs_finite_differences():
                                  models.encode(b.encoder, f_c, norm))))
     norm_views = np.stack([norm, norm.T @ norm])  # the k = 2 views' adjacencies
     worst["generator"] = composite_check(
-        "generator", lambda b: b.generator(0, 1).layer2.weight,
+        "generator", lambda b: b.generators[0][1].layer2.weight,
         lambda b: ad.mean(ad.mul(models.generate(b.generators[0], z_c, norm_views),
                                  models.generate(b.generators[0], z_c, norm_views))))
 

@@ -207,7 +207,7 @@ class TestTrainPredict:
         model = tmp_path / "model.bin"
         assert run(*train_args(dataset, model)) == 0
         bundle = models.load_bundle(model)
-        bundle.generator(1, 0).layer2.weight.data[0, 0] = np.nan
+        bundle.generators[1][0].layer2.weight.data[0, 0] = np.nan
         models.save_bundle(bundle, model)
         pred = tmp_path / "pred"
         assert run("predict", "--model", str(model), "--data", str(dataset),
@@ -298,6 +298,45 @@ class TestEvaluate:
 
     def test_missing_args_usage_error(self):
         assert run("evaluate") == 2
+
+    def test_reads_only_the_scored_views(self, pipeline, tmp_path, monkeypatch):
+        dataset, _, pred = pipeline
+        reads = []
+        real = data.read_matrix_csv
+
+        def counting(path):
+            reads.append(str(path))
+            return real(path)
+
+        monkeypatch.setattr(data, "read_matrix_csv", counting)
+        monkeypatch.setattr(cli, "read_matrix_csv", counting)
+        assert run("evaluate", "--pred", str(pred), "--truth", str(dataset),
+                   "--out", str(tmp_path / "rep")) == 0
+        ids = data.read_manifest(dataset)
+        # each subject's two target views, once from each side; view 0 is the source
+        expected = [str(root / f"view_{v}" / f"{sid}.csv")
+                    for root in (pred, dataset) for v in (1, 2) for sid in ids]
+        assert sorted(reads) == sorted(expected)
+
+    @pytest.mark.parametrize("view,fault,code", [
+        (0, "unparsable", 0), (1, "unparsable", 3), (2, "fewer_rois", 3),
+        (2, "undecodable_byte", 3)])
+    def test_truth_faults_in_scored_views_only(self, pipeline, tmp_path, capsys,
+                                               view, fault, code):
+        dataset, _, pred = pipeline
+        path = dataset / f"view_{view}" / f"{data.read_manifest(dataset)[0]}.csv"
+        if fault == "unparsable":
+            path.write_text(path.read_text().replace("0", "zero", 1))
+        elif fault == "fewer_rois":
+            data.write_matrix_csv(path, np.zeros((5, 5)))
+        else:
+            path.write_bytes(path.read_bytes().replace(b"0", b"\xff", 1))
+        out = tmp_path / "rep"
+        assert run("evaluate", "--pred", str(pred), "--truth", str(dataset),
+                   "--out", str(out)) == code
+        if code:
+            assert "ingestion error" in capsys.readouterr().err
+            assert not list(tmp_path.glob("rep*"))
 
     @pytest.mark.parametrize("fault,message", [
         ("undecodable_byte", "view_1/subj0000.csv: not UTF-8 text"),

@@ -147,6 +147,19 @@ class TestLoadDataset:
         with pytest.raises(IngestionError, match="ROIs"):
             data.load_dataset(root)
 
+    def test_selected_views_only(self, tmp_path):
+        # the unlisted view 0 is never read: its unparsable file goes unseen
+        root = _write_dataset(tmp_path, ["s1", "s2"], views=3)
+        full = data.load_dataset(root)
+        (root / "view_0" / "s1.csv").write_text("zero\n")
+        part = data.load_dataset(root, views=[2, 1])
+        assert part.subject_ids == full.subject_ids
+        assert np.array_equal(part.tensor, full.tensor[:, [2, 1]])
+        with pytest.raises(IngestionError, match="s1.csv"):
+            data.load_dataset(root, views=[1, 0])
+        with pytest.raises(IngestionError, match="no view_3 directory"):
+            data.load_dataset(root, views=[1, 3])
+
     def test_save_load_round_trip(self, tmp_path):
         ds = data.simulate_population(s=5, r=6, v=3, seed=9)
         data.save_dataset(ds, tmp_path / "out")

@@ -119,7 +119,7 @@ class TestStackedLossesMatchPerViewOracles:
         n = 7
 
         def blocks(x):
-            return ad.split_rows(x, n)
+            return oracles.split_rows(x, n)
 
         source = rng.standard_normal((n, 1))
         fakes = rng.standard_normal((k * n, 1))

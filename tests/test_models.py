@@ -5,6 +5,7 @@ from connectogen import autodiff as ad
 from connectogen import models
 from connectogen.errors import DimensionError, SerializationError
 
+import oracles
 from oracles import finite_difference
 
 
@@ -81,13 +82,13 @@ class TestNetworks:
         mixed = np.full((6, 6), 1.0 / 6)
         out = models.generate(bundle.generators[0], z, np.stack([np.eye(6), mixed]))
         assert out.shape == (12, 10)
-        out_a = models.generate([bundle.generator(0, 0)], z, np.eye(6)[None])
-        out_b = models.generate([bundle.generator(0, 0)], z, mixed[None])
+        out_a = models.generate([bundle.generators[0][0]], z, np.eye(6)[None])
+        out_b = models.generate([bundle.generators[0][0]], z, mixed[None])
         assert not np.allclose(out_a.data, out_b.data)  # adjacency matters
 
     def test_generate_zero_weights(self):
         bundle = models.init_params(small_dims(), seed=0)
-        gen = bundle.generator(1, 1)
+        gen = bundle.generators[1][1]
         for p in gen.params():
             p.data[...] = 0.0
         out = models.generate([gen], ad.constant(np.ones((3, 16))), np.eye(3)[None])
@@ -211,8 +212,8 @@ class TestNetworks:
 
         critic, probs = models.discriminate(
             disc, models.project(disc, ad.constant(stacked)), norm)
-        critic_parts = ad.split_rows(critic, n)
-        probs_parts = ad.split_rows(probs, n)
+        critic_parts = oracles.split_rows(critic, n)
+        probs_parts = oracles.split_rows(probs, n)
         for b in range(blocks):
             block = models.project(disc, ad.constant(stacked[b * n:(b + 1) * n]))
             critic_b, probs_b = models.discriminate(disc, block, norm)
@@ -296,7 +297,7 @@ class TestInit:
         assert all(len(row) == dims.k for row in bundle.generators)
         for j in range(3):
             for i in range(dims.k):
-                gen = bundle.generator(j, i)
+                gen = bundle.generators[j][i]
                 assert (gen.cluster, gen.target_view) == (j, i)
 
 

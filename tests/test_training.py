@@ -17,9 +17,29 @@ def small_dataset(s=36, r=8, v=3, seed=5):
     return data.simulate_population(s=s, r=r, v=v, clusters=2, seed=seed)
 
 
-def small_config(iterations=3, seed=2, **kw):
-    return training.TrainingConfig(iterations=iterations, batch_size=8,
+def small_config(iterations=3, seed=2, batch_size=8, **kw):
+    return training.TrainingConfig(iterations=iterations, batch_size=batch_size,
                                    seed=seed, **kw)
+
+
+def record_clusters(monkeypatch) -> list:
+    """Patch training so each train() call appends its cluster labels."""
+    labels = []
+    real = training.cluster_source_embeddings
+
+    def recording(*args, **kwargs):
+        assignment = real(*args, **kwargs)
+        labels.append(assignment.labels)
+        return assignment
+
+    monkeypatch.setattr(training, "cluster_source_embeddings", recording)
+    return labels
+
+
+def constant_copy(layers):
+    """The layers with their current weights as constants, which no tape records."""
+    return [models.GCNLayer(ad.constant(layer.weight.data), layer.activation)
+            for layer in layers]
 
 
 class TestTrainLoop:
@@ -93,38 +113,141 @@ class TestTrainLoop:
 
 
 class TestCriticWidth:
-    def test_critic_step_projects_each_cluster_once(self, monkeypatch):
-        # the critic's f-wide products are one projection of each cluster's
-        # gathered [source; k fakes; k real] rows and one W1^T W1 per step;
-        # no (k*n, f) mix or input gradient may come back
-        ds = small_dataset(r=10)
-        f, k, hidden = ds.f, ds.k, models.HIDDEN_WIDE
-        cfg = small_config(iterations=1, n_critic=2)
+    @staticmethod
+    def _wide_products(monkeypatch, ds, cfg):
+        """The f-wide matmul shapes of each tape, in tape order."""
         wide = {}  # tape -> [(left shape, right shape)], in tape order
         real_matmul = ad.matmul
 
         def matmul(a, b):
             tape = ad._active_tape()
-            if tape is not None and f in a.shape + b.shape:
+            if tape is not None and ds.f in a.shape + b.shape:
                 wide.setdefault(tape, []).append((a.shape, b.shape))
             return real_matmul(a, b)
 
         monkeypatch.setattr(ad, "matmul", matmul)
         training.train(ds, 0, cfg)
-        tapes = list(wide.values())
+        return list(wide.values())
+
+    def _check_critic_tapes(self, tapes, ds, cfg, batch_rows):
+        # the critic's f-wide products are one projection of each cluster's
+        # gathered [source; k fakes; k real] rows and one W1^T W1 per step;
+        # no (k*n, f) mix or input gradient may come back
+        f, k, hidden = ds.f, ds.k, models.HIDDEN_WIDE
         assert len(tapes) == cfg.n_critic + 1  # the last one is the generator step
         gram = ((hidden, f), (f, hidden))
         for shapes in tapes[:-1]:
             assert shapes.count(gram) == 1
             projections = [s for s in shapes if s != gram]
-            assert projections == [((cfg.batch_size * (2 * k + 1), f), (f, hidden))
-                                   ] * cfg.clusters
+            assert projections == [((n * (2 * k + 1), f), (f, hidden)) for n in batch_rows]
+
+    def test_critic_step_projects_each_cluster_once(self, monkeypatch):
+        ds = small_dataset(r=10)
+        cfg = small_config(iterations=1, n_critic=2)
+        tapes = self._wide_products(monkeypatch, ds, cfg)
+        self._check_critic_tapes(tapes, ds, cfg, [cfg.batch_size] * cfg.clusters)
+
+    def test_whole_cluster_projects_all_its_members(self, monkeypatch):
+        # a cluster that fits in one batch is projected whole, members*(2k+1) rows
+        labels = record_clusters(monkeypatch)
+        ds = small_dataset(r=10)
+        cfg = small_config(iterations=1, n_critic=2, batch_size=1000)
+        tapes = self._wide_products(monkeypatch, ds, cfg)
+        sizes = np.bincount(labels[0], minlength=cfg.clusters).tolist()
+        assert sizes != [cfg.batch_size] * cfg.clusters
+        self._check_critic_tapes(tapes, ds, cfg, sizes)
+
+
+class TestWholeCluster:
+    """A cluster that fits in one batch is trained on all its members, in
+    member order, and its fakes are decoded once per iteration."""
+
+    @pytest.mark.parametrize("batch_size", [8, 1000])
+    def test_decodes_per_iteration(self, monkeypatch, batch_size):
+        calls = []  # (on a tape, into a given buffer) per generate call
+        real = training.generate
+
+        def counting(generators, z, norm_t, out=None):
+            calls.append((ad._active_tape() is not None, out is not None))
+            return real(generators, z, norm_t, out=out)
+
+        monkeypatch.setattr(training, "generate", counting)
+        labels = record_clusters(monkeypatch)
+        cfg = small_config(iterations=2, n_critic=3, batch_size=batch_size)
+        training.train(small_dataset(), 0, cfg)
+        sizes = np.bincount(labels[0])
+        assert (batch_size >= sizes).all() or (batch_size < sizes).all()
+        if batch_size >= sizes.max():
+            # one decode into the fake slots at the first critic step, one on
+            # the generator step's tape into the same slots
+            per_iteration = [(False, True)] * cfg.clusters + [(True, True)] * cfg.clusters
+        else:
+            per_iteration = ([(False, True)] * cfg.clusters * cfg.n_critic
+                             + [(True, False)] * cfg.clusters)
+        assert calls == per_iteration * cfg.iterations
+
+    def test_critic_sees_a_fresh_decode_of_the_members(self, monkeypatch):
+        # every critic step projects [source; fakes; real targets] of all
+        # members in member order, the fakes bitwise a decode with the
+        # current encoder and generator weights
+        from connectogen.affinity import learn_affinity, normalize_adjacency
+
+        bundles = []
+        real_init = training.init_params
+
+        def init_params(*args, **kwargs):
+            bundles.append(real_init(*args, **kwargs))
+            return bundles[-1]
+
+        monkeypatch.setattr(training, "init_params", init_params)
+        labels = record_clusters(monkeypatch)
+        checked = []
+        real_project = training.project
+
+        def project(disc, features):
+            bundle = bundles[0]
+            if disc is bundle.discriminator:  # a critic step, clusters in order
+                j = len(checked) % bundle.dims.c
+                members = np.flatnonzero(labels[0] == j)
+                n, k = members.size, ds.k
+                views = [ds.feature_matrix(v)[members] for v in range(ds.v)]
+                norms = normalize_adjacency(np.stack([learn_affinity(x) for x in views]))
+                encoder = models.EncoderModel(*constant_copy(
+                    [bundle.encoder.layer1, bundle.encoder.layer2]))
+                generators = [models.GeneratorModel(*constant_copy([g.layer1, g.layer2]))
+                              for g in bundle.generators[j]]
+                z = models.encode(encoder, ad.constant(views[0]), norms[0])
+                fakes = models.generate(generators, z, norms[1:]).data
+                rows = features.data
+                assert np.array_equal(rows[:n], views[0])
+                assert np.array_equal(rows[n:(k + 1) * n], fakes)
+                assert np.array_equal(rows[(k + 1) * n:], np.vstack(views[1:]))
+                checked.append(j)
+            return real_project(disc, features)
+
+        monkeypatch.setattr(training, "project", project)
+        ds = small_dataset()
+        cfg = small_config(iterations=3, n_critic=2, batch_size=1000)
+        training.train(ds, 0, cfg)
+        assert len(checked) == cfg.iterations * cfg.n_critic * cfg.clusters
+
+    def test_batch_beyond_the_largest_cluster_changes_nothing(self, monkeypatch):
+        labels = record_clusters(monkeypatch)
+        ds = small_dataset()
+        b1, t1 = training.train(ds, 0, small_config(batch_size=1000))
+        largest = int(np.bincount(labels[0]).max())
+        b2, t2 = training.train(ds, 0, small_config(batch_size=largest))
+        assert t1.to_csv() == t2.to_csv()
+        for p1, p2 in zip(b1.all_params(), b2.all_params()):
+            assert p1.data.tobytes() == p2.data.tobytes()
+        _, t3 = training.train(ds, 0, small_config(batch_size=largest - 1))
+        assert t3.to_csv() != t1.to_csv()
 
 
 class TestOpCounts:
-    def test_step_records_do_not_grow_with_views(self, monkeypatch):
-        # one critic step and one generator step record the same number of
-        # tape ops for k = 2 and k = 5 target views
+    @staticmethod
+    def _records(monkeypatch, batch_size):
+        """Tape records of [critic step, generator step], for k = 2 and k = 5."""
         records = []
         real_backward = ad.backward
 
@@ -137,9 +260,20 @@ class TestOpCounts:
         for v in (3, 6):
             records.clear()
             training.train(small_dataset(s=24, r=6, v=v), 0,
-                           small_config(iterations=1, n_critic=1))
+                           small_config(iterations=1, n_critic=1, batch_size=batch_size))
             counts[v] = list(records)  # [critic step, generator step]
+        return counts
+
+    def test_step_records_do_not_grow_with_views(self, monkeypatch):
+        # one critic step and one generator step record the same number of
+        # tape ops for k = 2 and k = 5 target views
+        counts = self._records(monkeypatch, batch_size=8)
         assert counts[3] == counts[6], counts
+
+    def test_whole_cluster_step_records_do_not_grow_with_views(self, monkeypatch):
+        counts = self._records(monkeypatch, batch_size=1000)
+        assert counts[3] == counts[6], counts
+        assert counts == self._records(monkeypatch, batch_size=8)
 
 
 class TestParameterIsolation:
@@ -243,9 +377,9 @@ class TestStepIsolationDirect:
             l_gdc = domain_classification_loss(probs_fake, probs_real, k)
             loss_d = discriminator_loss([(l_adv, ad.constant([[0.0]]), l_gdc)], weights)
         close(l_adv, oracles.adversarial_loss_per_view(critic_real,
-                                                       ad.split_rows(critic_fakes, n)))
+                                                       oracles.split_rows(critic_fakes, n)))
         close(l_gdc, oracles.domain_classification_loss_per_view(
-            ad.split_rows(probs_fake, n), ad.split_rows(probs_real, n)))
+            oracles.split_rows(probs_fake, n), oracles.split_rows(probs_real, n)))
         opt_d.step(ad.backward(tape, loss_d), tape)
 
         assert all(not np.array_equal(b, p.data)
@@ -265,8 +399,8 @@ class TestStepIsolationDirect:
             fooling = generator_fooling_term(critic_fakes)
             l_inf = info_max_loss(probs_fake, k)
             loss_g = generator_loss([(fooling, ad.constant([[0.0]]), l_inf)], weights)
-        close(fooling, oracles.generator_fooling_term_per_view(ad.split_rows(critic_fakes, n)))
-        close(l_inf, oracles.info_max_loss_per_view(ad.split_rows(probs_fake, n)))
+        close(fooling, oracles.generator_fooling_term_per_view(oracles.split_rows(critic_fakes, n)))
+        close(l_inf, oracles.info_max_loss_per_view(oracles.split_rows(probs_fake, n)))
         opt_g.step(ad.backward(tape, loss_g), tape)
 
         assert all(np.array_equal(b, p.data)
@@ -304,7 +438,7 @@ class TestPredict:
         pred = training.predict_multigraph(bundle, feats)
         norm = normalize_adjacency(learn_affinity(feats))
         z = encode(bundle.encoder, ad.constant(feats), norm)
-        direct = generate([bundle.generator(0, 0)], z, norm[None]).data
+        direct = generate([bundle.generators[0][0]], z, norm[None]).data
         for s in range(6):
             assert np.allclose(pred[s, :, :, 0], devectorize(direct[s], ds.r))
 
@@ -323,7 +457,7 @@ class TestPredict:
         for i in range(ds.k):
             acc = np.zeros((6, ds.f))
             for j in range(bundle.dims.c):
-                acc += generate([bundle.generator(j, i)], z, norm[None]).data
+                acc += generate([bundle.generators[j][i]], z, norm[None]).data
             acc /= bundle.dims.c
             for s in range(6):
                 assert np.array_equal(pred[s, :, :, i], devectorize(acc[s], ds.r))
@@ -339,7 +473,7 @@ class TestPredict:
 
     def test_non_finite_prediction_rejected(self):
         ds, bundle = self._trained()
-        bundle.generator(0, 1).layer2.weight.data[0, 0] = np.inf
+        bundle.generators[0][1].layer2.weight.data[0, 0] = np.inf
         with pytest.raises(NumericError, match="view 1"):
             training.predict_multigraph(bundle, ds.feature_matrix(0)[:4])
 
