@@ -14,6 +14,12 @@ primitives apply a constant adjacency, one (n, n) matrix or a (B, n, n)
 stack, as a plain numpy array (:func:`stack_matmul`), or one weight tensor
 per block (:func:`per_block_matmul`), so a step over B blocks records as
 many ops as a step over one.
+
+Wide weights make a step memory-bound, so three places keep their traffic
+low: :func:`matmul` forms the weight gradient of a tall, wide input as
+(g^T a)^T, :func:`gram` forms w^T w and its gradient without a transposed
+copy of w, and :class:`Adam` updates a parameter chunk by chunk, each chunk
+small enough to stay in a core's L2 cache.
 """
 
 from __future__ import annotations
@@ -235,12 +241,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if ia is not None:
                 contrib.append((ia, g @ b_data.T))
             if ib is not None:
-                contrib.append((ib, a_data.T @ g))
+                if min(a_data.shape) > 2 * g.shape[1]:
+                    # a is tall and wide next to g, as the f-wide input of a
+                    # projection: OpenBLAS runs g^T a at up to twice the speed
+                    # of a^T g, and the transposed copy costs less than that
+                    contrib.append((ib, np.ascontiguousarray((g.T @ a_data).T)))
+                else:
+                    contrib.append((ib, a_data.T @ g))
             return contrib
 
         return bw
 
     return _emit(out, [a, b], build)
+
+
+def gram(w: Tensor) -> Tensor:
+    """w^T w, one op whose backward is the single product w (g + g^T)."""
+    w_data = w.data
+    out = _result(w_data.T @ w_data)
+
+    def build(ids):
+        (iw,) = ids
+        return lambda g: [(iw, w_data @ (g + g.T))]
+
+    return _emit(out, [w], build)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -592,25 +616,35 @@ class AdamState:
                    lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
+# Adam updates a parameter in chunks of this many elements, 256 KiB per
+# float64 array: the six arrays a chunk's passes touch (parameter, gradient,
+# m, v and two scratch buffers) fit a core's 2 MiB L2 together, where a whole
+# (f, 32) parameter at the AAL atlas size (1.7 MB per array) spills it.  The
+# best of 4 Ki to 256 Ki elements at r = 116.
+_ADAM_CHUNK = 32768
+
+
 class Adam:
     """Adam over a fixed parameter list, pulling grads from a backward() map.
 
     Step t makes the bias-corrected update m = b1 m + (1 - b1) g,
     v = b2 v + (1 - b2) g^2, param -= lr (m / (1 - b1^t)) /
     (sqrt(v / (1 - b2^t)) + eps) in place, on every parameter and its m and
-    v accumulators.  A step holds one scratch array the size of the largest
-    parameter, for each parameter's temporaries in turn, and one fresh array
-    per parameter for the final quotient; neither outlives the step, so no
-    optimizer memory stays resident between steps.
+    v accumulators.  A parameter larger than ``_ADAM_CHUNK`` elements is
+    updated chunk by chunk, a smaller one in one pass; the arithmetic per
+    element is the same either way.  A step holds two scratch arrays of at
+    most ``_ADAM_CHUNK`` elements for the temporaries; they do not outlive
+    the step, so no optimizer memory stays resident between steps.
     """
 
     def __init__(self, params: list[Tensor], lr=1e-4, beta1=0.5, beta2=0.999, epsilon=1e-8):
         self.params = list(params)
         self.states = [AdamState.for_param(p, lr, beta1, beta2, epsilon) for p in self.params]
-        self._scratch_size = max((p.data.size for p in self.params), default=0)
+        self._scratch_size = min(max((p.data.size for p in self.params), default=0),
+                                 _ADAM_CHUNK)
 
     def step(self, grad_map: dict[int, Tensor], tape: Tape) -> None:
-        scratch = np.empty(self._scratch_size)
+        s_buf, u_buf = np.empty(self._scratch_size), np.empty(self._scratch_size)
         # node ids are tape-local, so only trust them for params on `tape`
         for param, state in zip(self.params, self.states):
             if param._tape is tape and param.node_id in grad_map:
@@ -620,21 +654,36 @@ class Adam:
             if g.shape != param.shape:
                 raise DimensionError(f"Adam: param {param.shape}, grad {g.shape} must agree")
             state.step += 1
-            b1, b2 = state.beta1, state.beta2
-            m, v = state.m, state.v
-            s = scratch[:g.size].reshape(g.shape)
-            m *= b1
-            np.multiply(1.0 - b1, g, out=s)
-            m += s
-            v *= b2
-            np.multiply(1.0 - b2, g, out=s)
-            s *= g
-            v += s
-            # s = sqrt(v_hat) + eps, then the step lr * m_hat / s
-            np.divide(v, 1.0 - b2 ** state.step, out=s)
-            np.sqrt(s, out=s)
-            s += state.epsilon
-            update = np.divide(m, 1.0 - b1 ** state.step)
-            update *= state.lr
-            update /= s
-            param.data -= update
+            size = g.size
+            if size <= _ADAM_CHUNK:
+                _adam_update(state, param.data, g, state.m, state.v,
+                             s_buf[:size].reshape(g.shape), u_buf[:size].reshape(g.shape))
+                continue
+            # Tensor data, gradients and accumulators are C-contiguous, so
+            # these are views and the update lands in place
+            p, g, m, v = (a.reshape(-1) for a in (param.data, g, state.m, state.v))
+            for lo in range(0, size, _ADAM_CHUNK):
+                hi = min(lo + _ADAM_CHUNK, size)
+                _adam_update(state, p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi],
+                             s_buf[:hi - lo], u_buf[:hi - lo])
+
+
+def _adam_update(state: AdamState, p, g, m, v, s, u) -> None:
+    """Apply the current step of ``state`` to ``p``, ``m`` and ``v`` in place;
+    ``s`` and ``u`` are scratch of the same shape."""
+    b1, b2 = state.beta1, state.beta2
+    m *= b1
+    np.multiply(1.0 - b1, g, out=s)
+    m += s
+    v *= b2
+    np.multiply(1.0 - b2, g, out=s)
+    s *= g
+    v += s
+    # s = sqrt(v_hat) + eps, then the step u = lr * m_hat / s
+    np.divide(v, 1.0 - b2 ** state.step, out=s)
+    np.sqrt(s, out=s)
+    s += state.epsilon
+    np.divide(m, 1.0 - b1 ** state.step, out=u)
+    u *= state.lr
+    u /= s
+    p -= u

@@ -167,9 +167,9 @@ def project(disc: DiscriminatorModel, features: ad.Tensor) -> ad.Tensor:
 
 def first_layer_gram(disc: DiscriminatorModel) -> ad.Tensor:
     """W1^T W1, (32, 32): the metric that maps hidden-space gradients back to
-    input-space norms in :func:`discriminator_gradient_norms`."""
-    weight = disc.layer1.weight
-    return ad.matmul(ad.transpose(weight), weight)
+    input-space norms in :func:`discriminator_gradient_norms`.  One
+    :func:`autodiff.gram` op, so neither pass copies the (f, 32) W1."""
+    return ad.gram(disc.layer1.weight)
 
 
 def discriminate(disc: DiscriminatorModel, projections: ad.Tensor,
@@ -196,7 +196,9 @@ def discriminator_gradient_norms(disc: DiscriminatorModel, projections: ad.Tenso
     forward primitives (relu masks enter as constants, which is exact almost
     everywhere), so the norms stay differentiable w.r.t. the discriminator
     parameters.  ``gram`` is :func:`first_layer_gram`, which a caller forms
-    once for all its batches.  Used by the gradient penalty.
+    once for all its batches, so the gradient through it reaches W1 as one
+    f-wide product per step however many batches share it.  Used by the
+    gradient penalty.
     """
     pre1 = ad.stack_matmul(norm_adj, projections)
     h1 = ad.relu(pre1)

@@ -199,6 +199,8 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
                               for view in targets])
         clusters.append(_ClusterContext(members, feats, real_cent,
                                         cfg.batch_size >= members.size, mkml))
+    # each cluster has gathered its rows; the full-population set-up is done
+    del feats, affinity_source, norm_full, z_full
 
     opt_d = ad.Adam(bundle.discriminator.params(), lr=cfg.lr,
                     beta1=cfg.beta1, beta2=cfg.beta2)

@@ -133,6 +133,17 @@ def test_criterion_1_autodiff_vs_finite_differences():
         worst[f"per_block_matmul.{which}"] = _check_op(
             per_block, lambda rr, which=which: rr.standard_normal(block_inputs[which].shape),
             cases, rng)
+    # an asymmetric weight makes the upstream gradient asymmetric, which the
+    # backward w (g + g^T) must handle; the penalty's own upstream is symmetric
+    gram_weight = np.random.default_rng(24).standard_normal((3, 3))
+    worst["gram"] = _check_op(lambda x: sq_mean(ad.mul(ad.gram(x), ad.constant(gram_weight))),
+                              away_from_kinks, cases, rng)
+    # matmul w.r.t. its right operand behind a tall, wide left one, the shape
+    # of a projection, whose weight gradient takes the (g^T a)^T form
+    left_const = np.random.default_rng(23).standard_normal((40, 24))
+    worst["matmul.right"] = _check_op(
+        lambda x: sq_mean(ad.matmul(ad.constant(left_const), x)),
+        lambda rr: rr.standard_normal((24, 2)), cases, rng)
 
     # composite networks: gradients w.r.t. parameter entries
     dims = models.Dims(r=4, v=3, c=1)

@@ -392,9 +392,11 @@ class TestAdam:
 
     def test_adam_in_place_matches_adam_step(self):
         # three steps over parameters of different shapes, one of them off
-        # the tape (zero gradient): bitwise the functional update
+        # the tape (zero gradient) and two updated in chunks, the last chunk
+        # short: bitwise the functional update
         rng = np.random.default_rng(21)
-        shapes = [(3, 4), (4, 1), (2, 2)]
+        chunk = ad._ADAM_CHUNK
+        shapes = [(3, 4), (4, 1), (2, 2), (chunk + 1, 1), (1, 3 * chunk - 7)]
         params = [ad.parameter(rng.standard_normal(s)) for s in shapes]
         refs = [ad.parameter(p.data.copy()) for p in params]
         opt = ad.Adam(params, lr=0.01, beta1=0.5, beta2=0.999)
@@ -404,6 +406,8 @@ class TestAdam:
             with ad.Tape() as tape:
                 loss = ad.add(oracles.sum_all(ad.mul(params[0], params[0])),
                               oracles.sum_all(ad.sigmoid(params[1])))
+                for wide in params[3:]:
+                    loss = ad.add(loss, oracles.sum_all(ad.sigmoid(ad.mul(wide, wide))))
             grads = ad.backward(tape, loss)
             opt.step(grads, tape)
             for p, ref, st in zip(params, refs, states):

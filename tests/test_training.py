@@ -115,17 +115,25 @@ class TestTrainLoop:
 class TestCriticWidth:
     @staticmethod
     def _wide_products(monkeypatch, ds, cfg):
-        """The f-wide matmul shapes of each tape, in tape order."""
-        wide = {}  # tape -> [(left shape, right shape)], in tape order
-        real_matmul = ad.matmul
+        """The f-wide products of each tape, in tape order: ("matmul", left
+        shape, right shape) and ("gram", weight shape)."""
+        wide = {}  # tape -> [product], in tape order
+        real_matmul, real_gram = ad.matmul, ad.gram
 
         def matmul(a, b):
             tape = ad._active_tape()
             if tape is not None and ds.f in a.shape + b.shape:
-                wide.setdefault(tape, []).append((a.shape, b.shape))
+                wide.setdefault(tape, []).append(("matmul", a.shape, b.shape))
             return real_matmul(a, b)
 
+        def gram(w):
+            tape = ad._active_tape()
+            if tape is not None:
+                wide.setdefault(tape, []).append(("gram", w.shape))
+            return real_gram(w)
+
         monkeypatch.setattr(ad, "matmul", matmul)
+        monkeypatch.setattr(ad, "gram", gram)
         training.train(ds, 0, cfg)
         return list(wide.values())
 
@@ -135,11 +143,12 @@ class TestCriticWidth:
         # no (k*n, f) mix or input gradient may come back
         f, k, hidden = ds.f, ds.k, models.HIDDEN_WIDE
         assert len(tapes) == cfg.n_critic + 1  # the last one is the generator step
-        gram = ((hidden, f), (f, hidden))
-        for shapes in tapes[:-1]:
-            assert shapes.count(gram) == 1
-            projections = [s for s in shapes if s != gram]
-            assert projections == [((n * (2 * k + 1), f), (f, hidden)) for n in batch_rows]
+        gram = ("gram", (f, hidden))
+        for products in tapes[:-1]:
+            assert products.count(gram) == 1
+            projections = [p for p in products if p != gram]
+            assert projections == [("matmul", (n * (2 * k + 1), f), (f, hidden))
+                                   for n in batch_rows]
 
     def test_critic_step_projects_each_cluster_once(self, monkeypatch):
         ds = small_dataset(r=10)
