@@ -16,7 +16,7 @@ per block (:func:`per_block_matmul`), so a step over B blocks records as
 many ops as a step over one.
 
 Wide weights make a step memory-bound, so three places keep their traffic
-low: :func:`matmul` forms the weight gradient of a tall, wide input as
+low: :func:`matmul` forms its right operand's gradient as a C-contiguous
 (g^T a)^T, :func:`gram` forms w^T w and its gradient without a transposed
 copy of w, and :class:`Adam` updates a parameter chunk by chunk, each chunk
 small enough to stay in a core's L2 cache.
@@ -241,13 +241,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if ia is not None:
                 contrib.append((ia, g @ b_data.T))
             if ib is not None:
-                if min(a_data.shape) > 2 * g.shape[1]:
-                    # a is tall and wide next to g, as the f-wide input of a
-                    # projection: OpenBLAS runs g^T a at up to twice the speed
-                    # of a^T g, and the transposed copy costs less than that
-                    contrib.append((ib, np.ascontiguousarray((g.T @ a_data).T)))
-                else:
-                    contrib.append((ib, a_data.T @ g))
+                # OpenBLAS runs g^T a up to twice as fast as a^T g when a is
+                # the f-wide input of a projection.  The C-contiguous copy
+                # spares the strided add where the Gram's gradient joins W1's
+                # and pays for itself at the AAL size
+                contrib.append((ib, np.ascontiguousarray((g.T @ a_data).T)))
             return contrib
 
         return bw
