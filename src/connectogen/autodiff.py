@@ -588,7 +588,7 @@ def devectorize_rows(x: Tensor, r: int) -> Tensor:
 
     def build(ids):
         (ix,) = ids
-        return lambda g: [(ix, g[:, upper] + g[:, lower])]
+        return lambda g: [(ix, np.take(g, upper, axis=1) + np.take(g, lower, axis=1))]
 
     return _emit(out, [x], build)
 
@@ -628,11 +628,11 @@ class Adam:
     Step t makes the bias-corrected update m = b1 m + (1 - b1) g,
     v = b2 v + (1 - b2) g^2, param -= lr (m / (1 - b1^t)) /
     (sqrt(v / (1 - b2^t)) + eps) in place, on every parameter and its m and
-    v accumulators.  A parameter larger than ``_ADAM_CHUNK`` elements is
-    updated chunk by chunk, a smaller one in one pass; the arithmetic per
-    element is the same either way.  A step holds two scratch arrays of at
-    most ``_ADAM_CHUNK`` elements for the temporaries; they do not outlive
-    the step, so no optimizer memory stays resident between steps.
+    v accumulators, in chunks of at most ``_ADAM_CHUNK`` elements; the
+    arithmetic is elementwise, so chunking changes no bit.  A step holds two
+    scratch arrays of at most ``_ADAM_CHUNK`` elements for the temporaries;
+    they do not outlive the step, so no optimizer memory stays resident
+    between steps.
     """
 
     def __init__(self, params: list[Tensor], lr=1e-4, beta1=0.5, beta2=0.999, epsilon=1e-8):
@@ -652,16 +652,11 @@ class Adam:
             if g.shape != param.shape:
                 raise DimensionError(f"Adam: param {param.shape}, grad {g.shape} must agree")
             state.step += 1
-            size = g.size
-            if size <= _ADAM_CHUNK:
-                _adam_update(state, param.data, g, state.m, state.v,
-                             s_buf[:size].reshape(g.shape), u_buf[:size].reshape(g.shape))
-                continue
             # Tensor data, gradients and accumulators are C-contiguous, so
             # these are views and the update lands in place
             p, g, m, v = (a.reshape(-1) for a in (param.data, g, state.m, state.v))
-            for lo in range(0, size, _ADAM_CHUNK):
-                hi = min(lo + _ADAM_CHUNK, size)
+            for lo in range(0, g.size, _ADAM_CHUNK):
+                hi = min(lo + _ADAM_CHUNK, g.size)
                 _adam_update(state, p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi],
                              s_buf[:hi - lo], u_buf[:hi - lo])
 

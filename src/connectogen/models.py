@@ -250,7 +250,6 @@ class ModelBundle:
     dims: Dims
     seed: int | None = None
     loss_weights: LossWeights | None = None
-    format_version: int = FORMAT_VERSION
 
     def generator_params(self) -> list[ad.Tensor]:
         out = []

@@ -2,10 +2,12 @@
 
 One iteration = n_critic discriminator updates followed by one generator
 update; each update evaluates its objective summed over all clusters, each
-on a within-cluster batch.  A cluster larger than the batch size gets a
-freshly sampled batch per update.  A cluster that fits in one batch is used
-whole, in member order, by every update: its rows and adjacencies are set
-up once, and its fakes are decoded once per iteration, at the first critic
+on a within-cluster batch.  Every cluster holds one batch: its rows, their
+normalized adjacencies and their real-target centralities.  A cluster larger
+than the batch size refills it with a fresh draw of members at every
+update, and its fakes are decoded for each draw.  A cluster that fits in
+one batch fills it once, at set-up, with all of its members in member
+order, and its fakes are decoded once per iteration, at the first critic
 update, since only the generator update changes the encoder and
 generators.  Sampling such a batch would only permute it, which changes no
 estimate: every loss is a mean over rows, the GCN layers are
@@ -120,35 +122,48 @@ def target_views(v: int, source_view: int) -> list[int]:
 class _ClusterContext:
     """One cluster's training data, views in the order [source, *targets].
 
-    ``rows`` holds the feature rows of the n members, in member order, as
-    one ((1 + b + k) * n, f) buffer [source; b fake slots; k real targets].
-    A cluster that fits in one batch (``whole``) is trained on all of its
-    members at every step, so it has b = k slots for its decoded fakes, its
-    (v, n, n) adjacencies ``norms`` are normalized once, and its real-target
-    eigenvector centralities ``real_cent`` are laid out as (k * n, r).  A
-    larger cluster samples a batch per step from the ``source`` and
-    ``targets`` blocks (b = 0), its (v, n, n) ``affinities`` and its
-    (k, n, r) ``real_cent``.
+    Its current batch of n members is ``rows``, one ((2k + 1) * n, f) buffer
+    [source; k fake slots; k real targets], with its (v, n, n) normalized
+    adjacencies ``norms`` and its real targets' (k * n, r) eigenvector
+    centralities ``real_cent``.  A cluster with at most ``batch_size``
+    members fills the batch once, here, with every member in member order.
+    A larger cluster keeps its members' rows, (v, m, m) affinities and
+    (k, m, r) centralities in ``pool``, from which :meth:`draw` refills the
+    batch.
     """
 
     def __init__(self, members: np.ndarray, feats: np.ndarray, real_cent: np.ndarray,
-                 whole: bool, mkml: MKMLConfig):
-        n, k, f = members.size, feats.shape[0] - 1, feats.shape[2]
-        self.members = members
-        self.whole = whole
-        self.rows = np.empty(((1 + (k if whole else 0) + k) * n, f))
+                 batch_size: int, mkml: MKMLConfig):
+        m, k, f = members.size, feats.shape[0] - 1, feats.shape[2]
+        self.n = n = min(m, batch_size)
+        self.rows = np.empty(((2 * k + 1) * n, f))
         blocks = self.rows.reshape(-1, n, f)
-        self.source, self.targets = blocks[0], blocks[-k:]
+        self.source, self.fakes, self.targets = blocks[0], self.rows[n:(k + 1) * n], blocks[-k:]
+        pooled = n < m
+        source, targets = ((np.empty((m, f)), np.empty((k, m, f))) if pooled
+                           else (self.source, self.targets))
         # the members are valid indices, so "clip" gathers unbuffered
-        np.take(feats[0], members, axis=0, out=self.source, mode="clip")
-        np.take(feats[1:], members, axis=1, out=self.targets, mode="clip")
-        affinities = np.stack([learn_affinity(x, mkml) for x in (self.source, *self.targets)])
-        if whole:
+        np.take(feats[0], members, axis=0, out=source, mode="clip")
+        np.take(feats[1:], members, axis=1, out=targets, mode="clip")
+        affinities = np.stack([learn_affinity(x, mkml) for x in (source, *targets)])
+        self.pool = (source, targets, affinities, real_cent) if pooled else None
+        if not pooled:
             self.norms = normalize_adjacency(affinities)
             self.real_cent = real_cent.reshape(k * n, -1)
-        else:
-            self.affinities = affinities
-            self.real_cent = real_cent
+
+    def draw(self, rng: np.random.Generator) -> bool:
+        """Refill the batch with n members drawn from ``pool`` without
+        replacement; returns False, and draws nothing, for a whole cluster."""
+        if self.pool is None:
+            return False
+        source, targets, affinities, real_cent = self.pool
+        idx = rng.choice(source.shape[0], size=self.n, replace=False)
+        self.norms = normalize_adjacency(sub_affinity(affinities, idx))
+        # rng.choice draws valid indices, so "clip" gathers unbuffered
+        np.take(source, idx, axis=0, out=self.source, mode="clip")
+        np.take(targets, idx, axis=1, out=self.targets, mode="clip")
+        self.real_cent = np.take(real_cent, idx, axis=1).reshape(-1, real_cent.shape[2])
+        return True
 
 
 def _check_finite(iteration: int, losses: dict[str, float]) -> None:
@@ -197,8 +212,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
                 f"cluster {j} has {members.size} subject(s); lower --clusters")
         real_cent = np.stack([topology.ec_or_zero(dataset.tensor[members, view])
                               for view in targets])
-        clusters.append(_ClusterContext(members, feats, real_cent,
-                                        cfg.batch_size >= members.size, mkml))
+        clusters.append(_ClusterContext(members, feats, real_cent, cfg.batch_size, mkml))
     # each cluster has gathered its rows; the full-population set-up is done
     del feats, affinity_source, norm_full, z_full
 
@@ -207,51 +221,29 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
     gen_params = bundle.encoder.params() + bundle.generator_params()
     opt_g = ad.Adam(gen_params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
 
-    def sample_batch(ctx: _ClusterContext) -> np.ndarray:
-        return rng_batch.choice(ctx.members.size, size=cfg.batch_size, replace=False)
-
-    def batch_tensors(ctx: _ClusterContext, local_idx: np.ndarray, fake_blocks: int):
-        """The source adjacency, the (k, n, n) target-view adjacencies and
-        the feature rows [source; fake_blocks unfilled blocks; k real
-        targets] of a cluster larger than the batch, gathered into one
-        array."""
-        norms = normalize_adjacency(sub_affinity(ctx.affinities, local_idx))
-        n = local_idx.size
-        rows = np.empty(((1 + fake_blocks + k) * n, dataset.f))
-        blocks = rows.reshape(-1, n, dataset.f)
-        # sample_batch draws valid indices, so "clip" gathers unbuffered
-        np.take(ctx.source, local_idx, axis=0, out=blocks[0], mode="clip")
-        np.take(ctx.targets, local_idx, axis=1, out=blocks[1 + fake_blocks:], mode="clip")
-        return norms[0], norms[1:], rows
-
     disc = bundle.discriminator
 
     def critic_step(iteration: int, decode: bool) -> tuple[float, float, float, float]:
         """One discriminator update; returns (L_D, L_adv, L_gp, L_gdc).
 
-        A whole cluster's fakes are decoded only when ``decode`` is set: the
+        Each cluster draws its batch, then decodes its fakes if it drew one
+        or if ``decode`` is set: a whole cluster keeps its batch, and the
         encoder and generators change only in the generator step."""
-        batches = []
         for j, ctx in enumerate(clusters):
-            if ctx.whole:
-                norm_s, norm_t, rows = ctx.norms[0], ctx.norms[1:], ctx.rows
-            else:
-                norm_s, norm_t, rows = batch_tensors(ctx, sample_batch(ctx), k)
-            n = rows.shape[0] // (2 * k + 1)
-            if decode or not ctx.whole:
+            if ctx.draw(rng_batch) or decode:
                 # generated graphs are constants for the critic update
-                z = encode(bundle.encoder, ad.constant(rows[:n]), norm_s)
-                generate(bundle.generators[j], z, norm_t, out=rows[n:(k + 1) * n])
-            batches.append((norm_s, n, rows))
+                z = encode(bundle.encoder, ad.constant(ctx.source), ctx.norms[0])
+                generate(bundle.generators[j], z, ctx.norms[1:], out=ctx.fakes)
 
         with ad.Tape() as tape:
             parts = []
             sums = [0.0, 0.0, 0.0]
             gram = first_layer_gram(disc)
-            for norm_s, n, rows in batches:
+            for ctx in clusters:
+                n, norm_s = ctx.n, ctx.norms[0]
                 # one projection of [source; k fakes; k real targets] feeds
                 # both the critic pass and the gradient penalty
-                proj = project(disc, ad.constant(rows))
+                proj = project(disc, ad.constant(ctx.rows))
                 critic, probs = discriminate(disc, proj, norm_s)
                 fakes, reals = (n, (k + 1) * n), ((k + 1) * n, (2 * k + 1) * n)
                 l_adv = adversarial_loss(ad.slice_rows(critic, 0, n),
@@ -278,23 +270,13 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
             parts = []
             sums = [0.0, 0.0]
             for j, ctx in enumerate(clusters):
-                if ctx.whole:
-                    norm_s, norm_t, rows = ctx.norms[0], ctx.norms[1:], ctx.rows
-                    real_cent = ctx.real_cent
-                    n = ctx.members.size
-                    # the next critic step overwrites these fake slots
-                    out = rows[n:(k + 1) * n]
-                else:
-                    local_idx = sample_batch(ctx)
-                    norm_s, norm_t, rows = batch_tensors(ctx, local_idx, 0)
-                    n = local_idx.size
-                    real_cent = np.take(ctx.real_cent, local_idx, axis=1).reshape(k * n, r)
-                    out = None
-                z = encode(bundle.encoder, ad.constant(rows[:n]), norm_s)
-                fakes = generate(bundle.generators[j], z, norm_t, out=out)
-                critic, probs = discriminate(fixed, project(fixed, fakes), norm_s)
-                l_top = topological_loss(rows[-k * n:], fakes, r, k,
-                                         real_centralities=real_cent)
+                ctx.draw(rng_batch)
+                z = encode(bundle.encoder, ad.constant(ctx.source), ctx.norms[0])
+                # the next critic step overwrites these fake slots
+                fakes = generate(bundle.generators[j], z, ctx.norms[1:], out=ctx.fakes)
+                critic, probs = discriminate(fixed, project(fixed, fakes), ctx.norms[0])
+                l_top = topological_loss(ctx.rows[-k * ctx.n:], fakes, r, k,
+                                         real_centralities=ctx.real_cent)
                 l_inf = info_max_loss(probs, k)
                 parts.append((generator_fooling_term(critic), l_top, l_inf))
                 sums[0] += l_top.item()

@@ -112,6 +112,55 @@ class TestTrainLoop:
                 training.TrainingConfig(**bad)
 
 
+def check_critic_batches(monkeypatch, ds, cfg, batch_of):
+    """Train, checking that every critic step projects [source; fakes; real
+    targets] of cluster j's members at the local indices ``batch_of(step,
+    j, sizes)`` picks, ``sizes`` being the cluster sizes; the fakes must be
+    bitwise a decode with the current encoder and generator weights through
+    the batch's normalized adjacencies.  Returns the batches checked."""
+    from connectogen.affinity import learn_affinity, normalize_adjacency, sub_affinity
+
+    bundles = []
+    real_init = training.init_params
+
+    def init_params(*args, **kwargs):
+        bundles.append(real_init(*args, **kwargs))
+        return bundles[-1]
+
+    monkeypatch.setattr(training, "init_params", init_params)
+    labels = record_clusters(monkeypatch)
+    checked = []
+    real_project = training.project
+
+    def project(disc, features):
+        bundle = bundles[0]
+        if disc is bundle.discriminator:  # a critic step, clusters in order
+            step, j = divmod(len(checked), bundle.dims.c)
+            members = np.flatnonzero(labels[0] == j)
+            local = batch_of(step, j, np.bincount(labels[0], minlength=bundle.dims.c))
+            n, k = local.size, ds.k
+            views = [ds.feature_matrix(v)[members] for v in range(ds.v)]
+            norms = normalize_adjacency(
+                sub_affinity(np.stack([learn_affinity(x) for x in views]), local))
+            views = [x[local] for x in views]
+            encoder = models.EncoderModel(*constant_copy(
+                [bundle.encoder.layer1, bundle.encoder.layer2]))
+            generators = [models.GeneratorModel(*constant_copy([g.layer1, g.layer2]))
+                          for g in bundle.generators[j]]
+            z = models.encode(encoder, ad.constant(views[0]), norms[0])
+            fakes = models.generate(generators, z, norms[1:]).data
+            rows = features.data
+            assert np.array_equal(rows[:n], views[0])
+            assert np.array_equal(rows[n:(k + 1) * n], fakes)
+            assert np.array_equal(rows[(k + 1) * n:], np.vstack(views[1:]))
+            checked.append(j)
+        return real_project(disc, features)
+
+    monkeypatch.setattr(training, "project", project)
+    training.train(ds, 0, cfg)
+    return len(checked)
+
+
 class TestCriticWidth:
     @staticmethod
     def _wide_products(monkeypatch, ds, cfg):
@@ -186,59 +235,21 @@ class TestWholeCluster:
         training.train(small_dataset(), 0, cfg)
         sizes = np.bincount(labels[0])
         assert (batch_size >= sizes).all() or (batch_size < sizes).all()
-        if batch_size >= sizes.max():
-            # one decode into the fake slots at the first critic step, one on
-            # the generator step's tape into the same slots
-            per_iteration = [(False, True)] * cfg.clusters + [(True, True)] * cfg.clusters
-        else:
-            per_iteration = ([(False, True)] * cfg.clusters * cfg.n_critic
-                             + [(True, False)] * cfg.clusters)
+        # every decode lands in the fake slots: a whole cluster's once at the
+        # first critic step, a larger cluster's once per critic step, and
+        # each cluster's once on the generator step's tape
+        critic_steps = 1 if batch_size >= sizes.max() else cfg.n_critic
+        per_iteration = ([(False, True)] * cfg.clusters * critic_steps
+                         + [(True, True)] * cfg.clusters)
         assert calls == per_iteration * cfg.iterations
 
     def test_critic_sees_a_fresh_decode_of_the_members(self, monkeypatch):
-        # every critic step projects [source; fakes; real targets] of all
-        # members in member order, the fakes bitwise a decode with the
-        # current encoder and generator weights
-        from connectogen.affinity import learn_affinity, normalize_adjacency
-
-        bundles = []
-        real_init = training.init_params
-
-        def init_params(*args, **kwargs):
-            bundles.append(real_init(*args, **kwargs))
-            return bundles[-1]
-
-        monkeypatch.setattr(training, "init_params", init_params)
-        labels = record_clusters(monkeypatch)
-        checked = []
-        real_project = training.project
-
-        def project(disc, features):
-            bundle = bundles[0]
-            if disc is bundle.discriminator:  # a critic step, clusters in order
-                j = len(checked) % bundle.dims.c
-                members = np.flatnonzero(labels[0] == j)
-                n, k = members.size, ds.k
-                views = [ds.feature_matrix(v)[members] for v in range(ds.v)]
-                norms = normalize_adjacency(np.stack([learn_affinity(x) for x in views]))
-                encoder = models.EncoderModel(*constant_copy(
-                    [bundle.encoder.layer1, bundle.encoder.layer2]))
-                generators = [models.GeneratorModel(*constant_copy([g.layer1, g.layer2]))
-                              for g in bundle.generators[j]]
-                z = models.encode(encoder, ad.constant(views[0]), norms[0])
-                fakes = models.generate(generators, z, norms[1:]).data
-                rows = features.data
-                assert np.array_equal(rows[:n], views[0])
-                assert np.array_equal(rows[n:(k + 1) * n], fakes)
-                assert np.array_equal(rows[(k + 1) * n:], np.vstack(views[1:]))
-                checked.append(j)
-            return real_project(disc, features)
-
-        monkeypatch.setattr(training, "project", project)
+        # every critic step projects all members in member order
         ds = small_dataset()
         cfg = small_config(iterations=3, n_critic=2, batch_size=1000)
-        training.train(ds, 0, cfg)
-        assert len(checked) == cfg.iterations * cfg.n_critic * cfg.clusters
+        checked = check_critic_batches(monkeypatch, ds, cfg,
+                                       lambda step, j, sizes: np.arange(sizes[j]))
+        assert checked == cfg.iterations * cfg.n_critic * cfg.clusters
 
     def test_batch_beyond_the_largest_cluster_changes_nothing(self, monkeypatch):
         labels = record_clusters(monkeypatch)
@@ -251,6 +262,31 @@ class TestWholeCluster:
             assert p1.data.tobytes() == p2.data.tobytes()
         _, t3 = training.train(ds, 0, small_config(batch_size=largest - 1))
         assert t3.to_csv() != t1.to_csv()
+
+
+class TestDrawnCluster:
+    """A cluster larger than the batch draws a fresh batch at every step."""
+
+    def test_critic_sees_a_fresh_decode_of_each_draw(self, monkeypatch):
+        # every critic step projects the batch_size members drawn for it,
+        # cluster by cluster, from the seed's first child stream; each
+        # iteration's generator step draws after its n_critic critic steps
+        ds = small_dataset()
+        cfg = small_config(iterations=3, n_critic=2, batch_size=8)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[0])
+        draws = []  # per critic step, one draw per cluster
+
+        def batch_of(step, j, sizes):
+            assert (sizes > cfg.batch_size).all()
+            while len(draws) <= step:
+                steps = [[rng.choice(m, size=cfg.batch_size, replace=False) for m in sizes]
+                         for _ in range(cfg.n_critic + 1)]
+                draws.extend(steps[:-1])  # the last is the generator step's
+            return draws[step][j]
+
+        checked = check_critic_batches(monkeypatch, ds, cfg, batch_of)
+        assert checked == cfg.iterations * cfg.n_critic * cfg.clusters
+        assert len(draws) == cfg.iterations * cfg.n_critic
 
 
 class TestOpCounts:
