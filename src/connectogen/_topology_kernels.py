@@ -9,8 +9,10 @@ stack is symmetric, nonnegative and zero on the diagonal.
 Floyd-Warshall and the betweenness sweeps run over a stack in chunks of
 graphs, cut by one rule: a chunk holds as many graphs as keep the sweeps'
 five (chunk, r, r) temporaries within ``_BETWEENNESS_CHUNK_BYTES``, which
-is sized to a core's L2 cache.  Graphs do not interact, so the chunking
-changes no bit of any result.
+is sized to a core's L2 cache.  The backward of the eigenvector-centrality
+op (``topology.batched_eigenvector_rows``) rebuilds its graphs and solves
+them over the same chunks.  Graphs do not interact, so the chunking changes
+no bit of any result.
 
 Betweenness matches distance ties within the absolute tolerance
 ``_TIE_TOL``.  For a source s, the edge v->w belongs to the shortest-path
@@ -26,7 +28,7 @@ import numpy as np
 
 _TIE_TOL = 1e-12
 # bound on the bytes of a chunk's five (graphs, r, r) betweenness temporaries;
-# Floyd-Warshall runs over the same chunks
+# Floyd-Warshall and the EC op's backward run over the same chunks
 _BETWEENNESS_CHUNK_BYTES = 2 * 2**20
 
 

@@ -51,10 +51,14 @@ def gaussian_kernel_bank(features, cfg: MKMLConfig = MKMLConfig()) -> list[np.nd
     warning.
     """
     features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
+    return _kernel_bank(_pairwise_distances(features), cfg)
+
+
+def _kernel_bank(dist: np.ndarray, cfg: MKMLConfig) -> list[np.ndarray]:
+    """:func:`gaussian_kernel_bank` of the subjects' (n, n) pairwise distances."""
+    n = dist.shape[0]
     if n < 2:
         raise PreconditionError(f"need at least 2 subjects, got {n}")
-    dist = _pairwise_distances(features)
     sorted_d = np.sort(dist, axis=1)  # column 0 is the self distance
 
     kernels = []
@@ -92,7 +96,7 @@ def learn_affinity(features, cfg: MKMLConfig = MKMLConfig()) -> np.ndarray:
         warnings.warn("all subjects identical; returning all-ones affinity")
         return np.ones((n, n))
 
-    kernels = gaussian_kernel_bank(features, cfg)
+    kernels = _kernel_bank(dist, cfg)
     weights = np.full(len(kernels), 1.0 / len(kernels))
     s = None
     for _ in range(cfg.weight_iters):

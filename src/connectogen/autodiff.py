@@ -565,34 +565,6 @@ def per_block_matmul(x: Tensor, weights: list[Tensor],
     return _emit(result, [x, *weights], build)
 
 
-def devectorize_rows(x: Tensor, r: int) -> Tensor:
-    """Expand feature rows into flattened symmetric adjacency rows.
-
-    Each row of length r(r-1)/2 becomes a row of length r*r laid out so that
-    entry i*r+j holds the weight between nodes i and j (zero diagonal).  No
-    clamping: apply relu first when nonnegative weights are needed.
-    """
-    f = r * (r - 1) // 2
-    if x.shape[1] != f:
-        raise DimensionError(f"devectorize_rows: expected {f} columns for r={r}, got {x.shape[1]}")
-    iu, ju = np.triu_indices(r, k=1)
-    upper = iu * r + ju
-    lower = ju * r + iu
-    # one gather: entry i*r+j reads feature column source[i*r+j]; the
-    # diagonal reads column 0 and is zeroed afterwards
-    source = np.zeros(r * r, dtype=np.intp)
-    source[upper] = source[lower] = np.arange(f)
-    flat = np.take(x.data, source, axis=1)
-    flat[:, ::r + 1] = 0.0
-    out = _result(flat)
-
-    def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, np.take(g, upper, axis=1) + np.take(g, lower, axis=1))]
-
-    return _emit(out, [x], build)
-
-
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -610,7 +582,9 @@ class AdamState:
 
     @classmethod
     def for_param(cls, param: Tensor, lr=1e-4, beta1=0.5, beta2=0.999, epsilon=1e-8):
-        return cls(m=np.zeros_like(param.data), v=np.zeros_like(param.data),
+        # np.zeros leaves the zeroing to the kernel at first touch, where
+        # np.zeros_like writes every byte before a step reads any
+        return cls(m=np.zeros(param.shape), v=np.zeros(param.shape),
                    lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 

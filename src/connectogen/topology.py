@@ -15,7 +15,10 @@ of shortest paths that closeness and betweenness share; evaluation and the
 ``metrics`` command call it.  Each metric's own function computes it alone.
 
 Eigenvector centrality, from one forward for every caller, is also recorded
-on the tape over vectorized graphs and differentiated at its fixed point.
+on the tape as one op over raw vectorized rows (:func:`batched_eigenvector_rows`),
+which applies the relu itself and is differentiated at its fixed point.  The
+op keeps no graph stack on the tape: its backward rebuilds the graphs from
+the rows, one chunk of the kernels' rule at a time.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ import numpy as np
 
 from . import autodiff as ad
 from ._topology_kernels import (
+    _chunks,
     brandes_betweenness,
     burt_effective_size,
     dijkstra_all,
     onnela_clustering,
 )
 from .data import check_connectivity
-from .errors import DegenerateError, PreconditionError, ValidationError
+from .errors import DegenerateError, DimensionError, PreconditionError, ValidationError
 
 DISTANCE = "distance"
 INVERSE = "inverse"
@@ -282,35 +286,75 @@ def ec_or_zero(weights) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # differentiable path (one tape op, differentiated at the fixed point)
 
+def _edge_index(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices between feature rows of r nodes and their flattened graphs.
+
+    Returns, for each of the r*r entries, the feature column it reads
+    (column 0 on the diagonal), and the flat indices i*r+j and j*r+i of each
+    column's two entries, i < j in column order.
+    """
+    iu, ju = np.triu_indices(r, k=1)
+    upper, lower = iu * r + ju, ju * r + iu
+    source = np.zeros(r * r, dtype=np.intp)
+    source[upper] = source[lower] = np.arange(len(upper))
+    return source, upper, lower
+
+
+def _relu_graphs(x: np.ndarray, source: np.ndarray, r: int) -> np.ndarray:
+    """The (n, r, r) stack of relu'd graphs of raw feature rows, in one gather."""
+    flat = np.take(x, source, axis=1)
+    np.maximum(flat, 0.0, out=flat)
+    flat[:, ::r + 1] = 0.0
+    return flat.reshape(-1, r, r)
+
+
 def batched_eigenvector_rows(features: ad.Tensor, r: int) -> ad.Tensor:
     """Eigenvector centralities for a batch of vectorized graphs.
 
-    ``features`` is (n, r(r-1)/2); each row is clamped and expanded to a
-    symmetric adjacency W, whose principal unit eigenvector v is recorded as
-    one op.  Its backward differentiates the fixed point W v = lambda v:
-    for upstream g, u solves (lambda I - W + v v^T) u = (I - v v^T) g and
-    dL/dW = u v^T.  All-zero rows yield all-zero centralities and a zero
+    ``features`` holds raw (n, r(r-1)/2) rows.  The op applies the relu
+    itself: each row is clamped and expanded to a symmetric adjacency W,
+    whose principal unit eigenvector v is recorded as one op.  The (n, r, r)
+    stack of graphs is dropped after the forward; the tape keeps v, the
+    eigenvalues and ``features`` by reference, so the rows must not change
+    before the backward.  The backward differentiates the fixed point
+    W v = lambda v: for upstream g, u solves
+    (lambda I - W + v v^T) u = (I - v v^T) g and dL/dW = u v^T, so feature
+    (i, j) gets u_i v_j + u_j v_i where it is positive and 0 elsewhere.  It
+    rebuilds W chunk by chunk, cut by the kernels' rule
+    (:mod:`connectogen._topology_kernels`), so its temporaries stay
+    O(chunk * r^2).  All-zero rows yield all-zero centralities and a zero
     gradient instead of raising, so training losses stay finite early on.
     Returns an (n, r) tensor on the active tape.
     """
-    a_flat = ad.devectorize_rows(ad.relu(features), r)
-    w = a_flat.data.reshape(-1, r, r)
-    vec, lam = _principal_eigenpairs(w)
+    x = features.data
+    if x.shape[1] != r * (r - 1) // 2:
+        raise DimensionError(
+            f"batched_eigenvector_rows: expected {r * (r - 1) // 2} columns for r={r}, "
+            f"got {x.shape[1]}")
+    source, upper, lower = _edge_index(r)
+    vec, lam = _principal_eigenpairs(_relu_graphs(x, source, r))
     diag = np.arange(r)
 
     def build(ids):
-        (ia,) = ids
+        (ix,) = ids
 
         def bw(g):
-            system = vec[:, :, None] * vec[:, None, :]
-            system -= w
-            # an all-zero graph (v = 0, lam = 0) gets the system I, so u v^T = 0
-            system[:, diag, diag] += np.where(lam > 0, lam, 1.0)[:, None]
             rhs = g - vec * (vec * g).sum(axis=1, keepdims=True)
-            u = np.linalg.solve(system, rhs[:, :, None])
-            grad = np.multiply(u, vec[:, None, :], out=system)
-            return [(ia, grad.reshape(len(w), r * r))]
+            # an all-zero graph (v = 0, lam = 0) gets the system I, so u v^T = 0
+            shift = np.where(lam > 0, lam, 1.0)
+            grad = np.empty(x.shape)
+            for part in _chunks(len(x), r):
+                v, rows = vec[part], x[part]
+                system = _relu_graphs(rows, source, r)
+                np.subtract(v[:, :, None] * v[:, None, :], system, out=system)
+                system[:, diag, diag] += shift[part, None]
+                u = np.linalg.solve(system, rhs[part, :, None])
+                uv = np.multiply(u, v[:, None, :], out=system).reshape(len(v), r * r)
+                out = grad[part]
+                np.add(np.take(uv, upper, axis=1), np.take(uv, lower, axis=1), out=out)
+                out *= rows > 0  # relu'(0) = 0
+            return [(ix, grad)]
 
         return bw
 
-    return ad._emit(ad._result(vec), [a_flat], build)
+    return ad._emit(ad._result(vec), [features], build)

@@ -12,12 +12,15 @@ are read line by line with one ``float`` per cell and written with one
 f-string per cell.  The evaluation oracles loop as the formulas read: one
 ``np.histogram`` per KL sample and one graph MAE per (view, subject); the
 report oracle takes its centralities from the library's per-metric
-functions, one pass per metric, which the centrality oracles check.
+functions, one pass per metric, which the centrality oracles check.  The
+eigenvector-centrality op's reference shares the library's EC forward and
+takes the op's backward over the whole stack at once, unchunked.
 """
 
 import numpy as np
 
 from connectogen import autodiff as ad
+from connectogen import topology
 from connectogen.errors import DimensionError, IngestionError
 
 PROB_FLOOR = 1e-7
@@ -143,6 +146,40 @@ def eigenvector_dense(weights: np.ndarray) -> np.ndarray:
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
     return vec / np.linalg.norm(vec)
+
+
+def devectorize_rows(x: np.ndarray, r: int) -> np.ndarray:
+    """Expand (n, r(r-1)/2) feature rows into (n, r*r) flattened symmetric
+    adjacency rows: entry i*r+j holds the weight between nodes i and j, and
+    the diagonal is zero.  No clamping."""
+    iu, ju = np.triu_indices(r, k=1)
+    source = np.zeros(r * r, dtype=np.intp)
+    source[iu * r + ju] = source[ju * r + iu] = np.arange(len(iu))
+    flat = np.take(x, source, axis=1)
+    flat[:, ::r + 1] = 0.0
+    return flat
+
+
+def eigenvector_rows_and_gradient(x: np.ndarray, r: int, g: np.ndarray):
+    """Values and feature gradient of ``topology.batched_eigenvector_rows``
+    on raw rows ``x`` for the upstream gradient ``g``, by the op's arithmetic
+    over the whole stack at once: relu, :func:`devectorize_rows`, the shared
+    EC forward, one solve of (v v^T - W + lambda I) u = (I - v v^T) g over
+    every graph, then u v^T gathered at each feature's upper and lower entry
+    and masked where the feature is not positive."""
+    n = len(x)
+    w = devectorize_rows(np.maximum(x, 0.0), r).reshape(n, r, r)
+    vec, lam = topology._principal_eigenpairs(w)
+    diag = np.arange(r)
+    system = vec[:, :, None] * vec[:, None, :]
+    system -= w
+    system[:, diag, diag] += np.where(lam > 0, lam, 1.0)[:, None]
+    rhs = g - vec * (vec * g).sum(axis=1, keepdims=True)
+    u = np.linalg.solve(system, rhs[:, :, None])
+    uv = (u * vec[:, None, :]).reshape(n, r * r)
+    iu, ju = np.triu_indices(r, k=1)
+    grad = np.take(uv, iu * r + ju, axis=1) + np.take(uv, ju * r + iu, axis=1)
+    return vec, grad * (x > 0)
 
 
 def pagerank_by_solve(weights: np.ndarray, damping: float = 0.85) -> np.ndarray:

@@ -99,11 +99,8 @@ def test_criterion_1_autodiff_vs_finite_differences():
         worst[name] = _check_op(build, positive, cases, rng)
 
     r = 4
-    worst["devectorize_rows"] = _check_op(
-        lambda x: sq_mean(ad.devectorize_rows(x, r)),
-        lambda rr: rr.uniform(0.1, 1.0, size=(2, 6)), cases, rng)
-    # the EC op through its relu and devectorize_rows; positive features keep
-    # finite differences off the relu kink
+    # the EC op on raw rows, through the relu it applies; positive features
+    # keep finite differences off the relu kink
     ec_feats = np.random.default_rng(9).uniform(0.1, 1.0, size=(2, 6))
     w_ec = np.random.default_rng(13).standard_normal((2, r))
     worst["batched_eigenvector_rows"] = _check_op(

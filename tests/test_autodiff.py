@@ -212,17 +212,6 @@ def test_batched_primitives_gradients():
     feats0 = rng.uniform(0.1, 1.0, size=(3, f))
     x0 = rng.standard_normal((3, r))
 
-    def build_devec(feats):
-        flat = ad.devectorize_rows(feats, r)
-        return ad.mean(ad.mul(flat, flat))
-
-    def np_devec(arr):
-        t = ad.devectorize_rows(ad.Tensor(arr), r).data
-        return (t * t).mean()
-
-    g = grad_of(build_devec, feats0)
-    assert rel_err(g, finite_difference(np_devec, feats0)) < 1e-5
-
     w0 = rng.standard_normal((3, r))
 
     def np_ec(arr):

@@ -4,7 +4,12 @@ import pytest
 from connectogen import autodiff as ad
 from connectogen import topology
 from connectogen.data import devectorize, simulate_population, vectorize_upper
-from connectogen.errors import DegenerateError, PreconditionError, ValidationError
+from connectogen.errors import (
+    DegenerateError,
+    DimensionError,
+    PreconditionError,
+    ValidationError,
+)
 
 import oracles
 
@@ -382,6 +387,76 @@ class TestBatchedEigenvector:
         fd = oracles.finite_difference(loss_np, feats, h=1e-6)
         denom = max(np.abs(fd).max(), 1e-12)
         assert np.abs(grad - fd).max() / denom < 1e-3
+
+
+def complete_bipartite_graph(r):
+    """K(a, r - a) with a = max(1, r // 3): lambda_min = -lambda_max, and the
+    halves differ in size, so the uniform start oscillates and the EC
+    forward falls back to eigh."""
+    a = max(1, r // 3)
+    w = np.zeros((r, r))
+    w[:a, a:] = w[a:, :a] = 1.0
+    return w
+
+
+class TestEigenvectorRowsChunkedBackward:
+    """The op drops its graphs after the forward and rebuilds them chunk by
+    chunk in the backward; the whole-stack reference gives the same bits."""
+
+    # stack name -> (graphs for a chunk size, chunks they make)
+    STACKS = {"chunk-1": (lambda size: size - 1, 1), "chunk": (lambda size: size, 1),
+              "chunk+1": (lambda size: size + 1, 2),
+              "uneven": (lambda size: 3 * size + size // 2 + 1, 4)}
+
+    @pytest.mark.parametrize("r", [4, 6, 35, 116])
+    @pytest.mark.parametrize("stack", list(STACKS))
+    def test_matches_whole_stack_reference_bitwise(self, r, stack, monkeypatch):
+        from connectogen import _topology_kernels as kernels
+
+        size = kernels._chunks(1, r)[0].stop  # graphs per chunk
+        graphs, chunks = self.STACKS[stack]
+        n = graphs(size)
+        assert len(kernels._chunks(n, r)) == chunks
+        rng = np.random.default_rng(r * 100 + n)
+        x = rng.uniform(-0.3, 1.0, size=(n, r * (r - 1) // 2))
+        x[0] = -1.0  # an all-zero graph after the relu
+        x[-1] = vectorize_upper(complete_bipartite_graph(r))
+        upstream = rng.standard_normal((n, r))
+        eigh_calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(len(a)) or eigh(a))
+
+        p = ad.parameter(x.copy())
+        with ad.Tape() as tape:
+            ec = topology.batched_eigenvector_rows(p, r)
+            loss = oracles.sum_all(ad.mul(ec, ad.constant(upstream)))
+        assert eigh_calls  # the bipartite graph took the fallback
+        grad = ad.backward(tape, loss)[p.node_id].data
+        ref_ec, ref_grad = oracles.eigenvector_rows_and_gradient(x, r, upstream)
+        assert ec.data.tobytes() == ref_ec.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert np.all(ec.data[0] == 0.0) and np.all(grad[0] == 0.0)
+
+    def test_tape_holds_no_graph_stack(self):
+        """After the forward, with the tape alive, the op keeps O(n r)."""
+        import tracemalloc
+
+        r, n = 60, 40
+        rows = ad.parameter(np.random.default_rng(3).uniform(-0.2, 1.0, (n, r * (r - 1) // 2)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with ad.Tape() as tape:
+                loss = ad.mean(topology.batched_eigenvector_rows(rows, r))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < n * r * r * 8 / 4, f"{kept} bytes kept"
+        assert np.any(ad.backward(tape, loss)[rows.node_id].data != 0.0)
+
+    def test_rejects_rows_of_another_width(self):
+        with pytest.raises(DimensionError):
+            topology.batched_eigenvector_rows(ad.constant(np.ones((2, 5))), 4)
 
 
 def test_one_eigenvector_implementation():
