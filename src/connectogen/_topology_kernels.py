@@ -78,10 +78,8 @@ def brandes_betweenness(lengths, dist):
     lengths = np.asarray(lengths, dtype=np.float64)
     dist = np.asarray(dist, dtype=np.float64)
     n, r, _ = lengths.shape
-    parts = _chunks(n, r)
-    if len(parts) == 1:
-        return _brandes_stack(lengths, dist)
-    return np.concatenate([_brandes_stack(lengths[part], dist[part]) for part in parts])
+    return np.concatenate([_brandes_stack(lengths[part], dist[part])
+                           for part in _chunks(n, r)])
 
 
 def _brandes_stack(lengths, dist):

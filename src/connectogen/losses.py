@@ -18,7 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import topology
-from .data import devectorize
 from .errors import DimensionError, PreconditionError
 
 PROB_FLOOR = 1e-7
@@ -131,11 +130,11 @@ def discriminator_loss(parts: list[tuple[ad.Tensor, ad.Tensor, ad.Tensor]],
 
 
 def topological_loss(real_features: np.ndarray, pred_features: ad.Tensor, r: int,
-                     k: int, real_centralities: np.ndarray | None = None) -> ad.Tensor:
+                     k: int, real_centralities: np.ndarray) -> ad.Tensor:
     """Eigenvector-centrality MAE plus global feature MAE, summed over views.
 
     ``real_features`` and ``pred_features`` stack the k views' (n, f) blocks
-    into (k*n, f); ``real_centralities``, if given, is the matching (k*n, r)
+    into (k*n, f); ``real_centralities`` is the real graphs' matching (k*n, r)
     stack.  The local term is differentiated at the eigenvector's fixed
     point (see :func:`topology.batched_eigenvector_rows`).
     """
@@ -147,8 +146,6 @@ def topological_loss(real_features: np.ndarray, pred_features: ad.Tensor, r: int
     # sum over views of per-view means == k * mean over the stack
     global_term = ad.scale(ad.mean(ad.absolute(
         ad.sub(pred_features, ad.constant(real_features)))), k)
-    if real_centralities is None:
-        real_centralities = topology.ec_or_zero(devectorize(real_features, r))
     pred_cent = topology.batched_eigenvector_rows(pred_features, r)
     local_term = ad.scale(ad.mean(ad.absolute(
         ad.sub(pred_cent, ad.constant(real_centralities)))), k)

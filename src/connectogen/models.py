@@ -1,20 +1,24 @@
 """GCN building blocks: encoder, cluster-specific generators, discriminator.
 
-Every layer computes phi(normA @ F @ W) where normA is a normalized
-subject-affinity adjacency: a constant numpy array, which
-:func:`autodiff.stack_matmul` applies and which gets no gradient.  The
-encoder maps f -> 32 -> 16, generators map 16 -> 32 -> f, and the
-discriminator trunk maps f -> 32 -> 16 with a linear critic head and a
-sigmoid domain-classifier head on top.  A cluster's k generators decode
-together (:func:`generate`): one op per layer applies the k target-view
-adjacencies, one more the k weight matrices, whatever k is.
-The discriminator's first-layer projection is split out (:func:`project`),
-so its only f-wide product runs once per batch.
+A model is its weight tensors, one (in, out) matrix per layer.  Every layer
+computes phi(normA @ F @ W) where normA is a normalized subject-affinity
+adjacency: a constant numpy array, which :func:`autodiff.stack_matmul`
+applies and which gets no gradient.  The architecture is fixed, and so is
+each layer's activation phi, which the forward functions apply: the encoder
+maps f -> 32 (relu) -> 16 (linear), generators map 16 -> 32 (relu) -> f
+(linear), and the discriminator trunk maps f -> 32 (relu) -> 16 (relu)
+with a linear critic head and a sigmoid domain-classifier head on top.
+A cluster's k generators decode together (:func:`generate`): one op per
+layer applies the k target-view adjacencies, one more the k weight
+matrices, whatever k is.  The discriminator's first-layer projection is
+split out (:func:`project`), so its only f-wide product runs once per
+batch.
 
 Bundles serialize to a fixed little-endian layout: 5-byte magic ``TMGP1``,
-1-byte format version, u32 dims (r, v, c, d), then float64 parameter blobs
-row-major in a documented order (encoder L1, L2; generators row-major by
-(cluster, view); discriminator trunk L1, L2, critic, classifier).
+1-byte format version, u32 dims (r, v, c, d) with d always the embedding
+width 16, then float64 parameter blobs row-major in a documented order
+(encoder L1, L2; generators row-major by (cluster, view); discriminator
+trunk L1, L2, critic, classifier).
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import numpy as np
 from . import autodiff as ad
 from .data import feature_count
 from .errors import DimensionError, PreconditionError, SerializationError
-from .losses import LossWeights
 
 MAGIC = b"TMGP1"
 FORMAT_VERSION = 1
@@ -36,89 +39,61 @@ FORMAT_VERSION = 1
 HIDDEN_WIDE = 32
 EMBED_DIM = 16
 
-_ACTIVATIONS = ("relu", "linear", "sigmoid")
 
-
-@dataclass
-class GCNLayer:
-    weight: ad.Tensor  # (in, out), trainable
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise PreconditionError(f"unknown activation {self.activation!r}")
-
-
-def _activate(pre: ad.Tensor, activation: str) -> ad.Tensor:
-    if activation == "relu":
-        return ad.relu(pre)
-    if activation == "sigmoid":
-        return ad.sigmoid(pre)
-    return pre
-
-
-def gcn_forward(layer: GCNLayer, features: ad.Tensor, norm_adj: np.ndarray) -> ad.Tensor:
-    """phi(normA @ F @ W), recorded on the active tape.
+def gcn_forward(weight: ad.Tensor, features: ad.Tensor, norm_adj: np.ndarray) -> ad.Tensor:
+    """normA @ F @ W, the pre-activation, recorded on the active tape.
 
     ``features`` may stack B batches of the adjacency's n subjects, (B*n, f);
     each n-row block then propagates through normA on its own.
     """
-    if layer.weight.shape[1] < features.shape[1]:
+    if weight.shape[1] < features.shape[1]:
         # shrink the wide dimension first; associativity keeps the math exact
-        pre = ad.stack_matmul(norm_adj, ad.matmul(features, layer.weight))
-    else:
-        pre = ad.matmul(ad.stack_matmul(norm_adj, features), layer.weight)
-    return _activate(pre, layer.activation)
+        return ad.stack_matmul(norm_adj, ad.matmul(features, weight))
+    return ad.matmul(ad.stack_matmul(norm_adj, features), weight)
 
 
-def _gcn_views(layers: list[GCNLayer], features: ad.Tensor, norm_adjs: np.ndarray,
+def _gcn_views(weights: list[ad.Tensor], features: ad.Tensor, norm_adjs: np.ndarray,
                out: np.ndarray | None = None) -> ad.Tensor:
-    """:func:`gcn_forward` for one layer per view, all views in one pass.
+    """:func:`gcn_forward` for one weight per view, all views in one pass.
 
-    Block b of the (B*n, out) result is phi(norm_adjs[b] @ F_b @ W_b), where
-    F_b is the b-th n-row block of ``features``, or all of an (n, in)
-    ``features`` shared by the views.  ``out`` receives the pre-activation.
+    Block b of the (B*n, out) result, written into ``out`` when it is given,
+    is norm_adjs[b] @ F_b @ W_b, where F_b is the b-th n-row block of
+    ``features``, or all of an (n, in) ``features`` shared by the views.
     """
-    weights = [layer.weight for layer in layers]
     if (weights[0].shape[1] < features.shape[1]
             and features.shape[0] == len(weights) * norm_adjs.shape[1]):
         # shrink the wide dimension first, as gcn_forward does
-        pre = ad.stack_matmul(norm_adjs, ad.per_block_matmul(features, weights), out)
-    else:
-        pre = ad.per_block_matmul(ad.stack_matmul(norm_adjs, features), weights, out)
-    return _activate(pre, layers[0].activation)
+        return ad.stack_matmul(norm_adjs, ad.per_block_matmul(features, weights), out)
+    return ad.per_block_matmul(ad.stack_matmul(norm_adjs, features), weights, out)
 
 
 @dataclass
 class EncoderModel:
-    layer1: GCNLayer  # f -> 32, relu
-    layer2: GCNLayer  # 32 -> 16, linear
+    layer1: ad.Tensor  # f -> 32, relu
+    layer2: ad.Tensor  # 32 -> 16, linear
 
     def params(self) -> list[ad.Tensor]:
-        return [self.layer1.weight, self.layer2.weight]
+        return [self.layer1, self.layer2]
 
 
 @dataclass
 class GeneratorModel:
-    layer1: GCNLayer  # 16 -> 32, relu
-    layer2: GCNLayer  # 32 -> f, linear
-    cluster: int = 0
-    target_view: int = 0
+    layer1: ad.Tensor  # 16 -> 32, relu
+    layer2: ad.Tensor  # 32 -> f, linear
 
     def params(self) -> list[ad.Tensor]:
-        return [self.layer1.weight, self.layer2.weight]
+        return [self.layer1, self.layer2]
 
 
 @dataclass
 class DiscriminatorModel:
-    layer1: GCNLayer  # f -> 32, relu
-    layer2: GCNLayer  # 32 -> 16, relu
-    critic_head: GCNLayer  # 16 -> 1, linear
-    classifier_head: GCNLayer  # 16 -> 1, sigmoid
+    layer1: ad.Tensor  # f -> 32, relu
+    layer2: ad.Tensor  # 32 -> 16, relu
+    critic_head: ad.Tensor  # 16 -> 1, linear
+    classifier_head: ad.Tensor  # 16 -> 1, sigmoid
 
     def params(self) -> list[ad.Tensor]:
-        return [self.layer1.weight, self.layer2.weight,
-                self.critic_head.weight, self.classifier_head.weight]
+        return [self.layer1, self.layer2, self.critic_head, self.classifier_head]
 
 
 def frozen(disc: DiscriminatorModel) -> DiscriminatorModel:
@@ -128,14 +103,12 @@ def frozen(disc: DiscriminatorModel) -> DiscriminatorModel:
     through the result sees the current weights but records no gradient
     for them: the generator step treats the discriminator as fixed.
     """
-    return DiscriminatorModel(*(GCNLayer(ad.constant(layer.weight.data), layer.activation)
-                                for layer in (disc.layer1, disc.layer2, disc.critic_head,
-                                              disc.classifier_head)))
+    return DiscriminatorModel(*(ad.constant(w.data) for w in disc.params()))
 
 
 def encode(encoder: EncoderModel, features: ad.Tensor, norm_adj: np.ndarray) -> ad.Tensor:
     """Two-layer GCN embedding, (n, f) -> (n, 16)."""
-    hidden = gcn_forward(encoder.layer1, features, norm_adj)
+    hidden = ad.relu(gcn_forward(encoder.layer1, features, norm_adj))
     return gcn_forward(encoder.layer2, hidden, norm_adj)
 
 
@@ -151,7 +124,7 @@ def generate(generators: list[GeneratorModel], embeddings: ad.Tensor,
     if len(generators) != norm_adjs.shape[0]:
         raise DimensionError(
             f"{len(generators)} generators for {norm_adjs.shape[0]} adjacencies")
-    hidden = _gcn_views([g.layer1 for g in generators], embeddings, norm_adjs)
+    hidden = ad.relu(_gcn_views([g.layer1 for g in generators], embeddings, norm_adjs))
     return _gcn_views([g.layer2 for g in generators], hidden, norm_adjs, out)
 
 
@@ -162,14 +135,14 @@ def project(disc: DiscriminatorModel, features: ad.Tensor) -> ad.Tensor:
     :func:`discriminator_gradient_norms` both start from its output, so a
     batch is projected once however many passes consume it.
     """
-    return ad.matmul(features, disc.layer1.weight)
+    return ad.matmul(features, disc.layer1)
 
 
 def first_layer_gram(disc: DiscriminatorModel) -> ad.Tensor:
     """W1^T W1, (32, 32): the metric that maps hidden-space gradients back to
     input-space norms in :func:`discriminator_gradient_norms`.  One
     :func:`autodiff.gram` op, so neither pass copies the (f, 32) W1."""
-    return ad.gram(disc.layer1.weight)
+    return ad.gram(disc.layer1)
 
 
 def discriminate(disc: DiscriminatorModel, projections: ad.Tensor,
@@ -180,9 +153,9 @@ def discriminate(disc: DiscriminatorModel, projections: ad.Tensor,
     batches, as in :func:`gcn_forward`.
     """
     h1 = ad.relu(ad.stack_matmul(norm_adj, projections))
-    trunk = gcn_forward(disc.layer2, h1, norm_adj)
+    trunk = ad.relu(gcn_forward(disc.layer2, h1, norm_adj))
     critic = gcn_forward(disc.critic_head, trunk, norm_adj)
-    probs = gcn_forward(disc.classifier_head, trunk, norm_adj)
+    probs = ad.sigmoid(gcn_forward(disc.classifier_head, trunk, norm_adj))
     return critic, probs
 
 
@@ -202,7 +175,7 @@ def discriminator_gradient_norms(disc: DiscriminatorModel, projections: ad.Tenso
     """
     pre1 = ad.stack_matmul(norm_adj, projections)
     h1 = ad.relu(pre1)
-    pre2 = ad.stack_matmul(norm_adj, ad.matmul(h1, disc.layer2.weight))
+    pre2 = ad.stack_matmul(norm_adj, ad.matmul(h1, disc.layer2))
     mask1 = ad.constant((pre1.data > 0).astype(float))
     mask2 = ad.constant((pre2.data > 0).astype(float))
     ones = ad.constant(np.ones((projections.shape[0], 1)))
@@ -211,8 +184,8 @@ def discriminator_gradient_norms(disc: DiscriminatorModel, projections: ad.Tenso
     norm_t = np.ascontiguousarray(norm_adj.T)
     # d(sum critic)/dh2 back through critic head, then the trunk layers
     g2 = ad.mul(ad.matmul(ad.stack_matmul(norm_t, ones),
-                          ad.transpose(disc.critic_head.weight)), mask2)
-    g1 = ad.mul(ad.matmul(ad.stack_matmul(norm_t, g2), ad.transpose(disc.layer2.weight)), mask1)
+                          ad.transpose(disc.critic_head)), mask2)
+    g1 = ad.mul(ad.matmul(ad.stack_matmul(norm_t, g2), ad.transpose(disc.layer2)), mask1)
     q = ad.stack_matmul(norm_t, g1)
     squares = ad.matmul(ad.mul(q, ad.matmul(q, gram)),
                         ad.constant(np.ones((q.shape[1], 1))))
@@ -225,7 +198,6 @@ class Dims:
     r: int
     v: int
     c: int
-    d: int = EMBED_DIM
 
     @property
     def k(self) -> int:
@@ -238,18 +210,12 @@ class Dims:
 
 @dataclass
 class ModelBundle:
-    """Encoder + c*k generator grid + discriminator and their dimensions.
-
-    seed and loss_weights are in-memory training metadata; the binary file
-    format carries only dims and parameters.
-    """
+    """Encoder + c*k generator grid + discriminator and their dimensions."""
 
     encoder: EncoderModel
     generators: list[list[GeneratorModel]]  # [cluster][target view]
     discriminator: DiscriminatorModel
     dims: Dims
-    seed: int | None = None
-    loss_weights: LossWeights | None = None
 
     def generator_params(self) -> list[ad.Tensor]:
         out = []
@@ -269,27 +235,13 @@ class ModelBundle:
 def _assemble(dims: Dims, weight) -> ModelBundle:
     """A bundle whose weight matrices come from ``weight(n_in, n_out)``, called
     in serialization order."""
-    f, d = dims.f, dims.d
-    encoder = EncoderModel(
-        layer1=GCNLayer(weight(f, HIDDEN_WIDE), "relu"),
-        layer2=GCNLayer(weight(HIDDEN_WIDE, d), "linear"),
-    )
-    generators = []
-    for j in range(dims.c):
-        row = []
-        for i in range(dims.k):
-            row.append(GeneratorModel(
-                layer1=GCNLayer(weight(d, HIDDEN_WIDE), "relu"),
-                layer2=GCNLayer(weight(HIDDEN_WIDE, f), "linear"),
-                cluster=j, target_view=i,
-            ))
-        generators.append(row)
-    discriminator = DiscriminatorModel(
-        layer1=GCNLayer(weight(f, HIDDEN_WIDE), "relu"),
-        layer2=GCNLayer(weight(HIDDEN_WIDE, d), "relu"),
-        critic_head=GCNLayer(weight(d, 1), "linear"),
-        classifier_head=GCNLayer(weight(d, 1), "sigmoid"),
-    )
+    f, d = dims.f, EMBED_DIM
+    encoder = EncoderModel(weight(f, HIDDEN_WIDE), weight(HIDDEN_WIDE, d))
+    generators = [[GeneratorModel(weight(d, HIDDEN_WIDE), weight(HIDDEN_WIDE, f))
+                   for _ in range(dims.k)]
+                  for _ in range(dims.c)]
+    discriminator = DiscriminatorModel(weight(f, HIDDEN_WIDE), weight(HIDDEN_WIDE, d),
+                                       weight(d, 1), weight(d, 1))
     return ModelBundle(encoder=encoder, generators=generators,
                        discriminator=discriminator, dims=dims)
 
@@ -305,15 +257,13 @@ def init_params(dims: Dims, seed: int) -> ModelBundle:
         limit = np.sqrt(6.0 / (n_in + n_out))
         return ad.parameter(rng.uniform(-limit, limit, size=(n_in, n_out)))
 
-    bundle = _assemble(dims, glorot)
-    bundle.seed = seed
-    return bundle
+    return _assemble(dims, glorot)
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
     dims = bundle.dims
     header = MAGIC + struct.pack("<B", FORMAT_VERSION)
-    header += struct.pack("<4I", dims.r, dims.v, dims.c, dims.d)
+    header += struct.pack("<4I", dims.r, dims.v, dims.c, EMBED_DIM)
     payload = b"".join(np.ascontiguousarray(blob).astype("<f8").tobytes()
                        for blob in bundle._blobs())
     Path(path).write_bytes(header + payload)
@@ -335,7 +285,7 @@ def load_bundle(path) -> ModelBundle:
         raise SerializationError(f"{path}: embedding width {d} unsupported")
     if not (3 <= r <= 10_000 and 2 <= v <= 1_000 and 1 <= c <= 1_000):
         raise SerializationError(f"{path}: implausible dims r={r}, v={v}, c={c}")
-    dims = Dims(r=r, v=v, c=c, d=d)
+    dims = Dims(r=r, v=v, c=c)
     bundle = _assemble(dims, lambda n_in, n_out: ad.parameter(np.zeros((n_in, n_out))))
     blobs = bundle._blobs()
     expected = sum(b.size for b in blobs) * 8

@@ -295,8 +295,6 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
         trace.records.append(TraceRecord(
             iteration=iteration, l_d=l_d, l_adv=l_adv, l_gp=l_gp, l_gdc=l_gdc,
             l_g=l_g, l_top=l_top, l_inf=l_inf, wall_time=time.perf_counter() - t0))
-
-    bundle.loss_weights = weights
     return bundle, trace
 
 

@@ -196,12 +196,12 @@ def test_criterion_1_autodiff_vs_finite_differences():
     f_c = ad.constant(feats)
     z_c = ad.constant(z_in)
     worst["encoder"] = composite_check(
-        "encoder", lambda b: b.encoder.layer1.weight,
+        "encoder", lambda b: b.encoder.layer1,
         lambda b: ad.mean(ad.mul(models.encode(b.encoder, f_c, norm),
                                  models.encode(b.encoder, f_c, norm))))
     norm_views = np.stack([norm, norm.T @ norm])  # the k = 2 views' adjacencies
     worst["generator"] = composite_check(
-        "generator", lambda b: b.generators[0][1].layer2.weight,
+        "generator", lambda b: b.generators[0][1].layer2,
         lambda b: ad.mean(ad.mul(models.generate(b.generators[0], z_c, norm_views),
                                  models.generate(b.generators[0], z_c, norm_views))))
 
@@ -211,7 +211,7 @@ def test_criterion_1_autodiff_vs_finite_differences():
         return ad.add(ad.mean(ad.mul(critic, critic)), ad.mean(probs))
 
     worst["discriminator"] = composite_check(
-        "discriminator", lambda b: b.discriminator.layer1.weight, disc_loss)
+        "discriminator", lambda b: b.discriminator.layer1, disc_loss)
 
     # the gradient penalty: layer1 enters through the projection and W1^T W1;
     # sigma is small, so the hinge is active
@@ -235,14 +235,14 @@ def test_criterion_1_autodiff_vs_finite_differences():
         # mix crosses zero, and a finite difference across a jump measures
         # nothing; keep every pre-activation 10x the step away from zero
         disc = b.discriminator
-        pre1 = [norm @ (mix @ disc.layer1.weight.data) for mix in gp_mixes]
-        pre2 = [norm @ (np.maximum(p, 0.0) @ disc.layer2.weight.data) for p in pre1]
+        pre1 = [norm @ (mix @ disc.layer1.data) for mix in gp_mixes]
+        pre2 = [norm @ (np.maximum(p, 0.0) @ disc.layer2.data) for p in pre1]
         return min(np.abs(p).min() for p in pre1 + pre2) > 1e-4
 
     for layer, entries in (("layer1", None), ("layer2", 128), ("critic_head", None)):
         worst[f"gradient_penalty.{layer}"] = composite_check(
             f"gradient_penalty.{layer}",
-            lambda b, layer=layer: getattr(b.discriminator, layer).weight, gp_loss,
+            lambda b, layer=layer: getattr(b.discriminator, layer), gp_loss,
             entries=entries, clear=clear_of_relu_kinks)
 
     elapsed = time.perf_counter() - t0
@@ -285,9 +285,9 @@ def test_criterion_2_topology_oracle_equivalence():
 
 
 def test_criterion_3_gcn_forward_hand_case():
-    layer = models.GCNLayer(ad.parameter([[3.0]]), "relu")
+    weight = ad.parameter([[3.0]])
     norm = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
-    out = models.gcn_forward(layer, ad.constant([[1.0], [0.0]]), norm)
+    out = ad.relu(models.gcn_forward(weight, ad.constant([[1.0], [0.0]]), norm))
     err = np.abs(out.data - np.array([[2.0], [1.0]])).max()
     assert err < 1e-12
     report(3, f"two-node propagation hand case, max abs err {err:.1e}")

@@ -207,7 +207,7 @@ class TestTrainPredict:
         model = tmp_path / "model.bin"
         assert run(*train_args(dataset, model)) == 0
         bundle = models.load_bundle(model)
-        bundle.generators[1][0].layer2.weight.data[0, 0] = np.nan
+        bundle.generators[1][0].layer2.data[0, 0] = np.nan
         models.save_bundle(bundle, model)
         pred = tmp_path / "pred"
         assert run("predict", "--model", str(model), "--data", str(dataset),

@@ -268,6 +268,20 @@ class TestSplits:
             data.ratio_split(ds, 1.0, seed=0)
 
 
+def test_feature_matrix_layout():
+    # C-contiguous float64 rows equal to each subject's vectorize_upper, for
+    # the whole view and for a chosen subset: downstream BLAS products round
+    # by the array's layout as well as its values
+    ds = data.simulate_population(s=6, r=7, v=3, seed=2)
+    for view in range(ds.v):
+        for subjects in (None, [4, 1, 3]):
+            feats = ds.feature_matrix(view, subjects)
+            chosen = range(ds.s) if subjects is None else subjects
+            expected = np.stack([data.vectorize_upper(ds.tensor[i, view]) for i in chosen])
+            assert feats.dtype == np.float64 and feats.flags.c_contiguous
+            assert np.array_equal(feats, expected)
+
+
 class TestSimulator:
     def test_dims_and_validity(self):
         ds = data.simulate_population(s=12, r=35, v=6, clusters=2, seed=7)

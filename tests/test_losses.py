@@ -261,10 +261,16 @@ class TestTopologicalLoss:
         f = r * (r - 1) // 2
         return rng.uniform(0.1, 1.0, size=(n, f))
 
+    @staticmethod
+    def _loss(real, pred, r, k):
+        """The loss given the real graphs' centralities, as training gives them."""
+        cent = topology.ec_or_zero(devectorize(real, r))
+        return losses.topological_loss(real, pred, r, k, cent)
+
     def test_identical_predictions_zero(self):
         rng = np.random.default_rng(9)
         real = self._features(rng, 3, 5)
-        out = losses.topological_loss(real, ad.constant(real.copy()), r=5, k=1)
+        out = self._loss(real, ad.constant(real.copy()), r=5, k=1)
         assert abs(out.item()) < 1e-9
 
     def test_global_term_hand_value(self):
@@ -276,7 +282,7 @@ class TestTopologicalLoss:
     def test_global_term_isolated_by_ec_scale_invariance(self):
         real = np.array([[0.2, 0.4, 0.6]])
         pred = ad.constant(2.0 * real)  # same EC, doubled weights
-        out = losses.topological_loss(real, pred, r=3, k=1)
+        out = self._loss(real, pred, r=3, k=1)
         # local residual is bounded by the fixed-iteration EC tolerance
         assert abs(out.item() - 0.4) < 1e-4
 
@@ -287,7 +293,7 @@ class TestTopologicalLoss:
         values = []
         for t in (0.0, 0.5, 1.0):
             pred = ad.constant(start * (1 - t) + target * t)
-            values.append(losses.topological_loss(target, pred, r=6, k=1).item())
+            values.append(self._loss(target, pred, r=6, k=1).item())
         assert values[0] > values[1] > values[2]
         assert values[2] < 1e-9
 
@@ -296,9 +302,8 @@ class TestTopologicalLoss:
         rng = np.random.default_rng(11)
         real = [self._features(rng, 3, 5) for _ in range(2)]
         pred = [self._features(rng, 3, 5) for _ in range(2)]
-        out = losses.topological_loss(np.vstack(real), ad.constant(np.vstack(pred)),
-                                      r=5, k=2)
-        per_view = [losses.topological_loss(a, ad.constant(b), r=5, k=1).item()
+        out = self._loss(np.vstack(real), ad.constant(np.vstack(pred)), r=5, k=2)
+        per_view = [self._loss(a, ad.constant(b), r=5, k=1).item()
                     for a, b in zip(real, pred)]
         assert abs(out.item() - sum(per_view)) < 1e-12
 
@@ -308,7 +313,7 @@ class TestTopologicalLoss:
         pred = ad.constant(self._features(rng, 4, 5))
         cent = np.stack([topology.eigenvector(devectorize(row, 5)) for row in real])
         given = losses.topological_loss(real, pred, r=5, k=2, real_centralities=cent)
-        computed = losses.topological_loss(real, pred, r=5, k=2)
+        computed = self._loss(real, pred, r=5, k=2)
         assert given.item() == computed.item()
 
     def test_ec_gradient_reaches_predictions(self):
@@ -316,18 +321,16 @@ class TestTopologicalLoss:
         real = self._features(rng, 3, 5)
         p = ad.parameter(self._features(rng, 3, 5))
         with ad.Tape() as tape:
-            out = losses.topological_loss(real, p, r=5, k=1)
+            out = self._loss(real, p, r=5, k=1)
         g = ad.backward(tape, out)[p.node_id].data
         # the global term alone would give +-1/(n*f) on every entry
         assert not np.allclose(np.abs(g), 1.0 / g.size)
 
     def test_shape_errors(self):
         with pytest.raises(DimensionError):
-            losses.topological_loss(np.zeros((2, 3)), ad.constant(np.zeros((1, 3))),
-                                    r=3, k=1)
+            self._loss(np.zeros((2, 3)), ad.constant(np.zeros((1, 3))), r=3, k=1)
         with pytest.raises(DimensionError):
-            losses.topological_loss(np.zeros((3, 3)), ad.constant(np.zeros((3, 3))),
-                                    r=3, k=2)
+            self._loss(np.zeros((3, 3)), ad.constant(np.zeros((3, 3))), r=3, k=2)
 
 
 class TestGeneratorLoss:

@@ -36,10 +36,9 @@ def record_clusters(monkeypatch) -> list:
     return labels
 
 
-def constant_copy(layers):
-    """The layers with their current weights as constants, which no tape records."""
-    return [models.GCNLayer(ad.constant(layer.weight.data), layer.activation)
-            for layer in layers]
+def constant_copy(weights):
+    """The current weights as constants, which no tape records."""
+    return [ad.constant(w.data) for w in weights]
 
 
 class TestTrainLoop:
@@ -518,7 +517,7 @@ class TestPredict:
 
     def test_non_finite_prediction_rejected(self):
         ds, bundle = self._trained()
-        bundle.generators[0][1].layer2.weight.data[0, 0] = np.inf
+        bundle.generators[0][1].layer2.data[0, 0] = np.inf
         with pytest.raises(NumericError, match="view 1"):
             training.predict_multigraph(bundle, ds.feature_matrix(0)[:4])
 
