@@ -51,17 +51,20 @@ def gaussian_kernel_bank(features, cfg: MKMLConfig = MKMLConfig()) -> list[np.nd
     warning.
     """
     features = np.asarray(features, dtype=np.float64)
-    return _kernel_bank(_pairwise_distances(features), cfg)
+    return list(_kernel_bank(_pairwise_distances(features), cfg))
 
 
-def _kernel_bank(dist: np.ndarray, cfg: MKMLConfig) -> list[np.ndarray]:
-    """:func:`gaussian_kernel_bank` of the subjects' (n, n) pairwise distances."""
+def _kernel_bank(dist: np.ndarray, cfg: MKMLConfig) -> np.ndarray:
+    """:func:`gaussian_kernel_bank` of the subjects' (n, n) pairwise
+    distances, as one (num_kernels, n, n) array."""
     n = dist.shape[0]
     if n < 2:
         raise PreconditionError(f"need at least 2 subjects, got {n}")
     sorted_d = np.sort(dist, axis=1)  # column 0 is the self distance
+    sigmas = np.array(cfg.sigma_multipliers, dtype=np.float64)[:, None, None]
+    neg_sq = -(dist * dist)
 
-    kernels = []
+    blocks = []
     for knn in cfg.knn_values:
         if knn >= n:
             warnings.warn(f"knn={knn} >= n={n}; clamping to {n - 1}")
@@ -69,16 +72,13 @@ def _kernel_bank(dist: np.ndarray, cfg: MKMLConfig) -> list[np.ndarray]:
         if knn < 1:
             raise PreconditionError("knn values must be >= 1")
         mu = sorted_d[:, 1:knn + 1].mean(axis=1)
-        eps_base = (mu[:, None] + mu[None, :]) / 2.0
-        for sigma in cfg.sigma_multipliers:
-            eps = sigma * eps_base
-            with np.errstate(divide="ignore", invalid="ignore"):
-                k = np.exp(-(dist * dist) / (2.0 * eps * eps))
-            k[dist == 0] = 1.0  # zero-distance pairs, incl. the diagonal
-            k[(eps == 0) & (dist > 0)] = 0.0
-            k = (k + k.T) / 2.0
-            kernels.append(k)
-    return kernels
+        eps = sigmas * ((mu[:, None] + mu[None, :]) / 2.0)  # one (n, n) per sigma
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.exp(neg_sq / (2.0 * eps * eps))
+        k[:, dist == 0] = 1.0  # zero-distance pairs, incl. the diagonal
+        k[(eps == 0) & (dist > 0)] = 0.0
+        blocks.append((k + k.transpose(0, 2, 1)) / 2.0)
+    return np.concatenate(blocks)
 
 
 def learn_affinity(features, cfg: MKMLConfig = MKMLConfig()) -> np.ndarray:
@@ -96,15 +96,17 @@ def learn_affinity(features, cfg: MKMLConfig = MKMLConfig()) -> np.ndarray:
         warnings.warn("all subjects identical; returning all-ones affinity")
         return np.ones((n, n))
 
-    kernels = _kernel_bank(dist, cfg)
-    weights = np.full(len(kernels), 1.0 / len(kernels))
+    bank = _kernel_bank(dist, cfg)
+    flat = bank.reshape(len(bank), -1)
+    weights = np.full(len(bank), 1.0 / len(bank))
     s = None
     for _ in range(cfg.weight_iters):
-        combined = sum(w * k for w, k in zip(weights, kernels))
+        # the sum over axis 0 adds the weighted kernels in bank order
+        combined = (weights[:, None, None] * bank).sum(axis=0)
         row_sums = combined.sum(axis=1, keepdims=True)
         row_sums[row_sums == 0] = 1.0
         s = combined / row_sums
-        scores = np.array([np.sum(k * s) for k in kernels]) / cfg.rho
+        scores = (flat * s.reshape(-1)).sum(axis=1) / cfg.rho
         scores -= scores.max()
         weights = np.exp(scores)
         weights /= weights.sum()

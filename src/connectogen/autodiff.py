@@ -6,6 +6,21 @@ the records in reverse to accumulate gradients for every ``requires_grad``
 leaf.  Tapes are single-use: one forward pass, one backward pass, then a
 fresh tape for the next step.
 
+The backward hands each leaf's gradient over as soon as the first record
+that reads the leaf has run, and :meth:`Adam.minimize` steps the parameter
+right there, so a step never holds every parameter's gradient at once.
+That relies on three rules:
+
+- a parameter is stepped only after every record that reads its array has
+  run, which holds because every op that reads a parameter takes it as an
+  input;
+- no constant that aliases a parameter sits on the tape of the optimizer
+  that steps it (``models.frozen(disc)`` is safe in the generator step
+  because the generator optimizer does not step the discriminator);
+- a consumer never mutates the gradient it receives, so ops may hand one
+  array to several inputs; the backward itself adds in place only into a
+  sum it allocated.
+
 There is no broadcasting except scalar*tensor; binary ops demand equal
 shapes.  Subgradient conventions: relu'(0) = 0, sign(0) = 0.
 
@@ -25,6 +40,7 @@ small enough to stay in a core's L2 cache.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +132,10 @@ class Tape:
     def __init__(self):
         self._records = []  # (out_id, backward_fn)
         self._leaves = {}  # node_id -> Tensor
+        # (index of the first record that reads the leaf, leaf node_id), in
+        # record order: backward hands a leaf's gradient over right after
+        # that record, the last one to contribute to it, has run
+        self._first_uses = []
         self._next_id = 0
         self.consumed = False
         self.closed = False
@@ -146,6 +166,8 @@ class Tape:
         t._tape = self
         t._node_id = node_id
         self._leaves[node_id] = t
+        # only _emit registers leaves, and it records their op next
+        self._first_uses.append((len(self._records), node_id))
         return node_id
 
     def emit(self, out: Tensor, backward_fn) -> None:
@@ -157,12 +179,19 @@ class Tape:
         self._records.append((node_id, backward_fn))
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
+def backward(tape: Tape, loss: Tensor, consume=None) -> dict[int, Tensor] | None:
     """Gradients of a scalar loss w.r.t. every requires_grad leaf on ``tape``.
 
     Seeds d(loss) = 1 and visits records once in reverse order, dropping
-    each record (and the forward values it holds) once it has run.  Returns
-    a map from leaf node id to gradient tensor (zero for unreached leaves).
+    each record (and the forward values it holds) once it has run.  A leaf's
+    gradient is final once the first record that reads the leaf has run, so
+    it is handed over right then, as ``consume(node_id, grad)`` with a numpy
+    array (zeros for a leaf the loss does not reach), once per leaf.  The
+    consumer may change the leaf at once, as :meth:`Adam.minimize` does,
+    since every record still to run precedes the leaf's first use; it may
+    not if a constant on the tape aliases the leaf's array.  It must not
+    mutate ``grad``, which may be an array an op also handed elsewhere.
+    Without ``consume``, returns a map from leaf node id to gradient tensor.
     """
     if tape.consumed:
         raise TapeError("backward already ran on this tape")
@@ -170,32 +199,50 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
         raise TapeError("loss tensor is not recorded on this tape")
     if loss.shape != (1, 1):
         raise PreconditionError(f"loss must be 1x1, got {loss.shape}")
+    if consume is not None:
+        _stream_gradients(tape, loss, consume)
+        return None
+    collected = {}
+    handed_out = set()
 
+    def collect(node_id, g):
+        if id(g) in handed_out:
+            g = g.copy()  # two leaves must not share one gradient array
+        handed_out.add(id(g))
+        collected[node_id] = Tensor(g)
+
+    _stream_gradients(tape, loss, collect)
+    return {node_id: collected[node_id] for node_id in tape._leaves}
+
+
+def _stream_gradients(tape: Tape, loss: Tensor, consume) -> None:
+    """The loop of :func:`backward`, handing each leaf's gradient to ``consume``."""
     tape.consumed = True
-    records = tape._records
-    # gradients are summed out of place, so an op may hand the same array to
-    # several inputs without a copy
+    records, first_uses, leaves = tape._records, tape._first_uses, tape._leaves
     grads: dict[int, np.ndarray] = {loss._node_id: np.ones((1, 1))}
+    # an op may hand one array to several inputs, or keep it, so a second
+    # contribution is summed into a new array, which alone later ones may
+    # add to in place
+    owned = set()
     while records:
         out_id, backward_fn = records.pop()
         g_out = grads.pop(out_id, None)
-        if g_out is None:
-            continue
-        for in_id, g_in in backward_fn(g_out):
-            acc = grads.get(in_id)
-            grads[in_id] = g_in if acc is None else acc + g_in
-
-    result = {}
-    handed_out = set()
-    for node_id, leaf in tape._leaves.items():
-        g = grads.get(node_id)
-        if g is None:
-            g = np.zeros_like(leaf.data)
-        elif id(g) in handed_out:
-            g = g.copy()  # two leaves must not share one gradient array
-        handed_out.add(id(g))
-        result[node_id] = Tensor(g)
-    return result
+        if g_out is not None:
+            owned.discard(out_id)
+            for in_id, g_in in backward_fn(g_out):
+                acc = grads.get(in_id)
+                if acc is None:
+                    grads[in_id] = g_in
+                elif in_id in owned:
+                    acc += g_in
+                else:
+                    grads[in_id] = acc + g_in
+                    owned.add(in_id)
+        while first_uses and first_uses[-1][0] == len(records):
+            _, leaf_id = first_uses.pop()
+            owned.discard(leaf_id)
+            consume(leaf_id, grads.pop(leaf_id) if leaf_id in grads
+                    else np.zeros_like(leaves[leaf_id].data))
 
 
 def _binary_setup(a: Tensor, b: Tensor, op: str):
@@ -362,6 +409,36 @@ def absolute(x: Tensor) -> Tensor:
     def build(ids):
         (ix,) = ids
         return lambda g: [(ix, g * sign)]
+
+    return _emit(out, [x], build)
+
+
+def mean_abs_diff(x: Tensor, target) -> Tensor:
+    """mean(|x - target|) for a constant array ``target`` of x's shape.
+
+    One op, bitwise equal to ``mean(absolute(sub(x, constant(target))))``.
+    It keeps ``x`` and ``target`` by reference, so neither may change
+    before the backward, which forms sign(x - target) (sign(0) = 0).
+    """
+    target = np.asarray(target, dtype=np.float64)
+    if x.shape != target.shape:
+        raise DimensionError(f"mean_abs_diff: shapes {x.shape} and {target.shape} differ")
+    _check_nonempty(x, "mean_abs_diff")
+    x_data, size = x.data, x.data.size
+    diff = np.subtract(x_data, target)
+    np.abs(diff, out=diff)
+    out = _result(diff.mean(keepdims=True))
+
+    def build(ids):
+        (ix,) = ids
+
+        def bw(g):
+            grad = np.subtract(x_data, target)
+            np.sign(grad, out=grad)
+            grad *= g[0, 0] / size
+            return [(ix, grad)]
+
+        return bw
 
     return _emit(out, [x], build)
 
@@ -597,7 +674,7 @@ _ADAM_CHUNK = 32768
 
 
 class Adam:
-    """Adam over a fixed parameter list, pulling grads from a backward() map.
+    """Adam over a fixed parameter list.
 
     Step t makes the bias-corrected update m = b1 m + (1 - b1) g,
     v = b2 v + (1 - b2) g^2, param -= lr (m / (1 - b1^t)) /
@@ -607,6 +684,16 @@ class Adam:
     scratch arrays of at most ``_ADAM_CHUNK`` elements for the temporaries;
     they do not outlive the step, so no optimizer memory stays resident
     between steps.
+
+    :meth:`minimize` steps each parameter inside :func:`backward`, as soon
+    as its gradient is final, reading the gradient and dropping it there.
+    That is exact only because every record that reads a parameter's array
+    takes the parameter itself as an input, so all of them have run by
+    then: no constant aliasing a parameter may sit on the tape of the
+    optimizer that steps it.  (The generator step's ``frozen(disc)``
+    constants alias the discriminator's weights, which its optimizer does
+    not step.)  :meth:`step` applies a finished :func:`backward` map
+    instead; both step a parameter that gets no gradient with zero.
     """
 
     def __init__(self, params: list[Tensor], lr=1e-4, beta1=0.5, beta2=0.999, epsilon=1e-8):
@@ -615,24 +702,52 @@ class Adam:
         self._scratch_size = min(max((p.data.size for p in self.params), default=0),
                                  _ADAM_CHUNK)
 
+    def minimize(self, tape: Tape, loss: Tensor) -> None:
+        """Backpropagate ``loss`` through ``tape``, stepping each parameter
+        as :func:`backward` hands over its gradient."""
+        with self._stepping(tape) as update:
+            backward(tape, loss, update)
+
     def step(self, grad_map: dict[int, Tensor], tape: Tape) -> None:
+        """Step every parameter with its gradient in a :func:`backward` map."""
+        with self._stepping(tape) as update:
+            for node_id, grad in grad_map.items():
+                update(node_id, grad.data)
+
+    @contextmanager
+    def _stepping(self, tape: Tape):
+        """Yield ``update(node_id, grad)``, which steps the parameter that
+        has that node id on ``tape``; on exit, step every parameter that got
+        no update with a zero gradient."""
         s_buf, u_buf = np.empty(self._scratch_size), np.empty(self._scratch_size)
         # node ids are tape-local, so only trust them for params on `tape`
-        for param, state in zip(self.params, self.states):
-            if param._tape is tape and param.node_id in grad_map:
-                g = grad_map[param.node_id].data
-            else:
-                g = np.zeros_like(param.data)
-            if g.shape != param.shape:
-                raise DimensionError(f"Adam: param {param.shape}, grad {g.shape} must agree")
-            state.step += 1
-            # Tensor data, gradients and accumulators are C-contiguous, so
-            # these are views and the update lands in place
-            p, g, m, v = (a.reshape(-1) for a in (param.data, g, state.m, state.v))
-            for lo in range(0, g.size, _ADAM_CHUNK):
-                hi = min(lo + _ADAM_CHUNK, g.size)
-                _adam_update(state, p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi],
-                             s_buf[:hi - lo], u_buf[:hi - lo])
+        on_tape = {p.node_id: i for i, p in enumerate(self.params) if p._tape is tape}
+        stepped = [False] * len(self.params)
+
+        def update(node_id, grad):
+            i = on_tape.get(node_id)
+            if i is not None:
+                stepped[i] = True
+                self._step_param(i, grad, s_buf, u_buf)
+
+        yield update
+        for i, done in enumerate(stepped):
+            if not done:
+                self._step_param(i, np.zeros_like(self.params[i].data), s_buf, u_buf)
+
+    def _step_param(self, i: int, grad: np.ndarray, s_buf, u_buf) -> None:
+        param, state = self.params[i], self.states[i]
+        if grad.shape != param.shape:
+            raise DimensionError(f"Adam: param {param.shape}, grad {grad.shape} must agree")
+        state.step += 1
+        # Tensor data and accumulators are C-contiguous, so these are views
+        # and the update lands in place; a strided gradient (a transpose's)
+        # is copied
+        p, g, m, v = (a.reshape(-1) for a in (param.data, grad, state.m, state.v))
+        for lo in range(0, g.size, _ADAM_CHUNK):
+            hi = min(lo + _ADAM_CHUNK, g.size)
+            _adam_update(state, p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi],
+                         s_buf[:hi - lo], u_buf[:hi - lo])
 
 
 def _adam_update(state: AdamState, p, g, m, v, s, u) -> None:

@@ -125,7 +125,7 @@ class PopulationDataset:
             planted = tuple(self.planted_clusters[i] for i in subjects)
         return PopulationDataset(
             subject_ids=tuple(self.subject_ids[i] for i in subjects),
-            tensor=self.tensor[subjects].copy(),
+            tensor=self.tensor[subjects],  # advanced indexing copies
             planted_clusters=planted,
         )
 
@@ -314,16 +314,14 @@ def simulate_population(s: int, r: int, v: int, clusters: int = 2,
     labels = rng.integers(0, clusters, size=s)
     latents = np.abs(means[labels] + rng.standard_normal((s, latent_dim)))
 
-    tensor = np.empty((s, v, r, r))
+    tensor = np.zeros((s, v, r, r))
     iu, ju = np.triu_indices(r, k=1)
     for k in range(v):
         feats = np.abs(latents @ maps[k] + noise * rng.standard_normal((s, f)))
         feats /= 1.0 + separation
-        for i in range(s):
-            w = np.zeros((r, r))
-            w[iu, ju] = feats[i]
-            w[ju, iu] = feats[i]
-            tensor[i, k] = w
+        graphs = tensor[:, k]
+        graphs[:, iu, ju] = feats
+        graphs[:, ju, iu] = feats
 
     ids = tuple(f"subj{i:04d}" for i in range(s))
     return PopulationDataset(subject_ids=ids, tensor=tensor,

@@ -136,7 +136,9 @@ def topological_loss(real_features: np.ndarray, pred_features: ad.Tensor, r: int
     ``real_features`` and ``pred_features`` stack the k views' (n, f) blocks
     into (k*n, f); ``real_centralities`` is the real graphs' matching (k*n, r)
     stack.  The local term is differentiated at the eigenvector's fixed
-    point (see :func:`topology.batched_eigenvector_rows`).
+    point (see :func:`topology.batched_eigenvector_rows`).  Every op here
+    keeps its inputs by reference, so none of the three stacks may change
+    before the backward.
     """
     if tuple(real_features.shape) != pred_features.shape:
         raise DimensionError(
@@ -144,11 +146,9 @@ def topological_loss(real_features: np.ndarray, pred_features: ad.Tensor, r: int
     if k < 1 or real_features.shape[0] % k:
         raise DimensionError(f"{real_features.shape[0]} rows do not split into {k} views")
     # sum over views of per-view means == k * mean over the stack
-    global_term = ad.scale(ad.mean(ad.absolute(
-        ad.sub(pred_features, ad.constant(real_features)))), k)
+    global_term = ad.scale(ad.mean_abs_diff(pred_features, real_features), k)
     pred_cent = topology.batched_eigenvector_rows(pred_features, r)
-    local_term = ad.scale(ad.mean(ad.absolute(
-        ad.sub(pred_cent, ad.constant(real_centralities)))), k)
+    local_term = ad.scale(ad.mean_abs_diff(pred_cent, real_centralities), k)
     return ad.add(local_term, global_term)
 
 

@@ -260,7 +260,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
             loss_d = discriminator_loss(parts, weights)
         _check_finite(iteration, {"L_adv": sums[0], "L_gp": sums[1], "L_gdc": sums[2],
                                   "L_D": loss_d.item()})
-        opt_d.step(ad.backward(tape, loss_d), tape)
+        opt_d.minimize(tape, loss_d)
         return loss_d.item(), sums[0], sums[1], sums[2]
 
     def generator_step(iteration: int) -> tuple[float, float, float]:
@@ -283,7 +283,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
                 sums[1] += l_inf.item()
             loss_g = generator_loss(parts, weights)
         _check_finite(iteration, {"L_top": sums[0], "L_inf": sums[1], "L_G": loss_g.item()})
-        opt_g.step(ad.backward(tape, loss_g), tape)
+        opt_g.minimize(tape, loss_g)
         return loss_g.item(), sums[0], sums[1]
 
     trace = TrainingTrace()

@@ -5,7 +5,6 @@ end-to-end criteria (5-8) train real models and take a few minutes total.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +18,6 @@ from connectogen.losses import LossWeights
 from connectogen.training import TrainingConfig, target_views
 
 import oracles
-
-warnings.filterwarnings("ignore", message="knn=")
 
 GREEN = "[PASS]"
 
@@ -141,6 +138,11 @@ def test_criterion_1_autodiff_vs_finite_differences():
     worst["matmul.right"] = _check_op(
         lambda x: sq_mean(ad.matmul(ad.constant(left_const), x)),
         lambda rr: rr.standard_normal((24, 2)), cases, rng)
+    # the topological loss's fused L1 op, kept clear of its kinks at x = target
+    l1_target = np.random.default_rng(25).standard_normal((2, 3))
+    worst["mean_abs_diff"] = _check_op(
+        lambda x: sq_mean(ad.mean_abs_diff(x, l1_target)),
+        lambda rr: l1_target + away_from_kinks(rr), cases, rng)
 
     # composite networks: gradients w.r.t. parameter entries
     dims = models.Dims(r=4, v=3, c=1)

@@ -348,6 +348,97 @@ def test_grad_mean_abs_diff_matches_fd():
     assert rel_err(g, fd) < 1e-5
 
 
+class TestMeanAbsDiff:
+    """The fused L1 op against the mean(absolute(sub(...))) chain it replaces."""
+
+    @staticmethod
+    def _value_and_grad(fused, x0, target):
+        x = ad.parameter(x0)
+        with ad.Tape() as tape:
+            if fused:
+                term = ad.mean_abs_diff(x, target)
+            else:
+                term = ad.mean(ad.absolute(ad.sub(x, ad.constant(target))))
+            loss = ad.scale(term, 5.0)  # an upstream gradient other than 1
+        return term.data, ad.backward(tape, loss)[x.node_id].data
+
+    def test_bitwise_equal_to_composed_ops_with_ties(self):
+        rng = np.random.default_rng(31)
+        x0 = rng.standard_normal((12, 35))
+        target = rng.standard_normal((12, 35))
+        target[::3] = x0[::3]  # exact ties, where sign(0) = 0
+        value, grad = self._value_and_grad(True, x0, target)
+        ref_value, ref_grad = self._value_and_grad(False, x0, target)
+        assert value.tobytes() == ref_value.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert np.all(grad[::3] == 0.0) and np.all(grad[1::3] != 0.0)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            ad.mean_abs_diff(ad.parameter(np.zeros((2, 3))), np.zeros((3, 2)))
+
+
+def _keeping(x, arr):
+    """An op whose backward hands ``arr``, an array it keeps, to ``x``."""
+    return ad._emit(ad._result(x.data.copy()), [x], lambda ids: lambda g: [(ids[0], arr)])
+
+
+class TestStreamedBackward:
+    def test_each_leaf_handed_over_once_right_after_its_first_use(self):
+        p, q, u = (ad.parameter(np.full((1, 2), v)) for v in (1.5, -0.5, 2.0))
+        with ad.Tape() as tape:
+            a = ad.scale(q, 2.0)  # record 0, q's first use
+            b = ad.mul(p, p)  # record 1, p's first use
+            loss = oracles.sum_all(ad.mul(ad.add(a, b), q))
+            ad.relu(u)  # after the loss, so u gets no gradient
+        events = []
+        tape._records = [
+            (out_id, lambda g, i=i, fn=fn: events.append(("record", i)) or fn(g))
+            for i, (out_id, fn) in enumerate(tape._records)]
+        grads = {}
+
+        def consume(node_id, g):
+            events.append(("leaf", node_id))
+            grads[node_id] = g
+
+        assert ad.backward(tape, loss, consume) is None
+        leaves = [e for e in events if e[0] == "leaf"]
+        assert sorted(leaves) == sorted(("leaf", i) for i in tape._leaves)
+        at = events.index(("leaf", p.node_id))
+        assert events[at - 1:at + 2] == [("record", 1), ("leaf", p.node_id), ("record", 0)]
+        assert events[-1] == ("leaf", q.node_id)
+        assert np.array_equal(grads[p.node_id], [[-1.5, -1.5]])  # 2 p q
+        assert np.array_equal(grads[u.node_id], [[0.0, 0.0]])
+
+    def test_adam_steps_a_parameter_before_earlier_records_run(self):
+        p, q = ad.parameter([[1.5, -1.0]]), ad.parameter([[0.5, 2.0]])
+        p0 = p.data.copy()
+        with ad.Tape() as tape:
+            a = ad.scale(q, 2.0)  # record 0, recorded before p's first use
+            loss = oracles.sum_all(ad.mul(ad.add(a, ad.mul(p, p)), a))
+        seen = []
+        out_id, fn = tape._records[0]
+        tape._records[0] = (out_id, lambda g: seen.append(p.data.copy()) or fn(g))
+        ad.Adam([p, q], lr=0.1).minimize(tape, loss)
+        assert len(seen) == 1
+        assert not np.array_equal(seen[0], p0)  # stepped before record 0 ran
+        assert np.array_equal(seen[0], p.data)  # and not stepped again
+
+    def test_later_contributions_never_land_in_an_op_array(self):
+        rng = np.random.default_rng(4)
+        held = [rng.standard_normal((2, 3)) for _ in range(4)]
+        kept = [h.copy() for h in held]
+        x = ad.parameter(np.zeros((2, 3)))
+        with ad.Tape() as tape:
+            terms = [ad.mean(_keeping(x, h)) for h in held]
+            loss = ad.add(ad.add(terms[0], terms[1]), ad.add(terms[2], terms[3]))
+        grad = ad.backward(tape, loss)[x.node_id].data
+        # records run in reverse, so the sum starts from the last op's array
+        assert grad.tobytes() == (((kept[3] + kept[2]) + kept[1]) + kept[0]).tobytes()
+        assert all(np.array_equal(h, k) for h, k in zip(held, kept))
+        assert not any(np.shares_memory(grad, h) for h in held)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_param_unchanged(self):
         p = ad.parameter([[1.0, -2.0]])
@@ -406,6 +497,19 @@ class TestAdam:
                 assert np.array_equal(p.data, ref.data)
                 assert np.array_equal(mine.m, st.m) and np.array_equal(mine.v, st.v)
         assert all(st.m is m for st, m in zip(opt.states, m_arrays))  # updated in place
+
+    def test_minimize_steps_unreached_params_with_zero(self):
+        used, idle, off_tape = (ad.parameter([[1.0, -2.0]]) for _ in range(3))
+        opt = ad.Adam([used, idle, off_tape], lr=0.1)
+        with ad.Tape() as tape:
+            loss = oracles.sum_all(ad.mul(used, used))
+            oracles.sum_all(idle)  # on the tape, but not feeding the loss
+        opt.minimize(tape, loss)
+        assert [st.step for st in opt.states] == [1, 1, 1]
+        assert not np.array_equal(used.data, [[1.0, -2.0]])
+        for p, st in zip((idle, off_tape), opt.states[1:]):
+            assert np.array_equal(p.data, [[1.0, -2.0]])
+            assert not st.m.any() and not st.v.any()
 
     def test_step_counter_increases(self):
         p = ad.parameter([[0.0]])

@@ -1,15 +1,12 @@
 import json
 import os
 import platform
-import warnings
 
 import numpy as np
 import pytest
 
 from connectogen import cli, data
 from connectogen.evaluation import parse_report_csv
-
-warnings.filterwarnings("ignore", message="knn=")
 
 
 def run(*argv):

@@ -282,6 +282,15 @@ def test_feature_matrix_layout():
             assert np.array_equal(feats, expected)
 
 
+def test_subset_is_one_copy_of_the_chosen_subjects():
+    ds = data.simulate_population(s=6, r=5, v=3, seed=2)
+    subjects = [4, 1, 3]
+    part = ds.subset(subjects)
+    assert np.array_equal(part.tensor, ds.tensor[subjects])
+    assert not np.shares_memory(part.tensor, ds.tensor)
+    assert part.subject_ids == ("subj0004", "subj0001", "subj0003")
+
+
 class TestSimulator:
     def test_dims_and_validity(self):
         ds = data.simulate_population(s=12, r=35, v=6, clusters=2, seed=7)

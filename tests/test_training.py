@@ -1,4 +1,5 @@
-import warnings
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from connectogen.errors import DimensionError, NumericError, PreconditionError, 
 from connectogen.losses import LossWeights
 
 import oracles
-
-warnings.filterwarnings("ignore", message="knn=")
 
 
 def small_dataset(s=36, r=8, v=3, seed=5):
@@ -293,13 +292,13 @@ class TestOpCounts:
     def _records(monkeypatch, batch_size):
         """Tape records of [critic step, generator step], for k = 2 and k = 5."""
         records = []
-        real_backward = ad.backward
+        minimize = ad.Adam.minimize
 
-        def counting(tape, loss):
+        def counting(self, tape, loss):
             records.append(len(tape._records))
-            return real_backward(tape, loss)
+            minimize(self, tape, loss)
 
-        monkeypatch.setattr(ad, "backward", counting)
+        monkeypatch.setattr(ad.Adam, "minimize", counting)
         counts = {}
         for v in (3, 6):
             records.clear()
@@ -354,13 +353,13 @@ class TestParameterIsolation:
 
     def test_discriminator_is_constant_in_the_generator_step(self, monkeypatch):
         tapes = []  # (optimizer, leaves of the tape it stepped on)
-        step = ad.Adam.step
+        minimize = ad.Adam.minimize
 
-        def recording(self, grad_map, tape):
+        def recording(self, tape, loss):
             tapes.append((self, list(tape._leaves.values())))
-            step(self, grad_map, tape)
+            minimize(self, tape, loss)
 
-        monkeypatch.setattr(ad.Adam, "step", recording)
+        monkeypatch.setattr(ad.Adam, "minimize", recording)
         bundle, _ = training.train(small_dataset(), 0, small_config(iterations=1))
         disc = {id(p) for p in bundle.discriminator.params()}
         gen = {id(p) for p in bundle.encoder.params() + bundle.generator_params()}
@@ -374,6 +373,69 @@ class TestParameterIsolation:
         fixed = models.frozen(disc)
         for p, q in zip(disc.params(), fixed.params()):
             assert q.data is p.data and not q.requires_grad
+
+
+class TestStreamedStep:
+    """Training steps each parameter inside the backward (Adam.minimize)."""
+
+    @pytest.mark.parametrize("batch_size", [8, 1000])
+    def test_matches_backward_then_step(self, monkeypatch, batch_size):
+        ds, cfg = small_dataset(), small_config(iterations=1, batch_size=batch_size)
+        streamed, trace = training.train(ds, 0, cfg)
+
+        def backward_then_step(self, tape, loss):
+            self.step(ad.backward(tape, loss), tape)
+
+        monkeypatch.setattr(ad.Adam, "minimize", backward_then_step)
+        reference, ref_trace = training.train(ds, 0, cfg)
+        assert [p.data.tobytes() for p in streamed.all_params()] == \
+            [p.data.tobytes() for p in reference.all_params()]
+        assert trace.to_csv() == ref_trace.to_csv()
+
+    def test_each_leaf_handed_over_once(self, monkeypatch):
+        handed = []  # (the tape's leaf ids, the ids handed over)
+        backward = ad.backward
+
+        def noting(tape, loss, consume):
+            ids = []
+
+            def note(node_id, grad):
+                ids.append(node_id)
+                consume(node_id, grad)
+
+            backward(tape, loss, note)
+            handed.append((sorted(tape._leaves), ids))
+
+        monkeypatch.setattr(ad, "backward", noting)
+        cfg = small_config(iterations=1)
+        training.train(small_dataset(), 0, cfg)
+        assert len(handed) == cfg.n_critic + 1
+        for leaves, ids in handed:
+            assert sorted(ids) == leaves
+
+    def test_generator_step_memory_bound(self, monkeypatch):
+        # one generator step at the AAL atlas size r = 116, measured from its
+        # first call, frozen(disc), to the end of train(): its transient
+        # allocations were 7.6 (32, f) decoder weights' worth when the step
+        # held all c*k decoder-weight gradients and the L1 loss terms'
+        # temporaries, and are 5.1 with both streamed and fused
+        ds = data.simulate_population(s=24, r=116, v=3, clusters=2, seed=3)
+        frozen, live = training.frozen, []
+
+        def resetting(disc):
+            tracemalloc.reset_peak()
+            live.append(tracemalloc.get_traced_memory()[0])
+            return frozen(disc)
+
+        monkeypatch.setattr(training, "frozen", resetting)
+        tracemalloc.start()
+        try:
+            training.train(ds, 0, training.TrainingConfig(iterations=1, n_critic=1, seed=3))
+            transient = tracemalloc.get_traced_memory()[1] - live[-1]
+        finally:
+            tracemalloc.stop()
+        decoder_weight = 32 * ds.f * 8
+        assert transient < 6 * decoder_weight, transient / decoder_weight
 
 
 class TestStepIsolationDirect:
