@@ -9,12 +9,19 @@ submatrix selection also take a stack of one affinity per view.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
+
+
+def _count(x) -> bool:
+    """Whether ``x`` is an integer >= 1 (a bool is not)."""
+    return isinstance(x, Integral) and not isinstance(x, bool) and x >= 1
 
 
 @dataclass(frozen=True)
@@ -30,8 +37,15 @@ class MKMLConfig:
         return len(self.knn_values) * len(self.sigma_multipliers)
 
     def __post_init__(self):
-        if self.rho <= 0 or self.weight_iters < 1:
-            raise PreconditionError("rho must be > 0 and weight_iters >= 1")
+        if not self.rho > 0 or not _count(self.weight_iters):
+            raise PreconditionError("rho must be > 0 and weight_iters an integer >= 1")
+        knn = self.knn_values
+        if not knn or not all(map(_count, knn)):
+            raise PreconditionError(f"knn_values must be integers >= 1, got {knn!r}")
+        sigmas = self.sigma_multipliers
+        if not sigmas or not all(isinstance(x, Real) and math.isfinite(x) and x > 0
+                                 for x in sigmas):
+            raise PreconditionError(f"sigma_multipliers must be finite and > 0, got {sigmas!r}")
 
 
 def _pairwise_distances(features: np.ndarray) -> np.ndarray:
@@ -69,8 +83,6 @@ def _kernel_bank(dist: np.ndarray, cfg: MKMLConfig) -> np.ndarray:
         if knn >= n:
             warnings.warn(f"knn={knn} >= n={n}; clamping to {n - 1}")
             knn = n - 1
-        if knn < 1:
-            raise PreconditionError("knn values must be >= 1")
         mu = sorted_d[:, 1:knn + 1].mean(axis=1)
         eps = sigmas * ((mu[:, None] + mu[None, :]) / 2.0)  # one (n, n) per sigma
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -88,6 +100,11 @@ def learn_affinity(features, cfg: MKMLConfig = MKMLConfig()) -> np.ndarray:
     weighted kernels, then kernel weights w_l proportional to
     exp(<K_l, S>_F / rho) (softmax-stabilized).  Returns (S + S^T)/2 with
     the diagonal forced to 1.
+
+    With the bank flattened to an (L, n*n) matrix K, each round is two
+    matrix-vector products: the weighted sum is w @ K and the Frobenius
+    products are K @ vec(S).  Only the summation order differs from
+    forming the weighted (L, n, n) bank, so results agree to rounding.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
@@ -96,17 +113,15 @@ def learn_affinity(features, cfg: MKMLConfig = MKMLConfig()) -> np.ndarray:
         warnings.warn("all subjects identical; returning all-ones affinity")
         return np.ones((n, n))
 
-    bank = _kernel_bank(dist, cfg)
-    flat = bank.reshape(len(bank), -1)
-    weights = np.full(len(bank), 1.0 / len(bank))
+    flat = _kernel_bank(dist, cfg).reshape(cfg.num_kernels, n * n)
+    weights = np.full(cfg.num_kernels, 1.0 / cfg.num_kernels)
     s = None
     for _ in range(cfg.weight_iters):
-        # the sum over axis 0 adds the weighted kernels in bank order
-        combined = (weights[:, None, None] * bank).sum(axis=0)
+        combined = (weights @ flat).reshape(n, n)
         row_sums = combined.sum(axis=1, keepdims=True)
         row_sums[row_sums == 0] = 1.0
         s = combined / row_sums
-        scores = (flat * s.reshape(-1)).sum(axis=1) / cfg.rho
+        scores = (flat @ s.ravel()) / cfg.rho
         scores -= scores.max()
         weights = np.exp(scores)
         weights /= weights.sum()

@@ -402,21 +402,11 @@ def sigmoid(x: Tensor) -> Tensor:
     return _emit(out, [x], build)
 
 
-def absolute(x: Tensor) -> Tensor:
-    out = _result(np.abs(x.data))
-    sign = np.sign(x.data)  # sign(0) = 0
-
-    def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, g * sign)]
-
-    return _emit(out, [x], build)
-
-
 def mean_abs_diff(x: Tensor, target) -> Tensor:
     """mean(|x - target|) for a constant array ``target`` of x's shape.
 
-    One op, bitwise equal to ``mean(absolute(sub(x, constant(target))))``.
+    One op, bitwise equal in value and gradient to the chain
+    ``mean(add(relu(d), relu(scale(d, -1))))`` of ``d = sub(x, constant(target))``.
     It keeps ``x`` and ``target`` by reference, so neither may change
     before the backward, which forms sign(x - target) (sign(0) = 0).
     """

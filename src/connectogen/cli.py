@@ -33,6 +33,7 @@ from .data import (
     read_matrix_csv,
     save_dataset,
     simulate_population,
+    view_directories,
 )
 from .errors import (
     IngestionError,
@@ -173,17 +174,20 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     bundle = load_bundle(args.model)
-    dataset = load_dataset(args.data)
-    if dataset.r != bundle.dims.r or dataset.v != bundle.dims.v:
-        raise PreconditionError(
-            f"dataset (r={dataset.r}, v={dataset.v}) does not match model "
-            f"(r={bundle.dims.r}, v={bundle.dims.v})")
-    if not 0 <= args.source_view < dataset.v:
+    v = len(view_directories(args.data))
+    if v != bundle.dims.v:
+        raise PreconditionError(f"dataset has {v} views, model has {bundle.dims.v}")
+    if not 0 <= args.source_view < v:
         raise PreconditionError(f"source view {args.source_view} out of range")
+    # only the source view: the target views are predicted, never read
+    dataset = load_dataset(args.data, views=[args.source_view])
+    if dataset.r != bundle.dims.r:
+        raise PreconditionError(
+            f"dataset has {dataset.r} ROIs, model has {bundle.dims.r}")
 
-    features = dataset.feature_matrix(args.source_view)
+    features = dataset.feature_matrix(0)
     pred = predict_multigraph(bundle, features)
-    targets = target_views(dataset.v, args.source_view)
+    targets = target_views(v, args.source_view)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -201,16 +201,10 @@ def write_matrix_csv(path: Path, weights: np.ndarray) -> None:
     Path(path).write_text(format_matrix_csv(weights), encoding="utf-8")
 
 
-def load_dataset(root, views=None) -> PopulationDataset:
-    """Load and fully validate a dataset directory.
-
-    ``views``, a list of view indices, reads only those views' matrices;
-    the result's view axis then holds them in that order.  An index with
-    no view directory is an IngestionError.
-    """
+def view_directories(root) -> dict[int, Path]:
+    """The ``view_<index>`` directories of a dataset, by index; anything but
+    view_0..view_{v-1} with v >= 1 is an IngestionError.  Reads no matrix."""
     root = Path(root)
-    subject_ids = read_manifest(root)
-
     view_dirs = sorted(root.glob("view_*"), key=lambda p: p.name)
     indices = []
     for d in view_dirs:
@@ -220,13 +214,25 @@ def load_dataset(root, views=None) -> PopulationDataset:
             raise IngestionError(f"{d}: view directory name must be view_<index>")
     if sorted(indices) != list(range(len(indices))) or not indices:
         raise IngestionError(f"{root}: view directories must be view_0..view_{{v-1}}")
-    by_index = {int(d.name.split("_", 1)[1]): d for d in view_dirs}
+    return dict(zip(indices, view_dirs))
+
+
+def load_dataset(root, views=None) -> PopulationDataset:
+    """Load and fully validate a dataset directory.
+
+    ``views``, a list of view indices, reads only those views' matrices;
+    the result's view axis then holds them in that order.  An index with
+    no view directory is an IngestionError.
+    """
+    root = Path(root)
+    subject_ids = read_manifest(root)
+    by_index = view_directories(root)
     if views is None:
         views = sorted(by_index)
     for k in views:
         if k not in by_index:
             raise IngestionError(
-                f"{root}: no view_{k} directory (views are view_0..view_{len(indices) - 1})")
+                f"{root}: no view_{k} directory (views are view_0..view_{len(by_index) - 1})")
 
     r = None
     matrices = []

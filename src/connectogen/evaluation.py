@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -35,10 +36,12 @@ class HistogramSpec:
     epsilon: float = 1e-9
 
     def __post_init__(self):
-        if self.bins < 2:
-            raise PreconditionError("bins must be >= 2")
-        if self.epsilon <= 0:
-            raise PreconditionError("epsilon must be > 0")
+        if not (isinstance(self.bins, Integral) and not isinstance(self.bins, bool)
+                and self.bins >= 2):
+            raise PreconditionError(f"bins must be an integer >= 2, got {self.bins!r}")
+        if not (isinstance(self.epsilon, Real) and math.isfinite(self.epsilon)
+                and self.epsilon > 0):
+            raise PreconditionError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
 
 
 def _upper_maes(real: np.ndarray, pred: np.ndarray) -> np.ndarray:
@@ -222,13 +225,6 @@ def _graph_stack(tensor: np.ndarray) -> np.ndarray:
     """The graphs of an (m, r, r, k) tensor as a (k * m, r, r) stack, view-major."""
     m, r, _, k = tensor.shape
     return np.moveaxis(tensor, -1, 0).reshape(k * m, r, r)
-
-
-def centrality_table(tensor: np.ndarray, metric: str,
-                     interp: str = topology.DISTANCE) -> np.ndarray:
-    """(k, m, r) centralities of every graph of an (m, r, r, k) tensor."""
-    m, r, _, k = tensor.shape
-    return topology.centrality_matrix(_graph_stack(tensor), metric, interp).reshape(k, m, r)
 
 
 def evaluate(pred: np.ndarray, truth: np.ndarray, interp: str = topology.DISTANCE,

@@ -14,7 +14,9 @@ f-string per cell.  The evaluation oracles loop as the formulas read: one
 report oracle takes its centralities from the library's per-metric
 functions, one pass per metric, which the centrality oracles check.  The
 eigenvector-centrality op's reference shares the library's EC forward and
-takes the op's backward over the whole stack at once, unchunked.
+takes the op's backward over the whole stack at once, unchunked.  The
+affinity oracle runs the kernel-weight rounds elementwise on the library's
+kernel bank, one weighted (L, n, n) bank and one (L, n*n) product per round.
 """
 
 import numpy as np
@@ -256,6 +258,33 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     return float((sum_cells - expected) / (max_index - expected))
 
 
+def learn_affinity_elementwise(features, cfg) -> np.ndarray:
+    """``affinity.learn_affinity`` with each weight round formed elementwise:
+    the weighted kernels summed over the bank axis, and every kernel's
+    Frobenius product with S summed from its full (n*n) product row."""
+    from connectogen import affinity
+
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    if np.all(features == features[0]):
+        return np.ones((n, n))
+    bank = np.stack(affinity.gaussian_kernel_bank(features, cfg))
+    flat = bank.reshape(len(bank), -1)
+    weights = np.full(len(bank), 1.0 / len(bank))
+    for _ in range(cfg.weight_iters):
+        combined = (weights[:, None, None] * bank).sum(axis=0)
+        row_sums = combined.sum(axis=1, keepdims=True)
+        row_sums[row_sums == 0] = 1.0
+        s = combined / row_sums
+        scores = (flat * s.reshape(-1)).sum(axis=1) / cfg.rho
+        scores -= scores.max()
+        weights = np.exp(scores)
+        weights /= weights.sum()
+    out = (s + s.T) / 2.0
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
 def kl_by_hand(real, pred, bins: int, epsilon: float) -> float:
     """KL(real || pred) of epsilon-smoothed ``np.histogram`` counts on the
     samples' joint range, one histogram call per sample."""
@@ -298,6 +327,14 @@ def subject_graph_maes_by_loop(pred: np.ndarray, truth: np.ndarray) -> np.ndarra
     return out
 
 
+def centrality_table(tensor: np.ndarray, metric: str, interp: str = "distance") -> np.ndarray:
+    """(k, m, r) centralities of every graph of an (m, r, r, k) tensor, from
+    one per-metric pass over the view-major (k * m, r, r) stack."""
+    m, r, _, k = tensor.shape
+    stack = np.moveaxis(tensor, -1, 0).reshape(k * m, r, r)
+    return topology.centrality_matrix(stack, metric, interp).reshape(k, m, r)
+
+
 def evaluate_per_metric(pred, truth, interp="distance", hist=None, baseline=None):
     """The evaluation report, filled cell by cell: one centrality pass per
     metric over truth, prediction and baseline stacked together, one KL per
@@ -319,7 +356,7 @@ def evaluate_per_metric(pred, truth, interp="distance", hist=None, baseline=None
             p_values[i, 0] = evaluation.paired_ttest(ours[i], base[i])[1]
     stack = np.concatenate([truth, pred] + ([baseline] if baseline is not None else []))
     for col, metric in enumerate(evaluation.METRIC_ORDER, start=1):
-        table = evaluation.centrality_table(stack, metric, interp)
+        table = centrality_table(stack, metric, interp)
         x_real, x_pred = table[:, :m], table[:, m:2 * m]
         mae[:, col] = np.abs(x_real - x_pred).reshape(k, -1).mean(axis=1)
         for i in range(k):
@@ -356,6 +393,12 @@ def sum_all(x):
     rows, cols = x.shape
     return ad.matmul(ad.matmul(ad.constant(np.ones((1, rows))), x),
                      ad.constant(np.ones((cols, 1))))
+
+
+def absolute(x):
+    """|x| as relu(x) + relu(-x): the value is exact, and the gradient is
+    g * sign(x), with sign(0) = 0 from relu's zero slope at the kink."""
+    return ad.add(ad.relu(x), ad.relu(ad.scale(x, -1.0)))
 
 
 def split_rows(x, block_rows: int):

@@ -4,6 +4,8 @@ import pytest
 from connectogen import affinity
 from connectogen.errors import PreconditionError, ValidationError
 
+import oracles
+
 
 class TestKernelBank:
     def test_identical_subjects_give_unit_kernel_entries(self):
@@ -88,6 +90,43 @@ class TestLearnAffinity:
             assert np.all(a >= 0)
             assert np.all(np.isfinite(a))
             assert np.allclose(np.diag(a), 1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("knn_values", ()), ("knn_values", (0,)), ("knn_values", (-3,)), ("knn_values", (2.5,)),
+    ("knn_values", (10.0,)), ("knn_values", (True,)), ("sigma_multipliers", ()),
+    ("sigma_multipliers", (0.0,)), ("sigma_multipliers", (-1.0,)),
+    ("sigma_multipliers", (1.0, np.nan)), ("sigma_multipliers", (np.inf,)),
+    ("rho", np.nan), ("rho", 0.0), ("weight_iters", 0), ("weight_iters", 2.5)])
+def test_config_rejects_settings_that_misbehave(field, value):
+    with pytest.raises(PreconditionError):
+        affinity.MKMLConfig(**{field: value})
+
+
+class TestWeightRounds:
+    """The matrix-vector weight rounds against the elementwise ones."""
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 54, 108])
+    def test_match_elementwise_oracle(self, n):
+        rng = np.random.default_rng(n)
+        feats = rng.uniform(0.0, 1.0, size=(n, 595))
+        cfg = affinity.MKMLConfig(knn_values=tuple(sorted({1, max(1, n // 4), n - 1})))
+        got = affinity.learn_affinity(feats, cfg)
+        assert np.max(np.abs(got - oracles.learn_affinity_elementwise(feats, cfg))) <= 1e-15
+
+    def test_match_elementwise_oracle_with_knn_clamped(self):
+        feats = np.random.default_rng(7).standard_normal((12, 40))
+        cfg = affinity.MKMLConfig()  # knn 10 fits, knn 15 is clamped to 11
+        with pytest.warns(UserWarning, match="clamping to 11"):
+            got = affinity.learn_affinity(feats, cfg)
+        expected = oracles.learn_affinity_elementwise(feats, cfg)
+        assert np.max(np.abs(got - expected)) <= 1e-15
+
+    def test_identical_subjects_match_oracle(self):
+        feats = np.tile(np.arange(6.0), (5, 1))
+        with pytest.warns(UserWarning, match="identical"):
+            got = affinity.learn_affinity(feats)
+        assert np.array_equal(got, oracles.learn_affinity_elementwise(feats, affinity.MKMLConfig()))
 
 
 class TestNormalizeAdjacency:

@@ -315,6 +315,41 @@ class TestEvaluate:
                     for root in (pred, dataset) for v in (1, 2) for sid in ids]
         assert sorted(reads) == sorted(expected)
 
+    def test_reads_only_the_source_view(self, pipeline, tmp_path, monkeypatch):
+        dataset, model, _ = pipeline
+        reads = []
+        real = data.read_matrix_csv
+
+        def counting(path):
+            reads.append(str(path))
+            return real(path)
+
+        monkeypatch.setattr(data, "read_matrix_csv", counting)
+        monkeypatch.setattr(cli, "read_matrix_csv", counting)
+        assert run("predict", "--model", str(model), "--data", str(dataset),
+                   "--source-view", "3", "--out", str(tmp_path / "p3")) == 2
+        assert reads == []  # the range check precedes every read
+        assert run("predict", "--model", str(model), "--data", str(dataset),
+                   "--source-view", "0", "--out", str(tmp_path / "p0")) == 0
+        ids = data.read_manifest(dataset)
+        assert sorted(reads) == sorted(str(dataset / "view_0" / f"{sid}.csv") for sid in ids)
+
+    @pytest.mark.parametrize("view,code", [(0, 3), (1, 0), (2, 0)])
+    def test_predict_faults_in_the_source_view_only(self, pipeline, tmp_path, capsys,
+                                                    view, code):
+        dataset, model, pred = pipeline
+        path = dataset / f"view_{view}" / f"{data.read_manifest(dataset)[0]}.csv"
+        path.write_text(path.read_text().replace("0", "zero", 1))
+        out = tmp_path / "again"
+        assert run("predict", "--model", str(model), "--data", str(dataset),
+                   "--source-view", "0", "--out", str(out)) == code
+        if code:
+            assert "ingestion error" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            for rel in ["view_1/subj0000.csv", "view_2/subj0019.csv"]:
+                assert (out / rel).read_bytes() == (pred / rel).read_bytes()
+
     @pytest.mark.parametrize("view,fault,code", [
         (0, "unparsable", 0), (1, "unparsable", 3), (2, "fewer_rois", 3),
         (2, "undecodable_byte", 3)])

@@ -88,6 +88,14 @@ class TestKLDivergence:
             evaluation.kl_divergence([], [1.0])
 
 
+@pytest.mark.parametrize("field,value", [
+    ("bins", 1), ("bins", 2.5), ("bins", 32.0), ("bins", True), ("epsilon", 0.0),
+    ("epsilon", -1e-9), ("epsilon", np.nan), ("epsilon", np.inf)])
+def test_histogram_spec_rejects_settings_that_misbehave(field, value):
+    with pytest.raises(PreconditionError):
+        evaluation.HistogramSpec(**{field: value})
+
+
 @st.composite
 def _kl_row_pairs(draw):
     """(bins, real rows, pred rows): rows of one width each, every row pair
@@ -344,8 +352,8 @@ class TestReportIO:
 
 def _metric_maes(pred, truth, metric):
     """(k, m) per-subject centrality MAEs for one metric."""
-    return np.abs(evaluation.centrality_table(truth, metric)
-                  - evaluation.centrality_table(pred, metric)).mean(axis=2)
+    return np.abs(oracles.centrality_table(truth, metric)
+                  - oracles.centrality_table(pred, metric)).mean(axis=2)
 
 
 class TestSubjectMaes:
