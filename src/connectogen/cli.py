@@ -34,6 +34,7 @@ from .data import (
     save_dataset,
     simulate_population,
     view_directories,
+    view_index,
 )
 from .errors import (
     IngestionError,
@@ -221,10 +222,7 @@ def _load_prediction_dir(root: Path) -> tuple[list[str], dict[int, np.ndarray]]:
     views = {}
     shape = None
     for view_dir in sorted(root.glob("view_*")):
-        suffix = view_dir.name[len("view_"):]
-        if not (suffix.isascii() and suffix.isdigit()):
-            raise IngestionError(f"{view_dir}: view directory name must be view_<index>")
-        idx = int(suffix)
+        idx = view_index(view_dir)
         if idx in views:
             raise IngestionError(f"{view_dir}: a second directory for view {idx}")
         mats = []

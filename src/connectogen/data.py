@@ -3,7 +3,7 @@
 A connectivity matrix is a symmetric nonnegative r-by-r float64 array with a
 zero diagonal.  A population dataset stacks s subjects times v views of such
 matrices plus the derived per-view feature matrices (vectorized strict upper
-triangles, f = r(r-1)/2 features).
+triangles, f = r(r-1)/2 features), whose layout only :func:`edge_index` knows.
 
 On-disk layout::
 
@@ -22,6 +22,7 @@ exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,13 +55,29 @@ def check_connectivity(weights, name: str = "matrix") -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=8)
+def edge_index(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only indices between feature rows and flattened r-node graphs.
+
+    Feature k is the k-th pair i < j of the strict upper triangle in
+    row-major order.  Returns each feature's flat indices i*r+j and j*r+i,
+    and the feature each of the r*r entries reads (0 on the diagonal).
+    """
+    iu, ju = np.triu_indices(r, k=1)
+    upper, lower = iu * r + ju, ju * r + iu
+    source = np.zeros(r * r, dtype=np.intp)
+    source[upper] = source[lower] = np.arange(len(upper))
+    for index in (upper, lower, source):
+        index.flags.writeable = False
+    return upper, lower, source
+
+
 def vectorize_upper(weights, name: str = "matrix") -> np.ndarray:
-    """Strict upper triangle in row-major order (row index ascending, then column)."""
+    """Strict upper triangle in :func:`edge_index` order."""
     w = check_connectivity(weights, name)
     if w.ndim != 2:
         raise ValidationError(f"{name}: expected one square matrix, got shape {w.shape}")
-    iu, ju = np.triu_indices(w.shape[0], k=1)
-    return w[iu, ju].copy()
+    return np.take(w, edge_index(w.shape[0])[0])
 
 
 def devectorize(vec, r: int) -> np.ndarray:
@@ -73,12 +90,12 @@ def devectorize(vec, r: int) -> np.ndarray:
     f = feature_count(r)
     if v.ndim == 0 or v.shape[-1] != f:
         raise DimensionError(f"devectorize: expected {f} values for r={r}, got {v.shape}")
-    v = np.maximum(v, 0.0)
-    w = np.zeros(v.shape[:-1] + (r, r))
-    iu, ju = np.triu_indices(r, k=1)
-    w[..., iu, ju] = v
-    w[..., ju, iu] = v
-    return w
+    if r < 2:  # no features: numpy takes nothing from an empty axis
+        return np.zeros(v.shape[:-1] + (r, r))
+    flat = np.take(v, edge_index(r)[2], axis=-1)
+    np.maximum(flat, 0.0, out=flat)
+    flat[..., ::r + 1] = 0.0
+    return flat.reshape(v.shape[:-1] + (r, r))
 
 
 @dataclass(frozen=True)
@@ -115,8 +132,7 @@ class PopulationDataset:
     def feature_matrix(self, view: int, subjects=None) -> np.ndarray:
         """Stack vectorized upper triangles of one view, (n, f)."""
         graphs = self.tensor[:, view] if subjects is None else self.tensor[list(subjects), view]
-        iu, ju = np.triu_indices(self.r, k=1)
-        return np.take(graphs.reshape(len(graphs), -1), iu * self.r + ju, axis=1)
+        return np.take(graphs.reshape(len(graphs), -1), edge_index(self.r)[0], axis=1)
 
     def subset(self, subjects) -> "PopulationDataset":
         subjects = list(subjects)
@@ -142,8 +158,9 @@ def _read_text(path: Path) -> str:
 
 def read_manifest(root: Path) -> list[str]:
     """The subject ids that ``<root>/manifest.txt`` lists, one per non-blank
-    line; a missing, unreadable or empty manifest, or a repeated id, is an
-    IngestionError."""
+    line; a missing, unreadable or empty manifest, a repeated id, or an id
+    that would leave its view directory (``.``, ``..``, or holding ``/`` or
+    NUL) is an IngestionError."""
     manifest = Path(root) / "manifest.txt"
     if not manifest.is_file():
         raise IngestionError(f"{manifest}: manifest not found")
@@ -152,6 +169,9 @@ def read_manifest(root: Path) -> list[str]:
         raise IngestionError(f"{manifest}: no subjects listed")
     if len(set(ids)) != len(ids):
         raise IngestionError(f"{manifest}: duplicate subject ids")
+    for sid in ids:
+        if "/" in sid or "\0" in sid or sid in (".", ".."):
+            raise IngestionError(f"{manifest}: subject id {sid!r} is not a plain file name")
     return ids
 
 
@@ -201,17 +221,21 @@ def write_matrix_csv(path: Path, weights: np.ndarray) -> None:
     Path(path).write_text(format_matrix_csv(weights), encoding="utf-8")
 
 
+def view_index(view_dir: Path) -> int:
+    """The index of a ``view_<index>`` directory, whose index is ASCII digits;
+    any other name is an IngestionError."""
+    suffix = view_dir.name[len("view_"):]
+    if not (suffix.isascii() and suffix.isdigit()):
+        raise IngestionError(f"{view_dir}: view directory name must be view_<index>")
+    return int(suffix)
+
+
 def view_directories(root) -> dict[int, Path]:
     """The ``view_<index>`` directories of a dataset, by index; anything but
     view_0..view_{v-1} with v >= 1 is an IngestionError.  Reads no matrix."""
     root = Path(root)
     view_dirs = sorted(root.glob("view_*"), key=lambda p: p.name)
-    indices = []
-    for d in view_dirs:
-        try:
-            indices.append(int(d.name.split("_", 1)[1]))
-        except ValueError:
-            raise IngestionError(f"{d}: view directory name must be view_<index>")
+    indices = [view_index(d) for d in view_dirs]
     if sorted(indices) != list(range(len(indices))) or not indices:
         raise IngestionError(f"{root}: view directories must be view_0..view_{{v-1}}")
     return dict(zip(indices, view_dirs))
@@ -320,14 +344,9 @@ def simulate_population(s: int, r: int, v: int, clusters: int = 2,
     labels = rng.integers(0, clusters, size=s)
     latents = np.abs(means[labels] + rng.standard_normal((s, latent_dim)))
 
-    tensor = np.zeros((s, v, r, r))
-    iu, ju = np.triu_indices(r, k=1)
-    for k in range(v):
-        feats = np.abs(latents @ maps[k] + noise * rng.standard_normal((s, f)))
-        feats /= 1.0 + separation
-        graphs = tensor[:, k]
-        graphs[:, iu, ju] = feats
-        graphs[:, ju, iu] = feats
+    feats = np.stack([np.abs(latents @ maps[k] + noise * rng.standard_normal((s, f)))
+                      for k in range(v)], axis=1)
+    tensor = devectorize(feats / (1.0 + separation), r)
 
     ids = tuple(f"subj{i:04d}" for i in range(s))
     return PopulationDataset(subject_ids=ids, tensor=tensor,

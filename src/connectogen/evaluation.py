@@ -24,6 +24,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import topology
+from .data import edge_index
 from .errors import DimensionError, PreconditionError
 
 METRIC_ORDER = ("cc", "bc", "ec", "pc", "eff", "clst")
@@ -48,8 +49,7 @@ def _upper_maes(real: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """Mean absolute upper-triangular difference of each graph pair of two
     equal (..., r, r) stacks, as (...)."""
     r = real.shape[-1]
-    iu, ju = np.triu_indices(r, k=1)
-    upper = iu * r + ju
+    upper = edge_index(r)[0]
 
     def entries(graphs):
         # np.take leaves each graph's entries contiguous, so every mean sums

@@ -16,9 +16,10 @@ of shortest paths that closeness and betweenness share; evaluation and the
 
 Eigenvector centrality, from one forward for every caller, is also recorded
 on the tape as one op over raw vectorized rows (:func:`batched_eigenvector_rows`),
-which applies the relu itself and is differentiated at its fixed point.  The
-op keeps no graph stack on the tape: its backward rebuilds the graphs from
-the rows, one chunk of the kernels' rule at a time.
+which expands and clamps them with :func:`connectogen.data.devectorize` and
+is differentiated at its fixed point.  The op keeps no graph stack on the
+tape: its backward rebuilds the graphs from the rows with ``devectorize``,
+one chunk of the kernels' rule at a time.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from ._topology_kernels import (
     dijkstra_all,
     onnela_clustering,
 )
-from .data import check_connectivity
-from .errors import DegenerateError, DimensionError, PreconditionError, ValidationError
+from .data import check_connectivity, devectorize, edge_index
+from .errors import DegenerateError, PreconditionError, ValidationError
 
 DISTANCE = "distance"
 INVERSE = "inverse"
@@ -286,53 +287,28 @@ def ec_or_zero(weights) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # differentiable path (one tape op, differentiated at the fixed point)
 
-def _edge_index(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices between feature rows of r nodes and their flattened graphs.
-
-    Returns, for each of the r*r entries, the feature column it reads
-    (column 0 on the diagonal), and the flat indices i*r+j and j*r+i of each
-    column's two entries, i < j in column order.
-    """
-    iu, ju = np.triu_indices(r, k=1)
-    upper, lower = iu * r + ju, ju * r + iu
-    source = np.zeros(r * r, dtype=np.intp)
-    source[upper] = source[lower] = np.arange(len(upper))
-    return source, upper, lower
-
-
-def _relu_graphs(x: np.ndarray, source: np.ndarray, r: int) -> np.ndarray:
-    """The (n, r, r) stack of relu'd graphs of raw feature rows, in one gather."""
-    flat = np.take(x, source, axis=1)
-    np.maximum(flat, 0.0, out=flat)
-    flat[:, ::r + 1] = 0.0
-    return flat.reshape(-1, r, r)
-
-
 def batched_eigenvector_rows(features: ad.Tensor, r: int) -> ad.Tensor:
     """Eigenvector centralities for a batch of vectorized graphs.
 
     ``features`` holds raw (n, r(r-1)/2) rows.  The op applies the relu
-    itself: each row is clamped and expanded to a symmetric adjacency W,
-    whose principal unit eigenvector v is recorded as one op.  The (n, r, r)
-    stack of graphs is dropped after the forward; the tape keeps v, the
-    eigenvalues and ``features`` by reference, so the rows must not change
-    before the backward.  The backward differentiates the fixed point
-    W v = lambda v: for upstream g, u solves
+    itself: :func:`connectogen.data.devectorize` clamps and expands each row
+    to a symmetric adjacency W (and raises its DimensionError for rows of
+    another width), whose principal unit eigenvector v is recorded as one
+    op.  The (n, r, r) stack of graphs is dropped after the forward; the
+    tape keeps v, the eigenvalues and ``features`` by reference, so the rows
+    must not change before the backward.  The backward differentiates the
+    fixed point W v = lambda v: for upstream g, u solves
     (lambda I - W + v v^T) u = (I - v v^T) g and dL/dW = u v^T, so feature
     (i, j) gets u_i v_j + u_j v_i where it is positive and 0 elsewhere.  It
-    rebuilds W chunk by chunk, cut by the kernels' rule
+    rebuilds W with ``devectorize`` chunk by chunk, cut by the kernels' rule
     (:mod:`connectogen._topology_kernels`), so its temporaries stay
     O(chunk * r^2).  All-zero rows yield all-zero centralities and a zero
     gradient instead of raising, so training losses stay finite early on.
     Returns an (n, r) tensor on the active tape.
     """
     x = features.data
-    if x.shape[1] != r * (r - 1) // 2:
-        raise DimensionError(
-            f"batched_eigenvector_rows: expected {r * (r - 1) // 2} columns for r={r}, "
-            f"got {x.shape[1]}")
-    source, upper, lower = _edge_index(r)
-    vec, lam = _principal_eigenpairs(_relu_graphs(x, source, r))
+    vec, lam = _principal_eigenpairs(devectorize(x, r))
+    upper, lower, _ = edge_index(r)
     diag = np.arange(r)
 
     def build(ids):
@@ -345,7 +321,7 @@ def batched_eigenvector_rows(features: ad.Tensor, r: int) -> ad.Tensor:
             grad = np.empty(x.shape)
             for part in _chunks(len(x), r):
                 v, rows = vec[part], x[part]
-                system = _relu_graphs(rows, source, r)
+                system = devectorize(rows, r)
                 np.subtract(v[:, :, None] * v[:, None, :], system, out=system)
                 system[:, diag, diag] += shift[part, None]
                 u = np.linalg.solve(system, rhs[part, :, None])

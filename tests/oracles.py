@@ -153,12 +153,12 @@ def eigenvector_dense(weights: np.ndarray) -> np.ndarray:
 def devectorize_rows(x: np.ndarray, r: int) -> np.ndarray:
     """Expand (n, r(r-1)/2) feature rows into (n, r*r) flattened symmetric
     adjacency rows: entry i*r+j holds the weight between nodes i and j, and
-    the diagonal is zero.  No clamping."""
+    the diagonal is zero.  No clamping.  Each feature is scattered to its
+    two entries of a zeroed stack, the reverse of the package's gather."""
     iu, ju = np.triu_indices(r, k=1)
-    source = np.zeros(r * r, dtype=np.intp)
-    source[iu * r + ju] = source[ju * r + iu] = np.arange(len(iu))
-    flat = np.take(x, source, axis=1)
-    flat[:, ::r + 1] = 0.0
+    flat = np.zeros((len(x), r * r))
+    flat[:, iu * r + ju] = x
+    flat[:, ju * r + iu] = x
     return flat
 
 

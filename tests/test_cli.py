@@ -220,6 +220,21 @@ class TestTrainPredict:
                    "--source-view", "0", "--out", str(tmp_path / "p"))
         assert code == 2
 
+    def test_predict_rejects_a_subject_id_that_leaves_its_directory(self, dataset, tmp_path,
+                                                                   capsys):
+        # "../../outside" once made predict --out out/pred write out/outside.csv
+        model = tmp_path / "model.bin"
+        assert run(*train_args(dataset, model)) == 0
+        sid = "../../outside"
+        ids = data.read_manifest(dataset)
+        (dataset / "manifest.txt").write_text("\n".join(ids + [sid]) + "\n")
+        data.write_matrix_csv(dataset / "view_0" / f"{sid}.csv", np.zeros((6, 6)))
+        out = tmp_path / "out"
+        assert run("predict", "--model", str(model), "--data", str(dataset),
+                   "--source-view", "0", "--out", str(out / "pred")) == 3
+        assert "not a plain file name" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluate:
     @pytest.fixture()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from connectogen import data
+from connectogen import cli, data
 from connectogen.errors import DimensionError, IngestionError, PreconditionError, ValidationError
 
 
@@ -89,6 +89,32 @@ class TestDevectorize:
             assert np.array_equal(data.vectorize_upper(w), vec)
             assert np.array_equal(data.devectorize(data.vectorize_upper(w), r), w)
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 35, 116])
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=["row", "stack", "stack2d"])
+    def test_gather_matches_clamped_scatter_bitwise(self, r, lead):
+        # the gather equals relu then the oracle's scatter bit for bit: the
+        # sign of -0.0 survives the clamp and NaN passes through it
+        f = r * (r - 1) // 2
+        rows = np.random.default_rng(r).uniform(-1.0, 1.0, size=lead + (f,))
+        flat = rows.reshape(-1)
+        flat[::3], flat[1::5], flat[2::7] = -0.0, 0.0, np.nan
+        got = data.devectorize(rows, r)
+        n = int(np.prod(lead, dtype=int))
+        want = oracles.devectorize_rows(np.maximum(rows, 0.0).reshape(n, f), r)
+        assert got.shape == lead + (r, r)
+        assert got.tobytes() == want.reshape(lead + (r, r)).tobytes()
+
+    def test_edge_index_is_memoized_and_read_only(self):
+        upper, lower, source = data.edge_index(4)
+        assert data.edge_index(4)[0] is upper
+        assert upper.tolist() == [1, 2, 3, 6, 7, 11]
+        assert lower.tolist() == [4, 8, 12, 9, 13, 14]
+        assert np.array_equal(source[upper], np.arange(6))
+        assert np.array_equal(source[lower], np.arange(6))
+        for index in (upper, lower, source):
+            with pytest.raises(ValueError):
+                index[0] = 0
+
 
 def _write_dataset(tmp_path, subjects, views, r=4, mutate=None):
     rng = np.random.default_rng(1)
@@ -159,6 +185,26 @@ class TestLoadDataset:
             data.load_dataset(root, views=[1, 0])
         with pytest.raises(IngestionError, match="no view_3 directory"):
             data.load_dataset(root, views=[1, 3])
+
+    @pytest.mark.parametrize("sid", ["../outside", "../../outside", "a/b", "/abs", ".", "..",
+                                     "s\0x"])
+    def test_subject_id_that_leaves_its_directory_is_rejected(self, tmp_path, sid):
+        # "../outside" once read ds/outside.csv, beside the view directories
+        root = _write_dataset(tmp_path, ["s1"], views=1)
+        data.write_matrix_csv(root / "outside.csv", np.zeros((4, 4)))
+        (root / "manifest.txt").write_text(f"s1\n{sid}\n")
+        with pytest.raises(IngestionError, match="not a plain file name"):
+            data.load_dataset(root)
+
+    @pytest.mark.parametrize("name", ["view_+1", "view_ 1", "view_\u0661", "view_1.0", "view_"])
+    @pytest.mark.parametrize("reader", [data.load_dataset, cli._load_prediction_dir],
+                             ids=["load_dataset", "prediction_dir"])
+    def test_view_index_is_ascii_digits(self, tmp_path, reader, name):
+        # int() once read "view_+1", "view_ 1" and "view_<Arabic-Indic one>" as view 1
+        root = _write_dataset(tmp_path, ["s1"], views=2)
+        (root / "view_1").rename(root / name)
+        with pytest.raises(IngestionError, match="view directory name must be view_<index>"):
+            reader(root)
 
     def test_save_load_round_trip(self, tmp_path):
         ds = data.simulate_population(s=5, r=6, v=3, seed=9)

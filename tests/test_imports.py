@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is read in that module."""
+"""Source scans of the package: every name a module imports is read in that
+module, and one module owns the feature-row layout."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,9 @@ def test_scan_finds_unused_and_keeps_read_names():
               "from .data import devectorize, feature_count\n__all__ = ['feature_count']\n"
               "x = np.zeros(3)\n")
     assert unused_imports(source) == ["os (line 2)", "devectorize (line 4)"]
+
+
+def test_only_data_knows_the_feature_layout():
+    # data.edge_index and data.devectorize own the row layout for every module
+    assert [path.name for path in MODULES
+            if "triu_indices" in path.read_text(encoding="utf-8")] == ["data.py"]
