@@ -2,8 +2,11 @@
 
 Every successful run writes exactly one JSON run manifest next to its
 outputs (full resolved configuration, seeds, input paths, output hashes);
-the exit status is 0 iff that manifest was written.  Output files are
-written to a temporary path and atomically renamed into place.
+the exit status is 0 iff that manifest was written.  Datasets and
+prediction directories share one multigraph layout, which only
+:mod:`connectogen.data` reads and writes; every file, the run manifest
+included, goes through its one writer, which renames a temporary file into
+place.
 
 Exit codes: 0 success, 2 usage, 3 ingestion, 4 numeric/training, 5 I/O.
 """
@@ -16,7 +19,6 @@ import json
 import os
 import platform
 import sys
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,16 +27,15 @@ import numpy as np
 from . import __version__
 from . import evaluation, topology
 from .data import (
-    PopulationDataset,
-    format_matrix_csv,
+    _read_views,
+    _write_atomic,
+    _write_views,
     kfold_split,
     load_dataset,
-    read_manifest,
     read_matrix_csv,
     save_dataset,
     simulate_population,
     view_directories,
-    view_index,
 )
 from .errors import (
     IngestionError,
@@ -52,23 +53,6 @@ USAGE_EXIT = 2
 INGEST_EXIT = 3
 NUMERIC_EXIT = 4
 IO_EXIT = 5
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _sha256(path: Path) -> str:
@@ -97,14 +81,7 @@ def _write_manifest(path: Path, command: str, config: dict, inputs: list[Path],
         "inputs": [str(p) for p in inputs],
         "outputs": [{"path": str(p), "sha256": _sha256(p)} for p in outputs],
     }
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _dataset_files(root: Path, dataset: PopulationDataset) -> list[Path]:
-    files = [root / "manifest.txt"]
-    for k in range(dataset.v):
-        files.extend(root / f"view_{k}" / f"{sid}.csv" for sid in dataset.subject_ids)
-    return sorted(files)
+    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +92,13 @@ def _cmd_simulate(args) -> int:
         s=args.subjects, r=args.rois, v=args.views, clusters=args.clusters,
         separation=args.separation, noise=args.noise, seed=args.seed)
     out = Path(args.out)
-    save_dataset(dataset, out)
+    written = save_dataset(dataset, out)
     _write_manifest(
         out / "run_manifest.json", "simulate",
         {"subjects": args.subjects, "rois": args.rois, "views": args.views,
          "clusters": args.clusters, "separation": args.separation,
          "noise": args.noise, "seed": args.seed, "out": str(out)},
-        inputs=[], outputs=_dataset_files(out, dataset))
+        inputs=[], outputs=written)
     print(f"wrote {dataset.s} subjects x {dataset.v} views to {out}")
     return 0
 
@@ -152,17 +129,11 @@ def _cmd_train(args) -> int:
     bundle, trace = train(dataset, args.source_view, cfg, weights)
 
     model_path = Path(args.out)
-    model_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = model_path.with_name(model_path.name + ".tmp")
-    try:
-        save_bundle(bundle, tmp)
-        os.replace(tmp, model_path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    save_bundle(bundle, model_path)
 
     trace_path = Path(args.trace) if args.trace else model_path.with_suffix(
         model_path.suffix + ".trace.csv")
-    _atomic_write_text(trace_path, trace.to_csv())
+    _write_atomic(trace_path, trace.to_csv())
 
     _write_manifest(
         model_path.with_suffix(model_path.suffix + ".run.json"), "train",
@@ -191,101 +162,60 @@ def _cmd_predict(args) -> int:
     targets = target_views(v, args.source_view)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / "manifest.txt", "\n".join(dataset.subject_ids) + "\n")
-    written = [out / "manifest.txt"]
-    for slot, view in enumerate(targets):
-        view_dir = out / f"view_{view}"
-        view_dir.mkdir(exist_ok=True)
-        for s, sid in enumerate(dataset.subject_ids):
-            path = view_dir / f"{sid}.csv"
-            _atomic_write_text(path, format_matrix_csv(pred[s, :, :, slot]))
-            written.append(path)
+    written = _write_views(out, dataset.subject_ids,
+                           {view: pred[..., slot] for slot, view in enumerate(targets)})
 
     _write_manifest(
         out / "run_manifest.json", "predict",
         {"model": str(args.model), "data": str(args.data),
          "source_view": args.source_view, "target_views": targets},
-        inputs=[Path(args.model), Path(args.data)], outputs=sorted(written))
+        inputs=[Path(args.model), Path(args.data)], outputs=written)
     print(f"wrote {len(targets)} predicted views for {dataset.s} subjects to {out}")
     return 0
 
 
-def _load_prediction_dir(root: Path) -> tuple[list[str], dict[int, np.ndarray]]:
-    """Prediction directories hold view_<orig index> subdirs for targets only.
-
-    The manifest and every graph are read and validated as
-    :func:`load_dataset` reads them, and all graphs must have the same size;
-    any fault is an IngestionError.
-    """
-    ids = read_manifest(root)
-    views = {}
-    shape = None
-    for view_dir in sorted(root.glob("view_*")):
-        idx = view_index(view_dir)
-        if idx in views:
-            raise IngestionError(f"{view_dir}: a second directory for view {idx}")
-        mats = []
-        for sid in ids:
-            path = view_dir / f"{sid}.csv"
-            if not path.is_file():
-                raise IngestionError(f"{path}: missing prediction file")
-            w = read_matrix_csv(path)
-            shape = shape or w.shape
-            if w.shape != shape:
-                raise IngestionError(f"{path}: {w.shape[0]} ROIs, expected {shape[0]}")
-            mats.append(w)
-        views[idx] = np.stack(mats)
-    if not views:
-        raise IngestionError(f"{root}: no view_* directories")
-    return ids, views
-
-
-def _tensorize(views: dict[int, np.ndarray]):
-    order = sorted(views)
-    stack = np.stack([views[i] for i in order], axis=-1)
-    return order, stack
+def _graphs_last(tensor: np.ndarray) -> np.ndarray:
+    """(s, n, r, r) graphs as the (s, r, r, n) stack that evaluation scores."""
+    return np.ascontiguousarray(np.moveaxis(tensor, 1, -1))
 
 
 def _evaluate_pair(args) -> int:
-    pred_ids, pred_views = _load_prediction_dir(Path(args.pred))
-    order, pred_tensor = _tensorize(pred_views)
+    pred_ids, order, pred = _read_views(args.pred)
     # only the scored views: the truth's source view is never read
     truth = load_dataset(args.truth, views=order)
     if list(truth.subject_ids) != pred_ids:
         raise IngestionError("prediction and truth subject lists differ")
-    truth_tensor = np.ascontiguousarray(np.moveaxis(truth.tensor, 1, -1))
-    if pred_tensor.shape != truth_tensor.shape:
+    if pred.shape != truth.tensor.shape:
         raise IngestionError(
-            f"prediction graphs {pred_tensor.shape} do not match truth {truth_tensor.shape}")
+            f"prediction graphs {pred.shape} do not match truth {truth.tensor.shape}")
     inputs = [Path(args.pred), Path(args.truth)]
-    base_tensor = None
+    base = None
     if args.baseline:
-        base_ids, base_views = _load_prediction_dir(Path(args.baseline))
-        if base_ids != pred_ids or sorted(base_views) != order:
+        base_ids, base_order, base = _read_views(args.baseline)
+        if base_ids != pred_ids or base_order != order:
             raise IngestionError("baseline predictions do not match the prediction set")
-        _, base_tensor = _tensorize(base_views)
-        if base_tensor.shape != truth_tensor.shape:
+        if base.shape != truth.tensor.shape:
             raise IngestionError(
-                f"baseline graphs {base_tensor.shape} do not match truth {truth_tensor.shape}")
+                f"baseline graphs {base.shape} do not match truth {truth.tensor.shape}")
         inputs.append(Path(args.baseline))
-    report = evaluation.evaluate(pred_tensor, truth_tensor, interp=args.interp,
-                                 view_labels=[str(v) for v in order], baseline=base_tensor)
+        base = _graphs_last(base)
+    report = evaluation.evaluate(_graphs_last(pred), _graphs_last(truth.tensor),
+                                 interp=args.interp, view_labels=[str(v) for v in order],
+                                 baseline=base)
 
     out_prefix = Path(args.out)
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
     outputs = []
     for suffix, text in (("", evaluation.report_csv(report)),
                          ("_kl", evaluation.kl_csv(report))):
         path = out_prefix.with_name(out_prefix.name + suffix + ".csv")
-        _atomic_write_text(path, text)
+        _write_atomic(path, text)
         outputs.append(path)
     if report.p_values is not None:
         path = out_prefix.with_name(out_prefix.name + "_pvalues.csv")
-        _atomic_write_text(path, evaluation.pvalues_csv(report))
+        _write_atomic(path, evaluation.pvalues_csv(report))
         outputs.append(path)
     md_path = out_prefix.with_name(out_prefix.name + ".md")
-    _atomic_write_text(md_path, evaluation.report_markdown(report))
+    _write_atomic(md_path, evaluation.report_markdown(report))
     outputs.append(md_path)
 
     _write_manifest(
@@ -305,7 +235,6 @@ def _evaluate_folds(args) -> int:
     targets = target_views(dataset.v, source_view)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     reports = []
     for fold_idx, test_idx in enumerate(folds):
@@ -318,7 +247,7 @@ def _evaluate_folds(args) -> int:
                                      view_labels=[str(v) for v in targets])
         reports.append(report)
         path = out_dir / f"fold_{fold_idx}.csv"
-        _atomic_write_text(path, evaluation.report_csv(report))
+        _write_atomic(path, evaluation.report_csv(report))
         outputs.append(path)
 
     averaged = evaluation.EvaluationReport(
@@ -331,7 +260,7 @@ def _evaluate_folds(args) -> int:
                        ("folds_avg_kl.csv", evaluation.kl_csv(averaged)),
                        ("folds_avg.md", evaluation.report_markdown(averaged))):
         path = out_dir / name
-        _atomic_write_text(path, text)
+        _write_atomic(path, text)
         outputs.append(path)
 
     _write_manifest(
@@ -374,7 +303,7 @@ def _cmd_metrics(args) -> int:
 
     if args.out:
         out = Path(args.out)
-        _atomic_write_text(out, text)
+        _write_atomic(out, text)
         _write_manifest(out.with_suffix(out.suffix + ".run.json"), "metrics",
                         {"graph": str(path), "interp": args.interp},
                         inputs=[path], outputs=[out])

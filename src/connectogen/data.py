@@ -5,10 +5,17 @@ zero diagonal.  A population dataset stacks s subjects times v views of such
 matrices plus the derived per-view feature matrices (vectorized strict upper
 triangles, f = r(r-1)/2 features), whose layout only :func:`edge_index` knows.
 
-On-disk layout::
+On-disk layout of a multigraph directory::
 
     <root>/manifest.txt          one subject id per line (UTF-8)
     <root>/view_<k>/<id>.csv     r lines of r comma-separated decimals
+
+A dataset holds view_0..view_{v-1}; a prediction directory holds only the
+target views.  This module is the layout's one owner: :func:`_write_views`
+writes every such directory and :func:`_read_views` reads every one, and
+both keep one subject-id rule (:func:`_check_subject_ids`).  Every file
+connectogen writes goes through :func:`_write_atomic`: a fresh temporary
+name beside the target, then a rename into place.
 
 Every matrix CSV (dataset views, predictions, the ``metrics`` graph) goes
 through one reader and one formatter, each a single bulk call per file.  The reader converts all
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,22 +164,31 @@ def _read_text(path: Path) -> str:
         raise IngestionError(f"{path}: cannot read ({exc})") from exc
 
 
+def _check_subject_ids(ids, where, error) -> None:
+    """The one subject-id rule, for reading and writing alike: at least one id,
+    none repeated, and each reads back from a manifest as itself, as its file
+    name: nonempty, no surrounding whitespace, no line break, and a plain file
+    name (not ``.`` or ``..``, no ``/`` or NUL).  A fault raises ``error``."""
+    if not ids:
+        raise error(f"{where}: no subjects listed")
+    if len(set(ids)) != len(ids):
+        raise error(f"{where}: duplicate subject ids")
+    for sid in ids:
+        if sid.splitlines() != [sid] or sid != sid.strip():
+            raise error(f"{where}: subject id {sid!r} is blank, padded or spans lines")
+        if "/" in sid or "\0" in sid or sid in (".", ".."):
+            raise error(f"{where}: subject id {sid!r} is not a plain file name")
+
+
 def read_manifest(root: Path) -> list[str]:
     """The subject ids that ``<root>/manifest.txt`` lists, one per non-blank
-    line; a missing, unreadable or empty manifest, a repeated id, or an id
-    that would leave its view directory (``.``, ``..``, or holding ``/`` or
-    NUL) is an IngestionError."""
+    line, stripped; a missing or unreadable manifest, or ids that break
+    :func:`_check_subject_ids`, is an IngestionError."""
     manifest = Path(root) / "manifest.txt"
     if not manifest.is_file():
         raise IngestionError(f"{manifest}: manifest not found")
     ids = [line.strip() for line in _read_text(manifest).splitlines() if line.strip()]
-    if not ids:
-        raise IngestionError(f"{manifest}: no subjects listed")
-    if len(set(ids)) != len(ids):
-        raise IngestionError(f"{manifest}: duplicate subject ids")
-    for sid in ids:
-        if "/" in sid or "\0" in sid or sid in (".", ".."):
-            raise IngestionError(f"{manifest}: subject id {sid!r} is not a plain file name")
+    _check_subject_ids(ids, manifest, IngestionError)
     return ids
 
 
@@ -216,9 +233,31 @@ def format_matrix_csv(weights: np.ndarray) -> str:
     return ((",".join(["%.17g"] * cols) + "\n") * rows) % tuple(w.ravel().tolist())
 
 
+def _write_atomic(path, payload: bytes | str) -> None:
+    """Write ``payload`` (a str as UTF-8) to ``path`` through a fresh temporary
+    file beside it, renamed into place; missing parent directories are made.
+    The file gets the mode a plain ``open`` gives, 0666 less the umask."""
+    path = Path(path)
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_matrix_csv(path: Path, weights: np.ndarray) -> None:
     """Write a 2-D matrix as UTF-8 :func:`format_matrix_csv` text; float64 round-trips exactly."""
-    Path(path).write_text(format_matrix_csv(weights), encoding="utf-8")
+    _write_atomic(path, format_matrix_csv(weights))
 
 
 def view_index(view_dir: Path) -> int:
@@ -230,33 +269,46 @@ def view_index(view_dir: Path) -> int:
     return int(suffix)
 
 
+def _view_dirs(root: Path) -> dict[int, Path]:
+    """The ``view_<index>`` directories under ``root``, by index; none, or two
+    for one index, is an IngestionError."""
+    by_index = {}
+    for view_dir in sorted(root.glob("view_*")):
+        k = view_index(view_dir)
+        if k in by_index:
+            raise IngestionError(f"{view_dir}: a second directory for view {k}")
+        by_index[k] = view_dir
+    if not by_index:
+        raise IngestionError(f"{root}: no view_* directories")
+    return by_index
+
+
 def view_directories(root) -> dict[int, Path]:
     """The ``view_<index>`` directories of a dataset, by index; anything but
     view_0..view_{v-1} with v >= 1 is an IngestionError.  Reads no matrix."""
-    root = Path(root)
-    view_dirs = sorted(root.glob("view_*"), key=lambda p: p.name)
-    indices = [view_index(d) for d in view_dirs]
-    if sorted(indices) != list(range(len(indices))) or not indices:
+    by_index = _view_dirs(Path(root))
+    if sorted(by_index) != list(range(len(by_index))):
         raise IngestionError(f"{root}: view directories must be view_0..view_{{v-1}}")
-    return dict(zip(indices, view_dirs))
+    return by_index
 
 
-def load_dataset(root, views=None) -> PopulationDataset:
-    """Load and fully validate a dataset directory.
+def _read_views(root, views=None, find_views=_view_dirs):
+    """Read and fully validate a multigraph directory.
 
-    ``views``, a list of view indices, reads only those views' matrices;
-    the result's view axis then holds them in that order.  An index with
-    no view directory is an IngestionError.
+    Returns the subject ids, the view indices read and their (s, n, r, r)
+    graphs.  ``find_views(root)`` lists the view directories by index;
+    ``views``, a list of indices, reads only those, in that order, and an
+    index with no directory is an IngestionError.  Any other fault (a
+    missing, unreadable or invalid file, graphs of different sizes) is one
+    too.
     """
     root = Path(root)
     subject_ids = read_manifest(root)
-    by_index = view_directories(root)
-    if views is None:
-        views = sorted(by_index)
+    by_index = find_views(root)
+    views = sorted(by_index) if views is None else list(views)
     for k in views:
         if k not in by_index:
-            raise IngestionError(
-                f"{root}: no view_{k} directory (views are view_0..view_{len(by_index) - 1})")
+            raise IngestionError(f"{root}: no view_{k} directory")
 
     r = None
     matrices = []
@@ -273,20 +325,44 @@ def load_dataset(root, views=None) -> PopulationDataset:
                 raise IngestionError(f"{path}: {w.shape[0]} ROIs, expected {r}")
             per_view.append(w)
         matrices.append(per_view)
+    return subject_ids, views, np.asarray(matrices)
 
-    return PopulationDataset(subject_ids=tuple(subject_ids), tensor=np.asarray(matrices))
 
-
-def save_dataset(dataset: PopulationDataset, root) -> None:
+def _write_views(root, subject_ids, views: dict[int, np.ndarray]) -> list[Path]:
+    """Write a multigraph directory: the manifest, then one CSV per subject
+    for each ``{view index: (s, r, r) graphs}`` entry.  The ids are checked
+    before anything is made.  Returns the written paths, sorted."""
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "manifest.txt").write_text(
-        "\n".join(dataset.subject_ids) + "\n", encoding="utf-8")
-    for k in range(dataset.v):
-        view_dir = root / f"view_{k}"
-        view_dir.mkdir(exist_ok=True)
-        for i, sid in enumerate(dataset.subject_ids):
-            write_matrix_csv(view_dir / f"{sid}.csv", dataset.tensor[i, k])
+    manifest = root / "manifest.txt"
+    _check_subject_ids(subject_ids, manifest, ValidationError)
+    _write_atomic(manifest, "\n".join(subject_ids) + "\n")
+    written = [manifest]
+    for k, graphs in views.items():
+        for sid, w in zip(subject_ids, graphs, strict=True):
+            path = root / f"view_{k}" / f"{sid}.csv"
+            write_matrix_csv(path, w)
+            written.append(path)
+    return sorted(written)
+
+
+def load_dataset(root, views=None) -> PopulationDataset:
+    """Load and fully validate a dataset directory, whose views must be
+    view_0..view_{v-1}.
+
+    ``views``, a list of view indices, reads only those views' matrices;
+    the result's view axis then holds them in that order.  An index with
+    no view directory is an IngestionError.
+    """
+    subject_ids, _, tensor = _read_views(root, views, view_directories)
+    return PopulationDataset(subject_ids=tuple(subject_ids), tensor=tensor)
+
+
+def save_dataset(dataset: PopulationDataset, root) -> list[Path]:
+    """Write a dataset directory; returns the written paths, sorted.  Subject
+    ids that would not read back as themselves are a ValidationError, raised
+    before anything is written."""
+    return _write_views(root, dataset.subject_ids,
+                        {k: dataset.tensor[:, k] for k in range(dataset.v)})
 
 
 def ratio_split(dataset: PopulationDataset, train_frac: float, seed: int):

@@ -327,16 +327,3 @@ def report_markdown(report: EvaluationReport) -> str:
                         report.p_values, None)]
     return "\n".join(parts) + "\n"
 
-
-def parse_report_csv(text: str) -> tuple[list[str], np.ndarray]:
-    """Parse a report CSV back into (labels, value matrix) for round-trips."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    if header[0] != "view":
-        raise PreconditionError("not a report CSV: first column must be 'view'")
-    labels, rows = [], []
-    for line in lines[1:]:
-        cells = line.split(",")
-        labels.append(cells[0])
-        rows.append([float(c) for c in cells[1:]])
-    return labels, np.asarray(rows)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import feature_count
+from .data import _write_atomic, feature_count
 from .errors import DimensionError, PreconditionError, SerializationError
 
 MAGIC = b"TMGP1"
@@ -266,7 +266,7 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     header += struct.pack("<4I", dims.r, dims.v, dims.c, EMBED_DIM)
     payload = b"".join(np.ascontiguousarray(blob).astype("<f8").tobytes()
                        for blob in bundle._blobs())
-    Path(path).write_bytes(header + payload)
+    _write_atomic(path, header + payload)
 
 
 def load_bundle(path) -> ModelBundle:

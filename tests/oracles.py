@@ -12,7 +12,8 @@ are read line by line with one ``float`` per cell and written with one
 f-string per cell.  The evaluation oracles loop as the formulas read: one
 ``np.histogram`` per KL sample and one graph MAE per (view, subject); the
 report oracle takes its centralities from the library's per-metric
-functions, one pass per metric, which the centrality oracles check.  The
+functions, one pass per metric, which the centrality oracles check, and
+report CSVs are parsed back cell by cell.  The
 eigenvector-centrality op's reference shares the library's EC forward and
 takes the op's backward over the whole stack at once, unchunked.  The
 affinity oracle runs the kernel-weight rounds elementwise on the library's
@@ -493,3 +494,17 @@ def format_matrix_csv_by_cell(weights) -> str:
     """Matrix CSV text built from one ``.17g`` f-string per cell."""
     lines = [",".join(f"{x:.17g}" for x in row) for row in np.asarray(weights)]
     return "\n".join(lines) + "\n"
+
+
+def parse_report_csv(text: str) -> tuple[list[str], np.ndarray]:
+    """Parse a report CSV back into (labels, value matrix) for round-trips."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    header = lines[0].split(",")
+    if header[0] != "view":
+        raise ValueError("not a report CSV: first column must be 'view'")
+    labels, rows = [], []
+    for line in lines[1:]:
+        cells = line.split(",")
+        labels.append(cells[0])
+        rows.append([float(c) for c in cells[1:]])
+    return labels, np.asarray(rows)

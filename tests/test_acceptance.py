@@ -469,7 +469,7 @@ def test_criterion_9_round_trips(tmp_path):
     truth = np.stack([np.stack([data.devectorize(rng.uniform(0, 1, f), 6)
                                 for _ in range(2)], axis=-1) for _ in range(4)])
     rep = evaluation.evaluate(pred, truth)
-    labels, values = evaluation.parse_report_csv(evaluation.report_csv(rep))
+    labels, values = oracles.parse_report_csv(evaluation.report_csv(rep))
     assert labels == rep.view_labels + ["avg"]
     assert np.array_equal(values[:-1], rep.mae)
     assert np.array_equal(values[-1], rep.mae_avg)

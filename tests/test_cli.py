@@ -1,12 +1,14 @@
+import hashlib
 import json
 import os
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from connectogen import cli, data
-from connectogen.evaluation import parse_report_csv
 
 
 def run(*argv):
@@ -23,6 +25,22 @@ def train_args(dataset, model, iters=2, batch=8, seed=1):
     return ["train", "--data", str(dataset), "--source-view", "0",
             "--out", str(model), "--iterations", str(iters),
             "--batch-size", str(batch), "--seed", str(seed)]
+
+
+def files_under(root):
+    return {p for p in root.rglob("*") if p.is_file()}
+
+
+def assert_manifest_lists_new_files(root, before, manifest):
+    """The run manifest lists, with their hashes, exactly the files its command
+    added under ``root``: no more, no fewer, and no temporary file left over.
+    Relative paths in it are read from ``root``."""
+    new = files_under(root) - before - {manifest}
+    outputs = json.loads(manifest.read_text())["outputs"]
+    listed = [root / entry["path"] for entry in outputs]
+    assert len(listed) == len(set(listed)) and set(listed) == new
+    for path, entry in zip(listed, outputs):
+        assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestSimulate:
@@ -52,10 +70,10 @@ class TestSimulate:
 
     def test_manifest_lists_hashes(self, tmp_path):
         out = tmp_path / "ds"
-        run(*simulate_args(out))
+        assert run(*simulate_args(out)) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["command"] == "simulate"
-        assert all(len(entry["sha256"]) == 64 for entry in manifest["outputs"])
+        assert_manifest_lists_new_files(tmp_path, set(), out / "run_manifest.json")
 
 
 class TestTrainPredict:
@@ -99,6 +117,23 @@ class TestTrainPredict:
                    "--out", str(blocker / "model.bin"), "--iterations", "1",
                    "--batch-size", "6")
         assert code == 5
+
+    @pytest.mark.parametrize("kind", ["file", "directory"])
+    def test_train_leaves_a_file_at_the_old_staging_name_alone(self, dataset, tmp_path, kind):
+        # the model was once staged at the fixed name <out>.tmp: a file there was
+        # overwritten and renamed away, a directory there made train exit 5
+        model = tmp_path / "m.bin"
+        stray = tmp_path / "m.bin.tmp"
+        if kind == "file":
+            stray.write_bytes(b"not a model")
+        else:
+            stray.mkdir()
+        assert run(*train_args(dataset, model)) == 0
+        assert model.is_file()
+        if kind == "file":
+            assert stray.read_bytes() == b"not a model"
+        else:
+            assert stray.is_dir() and not list(stray.iterdir())
 
     def test_bad_source_view_fails(self, dataset, tmp_path):
         code = run("train", "--data", str(dataset), "--source-view", "9",
@@ -253,7 +288,7 @@ class TestEvaluate:
         out = tmp_path / "rep"
         assert run("evaluate", "--pred", str(pred), "--truth", str(dataset),
                    "--out", str(out)) == 0
-        labels, values = parse_report_csv((tmp_path / "rep.csv").read_text())
+        labels, values = oracles.parse_report_csv((tmp_path / "rep.csv").read_text())
         assert labels == ["1", "2", "avg"]
         assert values.shape == (3, 7)
         assert (tmp_path / "rep_kl.csv").is_file()
@@ -275,7 +310,7 @@ class TestEvaluate:
         out = tmp_path / "rep"
         assert run("evaluate", "--pred", str(pred), "--truth", str(dataset),
                    "--out", str(out)) == 0
-        _, values = parse_report_csv((tmp_path / "rep.csv").read_text())
+        _, values = oracles.parse_report_csv((tmp_path / "rep.csv").read_text())
         assert np.all(values == 0.0)
 
     def test_baseline_adds_pvalues(self, pipeline, tmp_path):
@@ -286,7 +321,7 @@ class TestEvaluate:
         out = tmp_path / "rep"
         assert run("evaluate", "--pred", str(pred), "--truth", str(dataset),
                    "--baseline", str(base), "--out", str(out)) == 0
-        labels, values = parse_report_csv((tmp_path / "rep_pvalues.csv").read_text())
+        labels, values = oracles.parse_report_csv((tmp_path / "rep_pvalues.csv").read_text())
         assert labels == ["1", "2"]
         # identical predictions -> zero differences -> p = 1 everywhere
         assert np.all(values == 1.0)
@@ -302,8 +337,8 @@ class TestEvaluate:
                    "--iterations", "1", "--batch-size", "6", "--seed", "2") == 0
         for fold in range(3):
             assert (out / f"fold_{fold}.csv").is_file()
-        labels, values = parse_report_csv((out / "folds_avg.csv").read_text())
-        per_fold = [parse_report_csv((out / f"fold_{i}.csv").read_text())[1]
+        labels, values = oracles.parse_report_csv((out / "folds_avg.csv").read_text())
+        per_fold = [oracles.parse_report_csv((out / f"fold_{i}.csv").read_text())[1]
                     for i in range(3)]
         assert np.allclose(values, np.mean(per_fold, axis=0), atol=1e-12)
         assert (out / "run_manifest.json").is_file()
@@ -547,6 +582,58 @@ class TestMetrics:
         assert run("metrics", "--graph", str(path), "--out", str(out)) == 0
         assert out.is_file()
         assert out.with_suffix(".csv.run.json").is_file()
+
+
+class TestOutputs:
+    """Commands run inside the directory of a simulated, trained and predicted
+    pipeline, with paths relative to it."""
+
+    # (argv, run manifest)
+    COMMANDS = {
+        "simulate": (simulate_args("ds2", subjects=6, rois=5), "ds2/run_manifest.json"),
+        "train": (train_args("ds", "out/m2.bin", iters=1, batch=6) + ["--trace", "t/m2.csv"],
+                  "out/m2.bin.run.json"),
+        "predict": (["predict", "--model", "model.bin", "--data", "ds", "--source-view", "0",
+                     "--out", "pred2"], "pred2/run_manifest.json"),
+        "evaluate": (["evaluate", "--pred", "pred", "--truth", "ds", "--out", "rep/r"],
+                     "rep/r.run.json"),
+        "evaluate_baseline": (["evaluate", "--pred", "pred", "--truth", "ds", "--baseline",
+                               "base", "--out", "rep/r"], "rep/r.run.json"),
+        "evaluate_folds": (["evaluate", "--folds", "2", "--data", "ds", "--out", "cv",
+                            "--iterations", "1", "--batch-size", "6"], "cv/run_manifest.json"),
+        "metrics": (["metrics", "--graph", "ds/view_1/subj0002.csv", "--out", "m/prof.csv"],
+                    "m/prof.csv.run.json"),
+    }
+
+    @staticmethod
+    def _pipeline(root, monkeypatch):
+        monkeypatch.chdir(root)
+        assert run(*simulate_args("ds", subjects=12, rois=5)) == 0
+        assert run(*train_args("ds", "model.bin", iters=1, batch=6)) == 0
+        for name in ("pred", "base"):
+            assert run("predict", "--model", "model.bin", "--data", "ds",
+                       "--source-view", "0", "--out", name) == 0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_run_manifest_lists_exactly_the_files_written(self, tmp_path, monkeypatch, command):
+        self._pipeline(tmp_path, monkeypatch)
+        argv, manifest = self.COMMANDS[command]
+        before = files_under(tmp_path)
+        assert run(*argv) == 0
+        assert_manifest_lists_new_files(tmp_path, before, tmp_path / manifest)
+
+    def test_every_output_gets_the_mode_open_gives(self, tmp_path, monkeypatch):
+        # the writer's temporary files once left CLI outputs at 0600, while
+        # dataset CSVs and models got 0666 less the umask
+        old = os.umask(0o027)
+        try:
+            self._pipeline(tmp_path, monkeypatch)
+            for command in ("evaluate_baseline", "metrics"):
+                assert run(*self.COMMANDS[command][0]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.stat().st_mode & 0o777 for p in files_under(tmp_path)}
+        assert modes == {0o640}
 
 
 class TestUsage:

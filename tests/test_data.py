@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from connectogen import cli, data
+from connectogen import data
 from connectogen.errors import DimensionError, IngestionError, PreconditionError, ValidationError
 
 
@@ -197,7 +197,7 @@ class TestLoadDataset:
             data.load_dataset(root)
 
     @pytest.mark.parametrize("name", ["view_+1", "view_ 1", "view_\u0661", "view_1.0", "view_"])
-    @pytest.mark.parametrize("reader", [data.load_dataset, cli._load_prediction_dir],
+    @pytest.mark.parametrize("reader", [data.load_dataset, data._read_views],
                              ids=["load_dataset", "prediction_dir"])
     def test_view_index_is_ascii_digits(self, tmp_path, reader, name):
         # int() once read "view_+1", "view_ 1" and "view_<Arabic-Indic one>" as view 1
@@ -206,12 +206,56 @@ class TestLoadDataset:
         with pytest.raises(IngestionError, match="view directory name must be view_<index>"):
             reader(root)
 
+    @pytest.mark.parametrize("reader", [data.load_dataset, data._read_views],
+                             ids=["load_dataset", "prediction_dir"])
+    def test_two_directories_for_one_view(self, tmp_path, reader):
+        root = _write_dataset(tmp_path, ["s1"], views=2)
+        (root / "view_1").rename(root / "view_01")
+        (root / "view_1").mkdir()
+        with pytest.raises(IngestionError, match="a second directory for view 1"):
+            reader(root)
+
     def test_save_load_round_trip(self, tmp_path):
         ds = data.simulate_population(s=5, r=6, v=3, seed=9)
         data.save_dataset(ds, tmp_path / "out")
         back = data.load_dataset(tmp_path / "out")
         assert back.subject_ids == ds.subject_ids
         assert np.array_equal(back.tensor, ds.tensor)
+
+
+def _dataset_with_ids(ids):
+    return data.PopulationDataset(subject_ids=tuple(ids), tensor=np.zeros((len(ids), 2, 3, 3)))
+
+
+class TestSubjectIdRule:
+    """One rule for reading and writing: an id is saved only if it loads back as itself."""
+
+    @pytest.mark.parametrize("ids,message", [
+        (("../escaped", "b"), "not a plain file name"),  # once wrote ds/escaped.csv
+        (("a", "", "c"), "blank, padded or spans lines"),  # once loaded back as 2 subjects
+        ((" a", "b"), "blank, padded or spans lines"),
+        (("a\nx", "b"), "blank, padded or spans lines"),
+        (("a", "a", "c"), "duplicate subject ids"),  # once overwrote a's files
+        ((), "no subjects listed"),
+    ], ids=["escapes", "blank", "padded", "line_break", "repeated", "none"])
+    def test_writer_rejects_before_making_anything(self, tmp_path, ids, message):
+        with pytest.raises(ValidationError, match=message):
+            data.save_dataset(_dataset_with_ids(ids), tmp_path / "ds")
+        assert not list(tmp_path.iterdir())
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.text(alphabet="a.- /\t\n\r\x0b\x1c\x85\u2028\0\u00fc", max_size=3),
+                    max_size=3))
+    @example(["a b", "x.y", "...", "-1", "\u00fc", "a\tb"])
+    def test_saved_ids_load_back_as_themselves(self, tmp_path, ids):
+        root = tmp_path / str(len(list(tmp_path.iterdir())))
+        try:
+            data.save_dataset(_dataset_with_ids(ids), root)
+        except ValidationError:
+            assert not root.exists()
+        else:
+            assert data.load_dataset(root).subject_ids == tuple(ids)
 
 
 _SPECIALS = np.array([[-0.0, 5e-324, 2.2250738585072009e-308],

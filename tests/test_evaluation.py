@@ -322,7 +322,7 @@ class TestReportIO:
     def test_csv_round_trip(self):
         report = self._report()
         text = evaluation.report_csv(report)
-        labels, values = evaluation.parse_report_csv(text)
+        labels, values = oracles.parse_report_csv(text)
         assert labels == report.view_labels + ["avg"]
         assert np.array_equal(values[:-1], report.mae)
         assert np.array_equal(values[-1], report.mae_avg)
