@@ -9,13 +9,26 @@ On-disk layout of a multigraph directory::
 
     <root>/manifest.txt          one subject id per line (UTF-8)
     <root>/view_<k>/<id>.csv     r lines of r comma-separated decimals
+    <root>/view_<k>/values.bin   the view's parsed values (derived, optional)
 
 A dataset holds view_0..view_{v-1}; a prediction directory holds only the
 target views.  This module is the layout's one owner: :func:`_write_views`
 writes every such directory and :func:`_read_views` reads every one, and
-both keep one subject-id rule (:func:`_check_subject_ids`).  Every file
-connectogen writes goes through :func:`_write_atomic`: a fresh temporary
-name beside the target, then a rename into place.
+both keep one subject-id rule (:func:`_check_subject_ids`) and one graph
+rule (:func:`check_connectivity`).  Every file connectogen writes goes
+through :func:`_write_atomic`: a fresh temporary name beside the target,
+then a rename into place.
+
+The values file holds one view's (s, r, r) float64 values, little-endian:
+``VALUES_MAGIC``, a version byte, a 32-byte key, u32 s and r, then the
+values in manifest order.  The key is the SHA-256, over the manifest's
+subjects in order, of each subject id (UTF-8) and of the exact bytes of
+its CSV, each prefixed by its length as a u64.  A reader uses the stored
+values only when every requested view has a well-formed values file for
+the manifest's subject count, every key matches the CSV bytes on disk and
+the stacked values pass :func:`check_connectivity`; on any miss it parses
+every CSV as if no values file existed, so results and errors never depend
+on it, and deleting it is always safe.  Readers never write one.
 
 Every matrix CSV (dataset views, predictions, the ``metrics`` graph) goes
 through one reader and one formatter, each a single bulk call per file.  The reader converts all
@@ -30,8 +43,10 @@ exactly.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,14 +169,24 @@ class PopulationDataset:
         )
 
 
-def _read_text(path: Path) -> str:
-    """A file's UTF-8 text; a file that cannot be read or decoded is an IngestionError."""
+def _read_bytes(path: Path) -> bytes:
+    """A file's bytes; a file that cannot be read is an IngestionError.  Every
+    file this module reads (manifest, matrix CSV, values file) is opened here."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path}: not UTF-8 text ({exc})") from exc
+        return Path(path).read_bytes()
     except OSError as exc:
         raise IngestionError(f"{path}: cannot read ({exc})") from exc
+
+
+def _read_text(path: Path) -> str:
+    """A file's UTF-8 text, CRLF and CR line ends read as LF (as text-mode
+    ``open`` reads them); a file that cannot be read or decoded is an
+    IngestionError."""
+    try:
+        text = _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc})") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _check_subject_ids(ids, where, error) -> None:
@@ -255,9 +280,12 @@ def _write_atomic(path, payload: bytes | str) -> None:
         raise
 
 
-def write_matrix_csv(path: Path, weights: np.ndarray) -> None:
-    """Write a 2-D matrix as UTF-8 :func:`format_matrix_csv` text; float64 round-trips exactly."""
-    _write_atomic(path, format_matrix_csv(weights))
+def write_matrix_csv(path: Path, weights: np.ndarray) -> bytes:
+    """Write a 2-D matrix as UTF-8 :func:`format_matrix_csv` text, float64
+    round-tripping exactly; returns the bytes written."""
+    payload = format_matrix_csv(weights).encode("utf-8")
+    _write_atomic(path, payload)
+    return payload
 
 
 def view_index(view_dir: Path) -> int:
@@ -292,6 +320,72 @@ def view_directories(root) -> dict[int, Path]:
     return by_index
 
 
+VALUES_FILE = "values.bin"
+VALUES_MAGIC = b"CGVAL"
+VALUES_VERSION = 1
+_VALUES_PREFIX = VALUES_MAGIC + struct.pack("<B", VALUES_VERSION)
+_VALUES_HEADER = len(_VALUES_PREFIX) + 32 + 8  # then the key, and u32 s and r
+
+
+def _key_update(digest, sid: str, csv: bytes) -> None:
+    """Add one subject's id and CSV bytes, each length-prefixed, to a view's key."""
+    name = sid.encode("utf-8")
+    digest.update(struct.pack("<Q", len(name)) + name + struct.pack("<Q", len(csv)))
+    digest.update(csv)
+
+
+def _pack_values(key: bytes, graphs: np.ndarray) -> bytes:
+    s, r, _ = graphs.shape
+    header = _VALUES_PREFIX + key + struct.pack("<2I", s, r)
+    return header + np.ascontiguousarray(graphs, dtype="<f8").tobytes()
+
+
+def _unpack_values(raw: bytes, s: int):
+    """A values file's key and (s, r, r) values, or None unless it is
+    well-formed for ``s`` subjects of at least one ROI."""
+    if len(raw) < _VALUES_HEADER or not raw.startswith(_VALUES_PREFIX):
+        return None
+    key = raw[len(_VALUES_PREFIX):_VALUES_HEADER - 8]
+    stored_s, r = struct.unpack_from("<2I", raw, _VALUES_HEADER - 8)
+    if stored_s != s or r < 1 or len(raw) != _VALUES_HEADER + 8 * s * r * r:
+        return None
+    return key, np.frombuffer(raw, dtype="<f8", offset=_VALUES_HEADER).reshape(s, r, r)
+
+
+def _stored_views(subject_ids, view_dirs):
+    """The (s, n, r, r) graphs stored in ``view_dirs``' values files, or None
+    on any miss: a missing or malformed values file, a CSV that is missing,
+    unreadable or changed since the values were written, or values that
+    fail :func:`check_connectivity`.  CSVs are read subject by subject, as
+    the parse loop reads them, and only hashed."""
+    if not view_dirs:
+        return None
+    stored = []
+    for view_dir in view_dirs:
+        try:
+            entry = _unpack_values(_read_bytes(view_dir / VALUES_FILE), len(subject_ids))
+        except IngestionError:
+            return None
+        if entry is None or (stored and entry[1].shape != stored[0][1].shape):
+            return None
+        stored.append(entry)
+    digests = [hashlib.sha256() for _ in view_dirs]
+    for sid in subject_ids:
+        for digest, view_dir in zip(digests, view_dirs):
+            try:
+                _key_update(digest, sid, _read_bytes(view_dir / f"{sid}.csv"))
+            except IngestionError:
+                return None
+    if any(digest.digest() != key for digest, (key, _) in zip(digests, stored)):
+        return None
+    graphs = np.stack([values for _, values in stored], axis=1, dtype=np.float64)
+    try:
+        check_connectivity(graphs.reshape(-1, *graphs.shape[2:]))
+    except ValidationError:
+        return None
+    return graphs
+
+
 def _read_views(root, views=None, find_views=_view_dirs):
     """Read and fully validate a multigraph directory.
 
@@ -300,7 +394,8 @@ def _read_views(root, views=None, find_views=_view_dirs):
     ``views``, a list of indices, reads only those, in that order, and an
     index with no directory is an IngestionError.  Any other fault (a
     missing, unreadable or invalid file, graphs of different sizes) is one
-    too.
+    too.  The graphs come from the views' values files when every one
+    matches its CSVs, and from parsing every CSV otherwise.
     """
     root = Path(root)
     subject_ids = read_manifest(root)
@@ -309,6 +404,9 @@ def _read_views(root, views=None, find_views=_view_dirs):
     for k in views:
         if k not in by_index:
             raise IngestionError(f"{root}: no view_{k} directory")
+    stored = _stored_views(subject_ids, [by_index[k] for k in views])
+    if stored is not None:
+        return subject_ids, views, stored
 
     r = None
     matrices = []
@@ -329,19 +427,35 @@ def _read_views(root, views=None, find_views=_view_dirs):
 
 
 def _write_views(root, subject_ids, views: dict[int, np.ndarray]) -> list[Path]:
-    """Write a multigraph directory: the manifest, then one CSV per subject
-    for each ``{view index: (s, r, r) graphs}`` entry.  The ids are checked
-    before anything is made.  Returns the written paths, sorted."""
+    """Write a multigraph directory: the manifest, then for each ``{view
+    index: (s, r, r) graphs}`` entry one CSV per subject and the view's
+    values file.  The ids and graphs are checked before anything is made;
+    an invalid graph is a ValidationError naming the file it would be.
+    Returns the written paths, sorted."""
     root = Path(root)
     manifest = root / "manifest.txt"
     _check_subject_ids(subject_ids, manifest, ValidationError)
+    for k, graphs in views.items():
+        if len(graphs) != len(subject_ids):
+            raise ValidationError(
+                f"{root / f'view_{k}'}: {len(graphs)} graphs for {len(subject_ids)} subjects")
+        try:
+            check_connectivity(graphs)
+        except ValidationError:
+            for sid, w in zip(subject_ids, graphs):
+                check_connectivity(w, name=str(root / f"view_{k}" / f"{sid}.csv"))
+            raise
     _write_atomic(manifest, "\n".join(subject_ids) + "\n")
     written = [manifest]
     for k, graphs in views.items():
+        digest = hashlib.sha256()
         for sid, w in zip(subject_ids, graphs, strict=True):
             path = root / f"view_{k}" / f"{sid}.csv"
-            write_matrix_csv(path, w)
+            _key_update(digest, sid, write_matrix_csv(path, w))
             written.append(path)
+        path = root / f"view_{k}" / VALUES_FILE
+        _write_atomic(path, _pack_values(digest.digest(), graphs))
+        written.append(path)
     return sorted(written)
 
 
@@ -359,8 +473,9 @@ def load_dataset(root, views=None) -> PopulationDataset:
 
 def save_dataset(dataset: PopulationDataset, root) -> list[Path]:
     """Write a dataset directory; returns the written paths, sorted.  Subject
-    ids that would not read back as themselves are a ValidationError, raised
-    before anything is written."""
+    ids that would not read back as themselves, and graphs that
+    :func:`check_connectivity` refuses, are a ValidationError, raised before
+    anything is written."""
     return _write_views(root, dataset.subject_ids,
                         {k: dataset.tensor[:, k] for k in range(dataset.v)})
 

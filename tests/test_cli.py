@@ -346,17 +346,35 @@ class TestEvaluate:
     def test_missing_args_usage_error(self):
         assert run("evaluate") == 2
 
-    def test_reads_only_the_scored_views(self, pipeline, tmp_path, monkeypatch):
-        dataset, _, pred = pipeline
-        reads = []
-        real = data.read_matrix_csv
+    @staticmethod
+    def csv_reads(monkeypatch, *roots, values_files=True):
+        """The matrix CSV paths read from here on, through the one helper that
+        opens every file ``data`` reads, and the paths parsed: without values
+        files every CSV read is parsed, with them every one is only hashed."""
+        if not values_files:
+            for root in roots:
+                for path in root.glob(f"view_*/{data.VALUES_FILE}"):
+                    path.unlink()
+        reads, parsed = [], []
+        real_read, real_parse = data._read_bytes, data._parse_matrix_csv
 
         def counting(path):
-            reads.append(str(path))
-            return real(path)
+            if Path(path).suffix == ".csv":
+                reads.append(str(path))
+            return real_read(path)
 
-        monkeypatch.setattr(data, "read_matrix_csv", counting)
-        monkeypatch.setattr(cli, "read_matrix_csv", counting)
+        def parsing(path):
+            parsed.append(str(path))
+            return real_parse(path)
+
+        monkeypatch.setattr(data, "_read_bytes", counting)
+        monkeypatch.setattr(data, "_parse_matrix_csv", parsing)
+        return reads, parsed
+
+    @pytest.mark.parametrize("values_files", [True, False], ids=["values", "no_values"])
+    def test_reads_only_the_scored_views(self, pipeline, tmp_path, monkeypatch, values_files):
+        dataset, _, pred = pipeline
+        reads, parsed = self.csv_reads(monkeypatch, dataset, pred, values_files=values_files)
         assert run("evaluate", "--pred", str(pred), "--truth", str(dataset),
                    "--out", str(tmp_path / "rep")) == 0
         ids = data.read_manifest(dataset)
@@ -364,18 +382,12 @@ class TestEvaluate:
         expected = [str(root / f"view_{v}" / f"{sid}.csv")
                     for root in (pred, dataset) for v in (1, 2) for sid in ids]
         assert sorted(reads) == sorted(expected)
+        assert parsed == ([] if values_files else reads)
 
-    def test_reads_only_the_source_view(self, pipeline, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("values_files", [True, False], ids=["values", "no_values"])
+    def test_reads_only_the_source_view(self, pipeline, tmp_path, monkeypatch, values_files):
         dataset, model, _ = pipeline
-        reads = []
-        real = data.read_matrix_csv
-
-        def counting(path):
-            reads.append(str(path))
-            return real(path)
-
-        monkeypatch.setattr(data, "read_matrix_csv", counting)
-        monkeypatch.setattr(cli, "read_matrix_csv", counting)
+        reads, parsed = self.csv_reads(monkeypatch, dataset, values_files=values_files)
         assert run("predict", "--model", str(model), "--data", str(dataset),
                    "--source-view", "3", "--out", str(tmp_path / "p3")) == 2
         assert reads == []  # the range check precedes every read
@@ -383,6 +395,7 @@ class TestEvaluate:
                    "--source-view", "0", "--out", str(tmp_path / "p0")) == 0
         ids = data.read_manifest(dataset)
         assert sorted(reads) == sorted(str(dataset / "view_0" / f"{sid}.csv") for sid in ids)
+        assert parsed == ([] if values_files else reads)
 
     @pytest.mark.parametrize("view,code", [(0, 3), (1, 0), (2, 0)])
     def test_predict_faults_in_the_source_view_only(self, pipeline, tmp_path, capsys,

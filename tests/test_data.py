@@ -258,6 +258,220 @@ class TestSubjectIdRule:
             assert data.load_dataset(root).subject_ids == tuple(ids)
 
 
+def _invalid(fault):
+    """A 2-view dataset of subjects a and b that breaks the graph rule: in b's
+    view 1, in every graph's shape, or with a third subject's graphs."""
+    tensor = np.zeros((3 if fault == "extra_graph" else 2, 2, 3, 4 if fault == "non_square" else 3))
+    w = tensor[1, 1]
+    if fault in ("nan", "inf", "-inf", "negative"):
+        w[0, 1] = w[1, 0] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "negative": -1.0}[fault]
+    elif fault == "asymmetric":
+        w[0, 1] = 1.0
+    elif fault == "diagonal":
+        w[2, 2] = 1.0
+    return data.PopulationDataset(subject_ids=("a", "b"), tensor=tensor)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("nan", "view_1/b.csv: contains NaN"),  # once saved, then refused by load_dataset
+    ("inf", "view_1/b.csv: contains infinite"),
+    ("-inf", "view_1/b.csv: contains infinite"),
+    ("negative", "view_1/b.csv: negative weights"),
+    ("asymmetric", "view_1/b.csv: not symmetric"),
+    ("diagonal", "view_1/b.csv: diagonal must be zero"),
+    ("non_square", "view_0/a.csv: expected a square matrix"),
+    ("extra_graph", "view_0: 3 graphs for 2 subjects"),  # once wrote a.csv and b.csv first
+])
+def test_writer_rejects_invalid_graphs_before_making_anything(tmp_path, fault, message):
+    with pytest.raises(ValidationError, match=message):
+        data.save_dataset(_invalid(fault), tmp_path / "ds")
+    assert not list(tmp_path.iterdir())
+
+
+def _parses(monkeypatch):
+    """The paths parsed as matrix CSVs from here on."""
+    parsed = []
+    real = data._parse_matrix_csv
+
+    def counting(path):
+        parsed.append(path)
+        return real(path)
+
+    monkeypatch.setattr(data, "_parse_matrix_csv", counting)
+    return parsed
+
+
+def _drop_values(root):
+    for path in root.glob(f"view_*/{data.VALUES_FILE}"):
+        path.unlink()
+
+
+def _listing(root):
+    return {path: path.stat().st_mtime_ns for path in root.rglob("*")}
+
+
+# nonnegative entries, -0.0 and subnormals included; -0.0 may sit on the diagonal
+_ENTRIES = st.sampled_from([-0.0, 0.0, 5e-324, 1e308]) | st.floats(0.0, 1e308)
+
+
+@st.composite
+def _valid_datasets(draw):
+    r = draw(st.sampled_from([2, 3, 35]))
+    s, v = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    upper = draw(hnp.arrays(np.float64, (s, v, data.feature_count(r)), elements=_ENTRIES))
+    diagonal = draw(hnp.arrays(np.float64, (s, v, r), elements=st.sampled_from([0.0, -0.0])))
+    iu, ju = np.triu_indices(r, k=1)
+    tensor = np.zeros((s, v, r, r))
+    tensor[..., iu, ju] = tensor[..., ju, iu] = upper
+    tensor[..., np.arange(r), np.arange(r)] = diagonal
+    return data.PopulationDataset(subject_ids=tuple(f"s{i}" for i in range(s)), tensor=tensor)
+
+
+class TestValuesFile:
+    """Each view's values file is derived data: a load reads it only when it
+    matches the CSVs beside it, and otherwise parses them as if it were absent."""
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.data_too_large, HealthCheck.too_slow])
+    @given(_valid_datasets())
+    def test_stored_load_equals_parse_bit_for_bit(self, tmp_path, ds):
+        root = tmp_path / str(len(list(tmp_path.iterdir())))
+        written = data.save_dataset(ds, root)
+        assert [p for p in written if p.name == data.VALUES_FILE] == [
+            root / f"view_{k}" / data.VALUES_FILE for k in range(ds.v)]
+        with pytest.MonkeyPatch.context() as mp:
+            parsed = _parses(mp)
+            stored = data.load_dataset(root).tensor
+            assert parsed == []
+            _drop_values(root)
+            parsed_back = data.load_dataset(root).tensor
+            assert len(parsed) == ds.s * ds.v
+        assert stored.dtype == parsed_back.dtype == np.float64
+        assert stored.flags.c_contiguous and stored.flags.writeable
+        assert stored.tobytes() == parsed_back.tobytes() == ds.tensor.tobytes()
+
+    def test_csv_edited_after_saving(self, tmp_path, monkeypatch):
+        ds = data.simulate_population(s=3, r=5, v=2, seed=4)
+        root = tmp_path / "ds"
+        data.save_dataset(ds, root)
+        path = root / "view_1" / "subj0002.csv"
+        edited = ds.tensor[2, 1].copy()
+        edited[0, 3] = edited[3, 0] = 0.25
+        data.write_matrix_csv(path, edited)
+        parsed = _parses(monkeypatch)
+        back = data.load_dataset(root).tensor
+        assert len(parsed) == ds.s * ds.v
+        assert np.array_equal(back[2, 1], edited)
+        assert np.array_equal(np.delete(back.reshape(6, 5, 5), 5, axis=0),
+                              np.delete(ds.tensor.reshape(6, 5, 5), 5, axis=0))
+        edited[0, 3] = edited[3, 0] = np.nan
+        path.write_text(data.format_matrix_csv(edited))
+        with pytest.raises(IngestionError, match="subj0002.csv: contains NaN entries"):
+            data.load_dataset(root)
+
+    @staticmethod
+    def _patch_values(path, patch):
+        raw = bytearray(path.read_bytes())
+        path.write_bytes(bytes(patch(raw)))
+
+    @pytest.mark.parametrize("miss", [
+        "no_values_file", "one_view_without", "truncated", "wrong_magic", "wrong_version",
+        "wrong_key", "wrong_s", "wrong_r", "invalid_values", "reordered_manifest",
+        "missing_csv"])
+    def test_any_miss_parses_with_the_same_result(self, tmp_path, monkeypatch, miss):
+        ds = data.simulate_population(s=4, r=5, v=3, seed=5)
+        root, plain = tmp_path / "ds", tmp_path / "plain"
+        for where in (root, plain):
+            data.save_dataset(ds, where)
+        _drop_values(plain)
+        values = root / "view_1" / data.VALUES_FILE
+        header = len(data.VALUES_MAGIC) + 1
+        if miss == "no_values_file":
+            _drop_values(root)
+        elif miss == "one_view_without":
+            values.unlink()
+        elif miss == "truncated":
+            self._patch_values(values, lambda raw: raw[:-1])
+        elif miss == "wrong_magic":
+            self._patch_values(values, lambda raw: b"X" + raw[1:])
+        elif miss == "wrong_version":
+            self._patch_values(values, lambda raw: raw[:header - 1] + b"\x02" + raw[header:])
+        elif miss == "wrong_key":
+            self._patch_values(values, lambda raw: raw[:header] + bytes([raw[header] ^ 1])
+                               + raw[header + 1:])
+        elif miss in ("wrong_s", "wrong_r"):
+            # a well-sized file for 5 subjects of 5 ROIs, or for 4 subjects of 4 ROIs
+            s, r = (5, 5) if miss == "wrong_s" else (4, 4)
+            self._patch_values(values, lambda raw: raw[:header + 32]
+                               + np.array([s, r], "<u4").tobytes() + bytes(8 * s * r * r))
+        elif miss == "invalid_values":
+            # the key still matches the CSVs, but a stored entry is NaN
+            self._patch_values(values, lambda raw: raw[:-16] + np.array(
+                [np.nan], "<f8").tobytes() + raw[-8:])
+        elif miss == "reordered_manifest":
+            for where in (root, plain):
+                (where / "manifest.txt").write_text("\n".join(reversed(ds.subject_ids)) + "\n")
+        elif miss == "missing_csv":
+            for where in (root, plain):
+                (where / "view_2" / "subj0003.csv").unlink()
+        parsed = _parses(monkeypatch)
+        if miss == "missing_csv":
+            with pytest.raises(IngestionError) as want:
+                data.load_dataset(plain)
+            with pytest.raises(IngestionError) as got:
+                data.load_dataset(root)
+            assert str(got.value) == str(want.value).replace(str(plain), str(root))
+            return
+        want = data.load_dataset(plain)
+        del parsed[:]
+        got = data.load_dataset(root)
+        assert len(parsed) == ds.s * ds.v
+        assert got.subject_ids == want.subject_ids
+        assert got.tensor.tobytes() == want.tensor.tobytes()
+
+    def test_directory_without_values_files_loads_as_before(self, tmp_path, monkeypatch):
+        # the layout as written before values files existed
+        root = _write_dataset(tmp_path, ["s1", "s2"], views=3)
+        assert not list(root.glob(f"view_*/{data.VALUES_FILE}"))
+        parsed = _parses(monkeypatch)
+        ds = data.load_dataset(root)
+        assert len(parsed) == 6 and (ds.s, ds.v, ds.r) == (2, 3, 4)
+        assert np.array_equal(ds.tensor[1, 2], data.read_matrix_csv(root / "view_2" / "s2.csv"))
+
+    def test_reads_and_hashes_only_the_requested_views(self, tmp_path, monkeypatch):
+        ds = data.simulate_population(s=3, r=4, v=4, seed=6)
+        root = tmp_path / "ds"
+        data.save_dataset(ds, root)
+        reads = []
+        real = data._read_bytes
+
+        def counting(path):
+            reads.append(path.relative_to(root).as_posix())
+            return real(path)
+
+        monkeypatch.setattr(data, "_read_bytes", counting)
+        part = data.load_dataset(root, views=[3, 1])
+        assert part.tensor.tobytes() == np.ascontiguousarray(ds.tensor[:, [3, 1]]).tobytes()
+        # the manifest, each requested view's values file, then each subject's
+        # CSVs in the order the parse loop reads them
+        assert reads == (["manifest.txt", f"view_3/{data.VALUES_FILE}",
+                          f"view_1/{data.VALUES_FILE}"]
+                         + [f"view_{k}/{sid}.csv" for sid in ds.subject_ids for k in (3, 1)])
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["stored", "stale"])
+    def test_a_load_writes_nothing(self, tmp_path, stale):
+        ds = data.simulate_population(s=3, r=4, v=2, seed=7)
+        root = tmp_path / "ds"
+        data.save_dataset(ds, root)
+        if stale:
+            data.write_matrix_csv(root / "view_0" / "subj0001.csv", np.zeros((4, 4)))
+        before = _listing(root)
+        data.load_dataset(root)
+        data._read_views(root, views=[1])
+        assert _listing(root) == before
+
+
 _SPECIALS = np.array([[-0.0, 5e-324, 2.2250738585072009e-308],
                       [1e308, -np.inf, 0.1], [np.inf, 1e-310, -1.7976931348623157e308]])
 
@@ -286,6 +500,7 @@ _READER_CASES = [
     ("bad_cell_then_ragged", "0,z\n1\n", ":1: unparsable value"),
     ("blank_lines", "\n0,1\n\n  \n1,0\n\n", None),
     ("crlf", "0,1\r\n1,0\r\n", None),
+    ("cr_line_ends", "0,1\r1,0\r", None),
     ("whitespace_around_cells", " 0 , 1\t\n\t1 ,0 \n", None),
     ("underscore_digits", "0,1_0\n1_0,0\n", None),
     ("non_ascii_digits", "0,\u0967\n\u0967,0\n", None),

@@ -1,5 +1,5 @@
 """Source scans of the package: every name a module imports is read in that
-module, and one module owns the feature-row layout."""
+module, and one module owns the feature-row layout and the values file."""
 
 import ast
 from pathlib import Path
@@ -47,3 +47,9 @@ def test_only_data_knows_the_feature_layout():
     # data.edge_index and data.devectorize own the row layout for every module
     assert [path.name for path in MODULES
             if "triu_indices" in path.read_text(encoding="utf-8")] == ["data.py"]
+
+
+def test_only_data_knows_the_values_file():
+    # data._write_views writes each view's values file and data._read_views reads it
+    assert [path.name for path in MODULES
+            if "values.bin" in path.read_text(encoding="utf-8")] == ["data.py"]
