@@ -28,7 +28,6 @@ from .evaluation import (
     evaluate,
     kl_divergence,
     mae_graphs,
-    mae_topology,
     paired_ttest,
 )
 from .losses import LossWeights
@@ -41,8 +40,7 @@ __all__ = [
     "autodiff", "topology", "cluster_source_embeddings", "devectorize",
     "evaluate", "init_params", "kfold_split", "kl_divergence", "kmeans",
     "learn_affinity", "load_bundle", "load_dataset", "mae_graphs",
-    "mae_topology", "normalize_adjacency", "paired_ttest",
-    "predict_multigraph", "ratio_split", "save_bundle", "save_dataset",
-    "simulate_population", "spectral_embed", "sub_affinity", "train",
-    "vectorize_upper",
+    "normalize_adjacency", "paired_ttest", "predict_multigraph", "ratio_split",
+    "save_bundle", "save_dataset", "simulate_population", "spectral_embed",
+    "sub_affinity", "train", "vectorize_upper",
 ]

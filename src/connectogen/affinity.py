@@ -56,21 +56,15 @@ def _pairwise_distances(features: np.ndarray) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def gaussian_kernel_bank(features, cfg: MKMLConfig = MKMLConfig()) -> list[np.ndarray]:
-    """Adaptive-bandwidth Gaussian kernels over subject feature rows.
+def _kernel_bank(dist: np.ndarray, cfg: MKMLConfig) -> np.ndarray:
+    """Adaptive-bandwidth Gaussian kernels from the subjects' (n, n)
+    pairwise distances, as one (num_kernels, n, n) array.
 
     Kernel (k, sigma): K(i,j) = exp(-d(i,j)^2 / (2 eps_ij^2)) with
     eps_ij = sigma * (mu_i + mu_j) / 2 and mu_i the mean distance from i to
-    its k nearest neighbours.  knn values >= n are clamped to n-1 with a
-    warning.
+    its k nearest neighbours, symmetrized.  knn values >= n are clamped to
+    n-1 with a warning.
     """
-    features = np.asarray(features, dtype=np.float64)
-    return list(_kernel_bank(_pairwise_distances(features), cfg))
-
-
-def _kernel_bank(dist: np.ndarray, cfg: MKMLConfig) -> np.ndarray:
-    """:func:`gaussian_kernel_bank` of the subjects' (n, n) pairwise
-    distances, as one (num_kernels, n, n) array."""
     n = dist.shape[0]
     if n < 2:
         raise PreconditionError(f"need at least 2 subjects, got {n}")

@@ -16,15 +16,13 @@ import numpy as np
 from .affinity import MKMLConfig, learn_affinity, normalize_adjacency
 from .errors import NumericError, PreconditionError
 
+_KMEANS_MAX_ITERS = 300
+
 
 @dataclass(frozen=True)
 class ClusterAssignment:
     labels: np.ndarray  # (n,) ints in [0, c)
     centroids: np.ndarray  # (c, dim)
-
-    @property
-    def c(self) -> int:
-        return self.centroids.shape[0]
 
 
 def spectral_embed(affinity, c: int) -> np.ndarray:
@@ -50,7 +48,7 @@ def spectral_embed(affinity, c: int) -> np.ndarray:
     return coords
 
 
-def kmeans(points, c: int, seed: int, max_iters: int = 300) -> ClusterAssignment:
+def kmeans(points, c: int, seed: int) -> ClusterAssignment:
     """Seeded k-means++ with Lloyd iterations until assignments stabilize.
 
     An empty cluster is repaired by re-seeding its centroid at the point
@@ -75,7 +73,7 @@ def kmeans(points, c: int, seed: int, max_iters: int = 300) -> ClusterAssignment
             centroids[idx] = pts[rng.choice(n, p=d2 / total)]
 
     labels = np.full(n, -1)
-    for _ in range(max_iters):
+    for _ in range(_KMEANS_MAX_ITERS):
         d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
         new_labels = np.argmin(d2, axis=1)
         for j in range(c):

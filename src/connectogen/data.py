@@ -149,12 +149,9 @@ class PopulationDataset:
     def f(self) -> int:
         return feature_count(self.r)
 
-    def matrix(self, subject: int, view: int) -> np.ndarray:
-        return self.tensor[subject, view]
-
-    def feature_matrix(self, view: int, subjects=None) -> np.ndarray:
-        """Stack vectorized upper triangles of one view, (n, f)."""
-        graphs = self.tensor[:, view] if subjects is None else self.tensor[list(subjects), view]
+    def feature_matrix(self, view: int) -> np.ndarray:
+        """Stack vectorized upper triangles of one view, (s, f)."""
+        graphs = self.tensor[:, view]
         return np.take(graphs.reshape(len(graphs), -1), edge_index(self.r)[0], axis=1)
 
     def subset(self, subjects) -> "PopulationDataset":

@@ -80,15 +80,6 @@ def mae_graphs(real, pred) -> float:
     return float(_mean_in_order(_upper_maes(real, pred)))
 
 
-def mae_topology(real, pred, metric: str, interp: str = topology.DISTANCE) -> float:
-    """Mean absolute difference between per-node centrality matrices."""
-    x_real = topology.centrality_matrix(real, metric, interp)
-    x_pred = topology.centrality_matrix(pred, metric, interp)
-    if x_real.shape != x_pred.shape:
-        raise DimensionError(f"centrality shapes differ: {x_real.shape} vs {x_pred.shape}")
-    return float(np.abs(x_real - x_pred).mean())
-
-
 def _kl_rows(real: np.ndarray, pred: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     """KL(real || predicted) of each row pair of (n, a) and (n, b) samples.
 

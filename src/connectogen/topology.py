@@ -2,17 +2,16 @@
 
 Six per-node scores: closeness (cc), betweenness (bc), eigenvector (ec),
 pagerank (pc), Burt effective size (eff), and Onnela weighted clustering
-coefficient (clst).  Every metric takes one (r, r) connectivity matrix and
-returns an (r,) score vector, or an (n, r, r) stack and returns (n, r).
-Path-based metrics need a weight-to-length mapping:
+coefficient (clst).  :func:`centralities` scores one (r, r) connectivity
+matrix, returning (r,) vectors, or an (n, r, r) stack, returning (n, r),
+for all six in one pass, with one set of shortest paths that closeness and
+betweenness share; evaluation and the ``metrics`` command call it.
+:func:`closeness` and :func:`betweenness` also score alone.  Path-based
+metrics need a weight-to-length mapping:
 
 * ``"distance"`` (default): weights already are path lengths; a zero weight
   means the edge is absent.  Morphological dissimilarity networks fit this.
 * ``"inverse"``: length = 1/weight for positive weights, absent otherwise.
-
-:func:`centralities` computes all six for a stack in one pass, with one set
-of shortest paths that closeness and betweenness share; evaluation and the
-``metrics`` command call it.  Each metric's own function computes it alone.
 
 Eigenvector centrality, from one forward for every caller, is also recorded
 on the tape as one op over raw vectorized rows (:func:`batched_eigenvector_rows`),
@@ -35,13 +34,14 @@ from ._topology_kernels import (
     onnela_clustering,
 )
 from .data import check_connectivity, devectorize, edge_index
-from .errors import DegenerateError, PreconditionError, ValidationError
+from .errors import DegenerateError, PreconditionError
 
 DISTANCE = "distance"
 INVERSE = "inverse"
 
 _EC_TOL = 1e-12  # a graph stops once successive unit iterates move less
 _EC_MAX_STEPS = 200  # a graph still moving then is solved by eigh
+_PC_DAMPING = 0.85
 
 
 def _as_stack(weights) -> tuple[np.ndarray, bool]:
@@ -67,12 +67,6 @@ def _length_matrix(w: np.ndarray, interp: str) -> np.ndarray:
     diag = np.arange(w.shape[-1])
     lengths[..., diag, diag] = 0.0
     return lengths
-
-
-def shortest_paths(weights, interp: str = DISTANCE) -> np.ndarray:
-    """All-pairs shortest-path distances; np.inf marks unreachable pairs."""
-    w, single = _as_stack(weights)
-    return _unstack(dijkstra_all(_length_matrix(w, interp)), single)
 
 
 def _closeness(dist: np.ndarray) -> np.ndarray:
@@ -182,71 +176,35 @@ def _need_edges(w: np.ndarray) -> None:
         raise DegenerateError("eigenvector centrality of an all-zero graph")
 
 
-def eigenvector(weights) -> np.ndarray:
-    """Principal-eigenvector centrality, unit L2 norm, positive orientation."""
-    w, single = _as_stack(weights)
-    _need_edges(w)
-    return _unstack(_principal_eigenpairs(w)[0], single)
-
-
-def pagerank(weights, damping: float = 0.85) -> np.ndarray:
-    """Weighted PageRank; dangling nodes spread uniformly; sums to 1.
-
-    Each graph of a stack stops on its own.
-    """
-    w, single = _as_stack(weights)
-    if not 0.0 <= damping < 1.0:
-        raise PreconditionError(f"damping must be in [0, 1), got {damping}")
-    return _unstack(_pagerank(w, damping), single)
-
-
-def _pagerank(w: np.ndarray, damping: float = 0.85) -> np.ndarray:
-    """:func:`pagerank` of a validated (n, r, r) stack."""
+def _pagerank(w: np.ndarray) -> np.ndarray:
+    """Weighted PageRank of each graph of an (n, r, r) stack; dangling nodes
+    spread uniformly; each row sums to 1.  Each graph stops on its own."""
     n, r, _ = w.shape
     row_sums = w.sum(axis=2)
     linked = row_sums > 0
     transition = np.where(linked[:, :, None],
                           w / np.where(linked, row_sums, 1.0)[:, :, None], 1.0 / r)
-    teleport = (1.0 - damping) / r
+    teleport = (1.0 - _PC_DAMPING) / r
 
     def step(ops, p):
-        return damping * np.matmul(ops, p[:, :, None])[:, :, 0] + teleport
+        return _PC_DAMPING * np.matmul(ops, p[:, :, None])[:, :, 0] + teleport
 
     p, _ = _power_iterate(step, transition.transpose(0, 2, 1), np.full((n, r), 1.0 / r),
                           1e-10, 10_000, lambda a, b: np.abs(a - b).sum(axis=1))
     return p / p.sum(axis=1, keepdims=True)
 
 
-def effective_size(weights) -> np.ndarray:
-    """Burt's effective size of every node's ego network."""
-    w, single = _as_stack(weights)
-    return _unstack(burt_effective_size(w), single)
-
-
-def clustering_coefficient(weights) -> np.ndarray:
-    """Onnela weighted clustering coefficient per node."""
-    w, single = _as_stack(weights)
-    return _unstack(onnela_clustering(w), single)
-
-
-METRICS = {
-    "cc": lambda w, interp: closeness(w, interp),
-    "bc": lambda w, interp: betweenness(w, interp),
-    "ec": lambda w, interp: eigenvector(w),
-    "pc": lambda w, interp: pagerank(w),
-    "eff": lambda w, interp: effective_size(w),
-    "clst": lambda w, interp: clustering_coefficient(w),
-}
-
-
 def centralities(weights, interp: str = DISTANCE) -> dict[str, np.ndarray]:
     """All six centralities of one graph or an (n, r, r) stack, in one pass.
 
-    Returns a dict keyed as :data:`METRICS`, each value what the metric's
-    own function returns.  The stack is validated once, its length matrix
-    built once, and Floyd-Warshall run once: closeness and betweenness read
-    the same distances.  A graph unfit for a metric raises what that
-    metric's function raises, checked in :data:`METRICS` order.
+    Returns a dict keyed cc, bc, ec, pc, eff, clst, in that order, of (r,)
+    or (n, r) scores: cc and bc as :func:`closeness` and :func:`betweenness`
+    give them, ec of unit L2 norm and positive orientation, pc summing to 1
+    with dangling nodes spreading uniformly.  The stack is validated once,
+    its length matrix built once, and Floyd-Warshall run once: closeness and
+    betweenness read the same distances.  A graph unfit for a metric raises
+    in key order: PreconditionError for too few nodes or an unknown
+    ``interp``, DegenerateError for an all-zero graph.
     """
     w, single = _as_stack(weights)
     _need_nodes(w.shape[-1], 2, "closeness")
@@ -263,19 +221,6 @@ def centralities(weights, interp: str = DISTANCE) -> dict[str, np.ndarray]:
         "clst": onnela_clustering(w),
     }
     return {key: _unstack(value, single) for key, value in scores.items()}
-
-
-def centrality_matrix(graphs, metric: str, interp: str = DISTANCE) -> np.ndarray:
-    """One centrality vector per graph of a list or (n, r, r) stack, as (n, r)."""
-    key = metric.lower()
-    if key not in METRICS:
-        raise PreconditionError(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
-    stack = np.asarray(graphs, dtype=np.float64)
-    if stack.size == 0:
-        return np.zeros((0, 0))
-    if stack.ndim != 3:
-        raise ValidationError(f"expected a stack of graphs, got shape {stack.shape}")
-    return METRICS[key](stack, interp)
 
 
 def ec_or_zero(weights) -> np.ndarray:

@@ -289,8 +289,9 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
     trace = TrainingTrace()
     t0 = time.perf_counter()
     for iteration in range(cfg.iterations):
-        for step in range(cfg.n_critic):
-            l_d, l_adv, l_gp, l_gdc = critic_step(iteration, decode=step == 0)
+        # the critic columns are means over the iteration's critic steps
+        steps = [critic_step(iteration, decode=step == 0) for step in range(cfg.n_critic)]
+        l_d, l_adv, l_gp, l_gdc = (sum(column) / cfg.n_critic for column in zip(*steps))
         l_g, l_top, l_inf = generator_step(iteration)
         trace.records.append(TraceRecord(
             iteration=iteration, l_d=l_d, l_adv=l_adv, l_gp=l_gp, l_gdc=l_gdc,

@@ -269,7 +269,7 @@ def learn_affinity_elementwise(features, cfg) -> np.ndarray:
     n = features.shape[0]
     if np.all(features == features[0]):
         return np.ones((n, n))
-    bank = np.stack(affinity.gaussian_kernel_bank(features, cfg))
+    bank = affinity._kernel_bank(affinity._pairwise_distances(features), cfg)
     flat = bank.reshape(len(bank), -1)
     weights = np.full(len(bank), 1.0 / len(bank))
     for _ in range(cfg.weight_iters):
@@ -329,11 +329,12 @@ def subject_graph_maes_by_loop(pred: np.ndarray, truth: np.ndarray) -> np.ndarra
 
 
 def centrality_table(tensor: np.ndarray, metric: str, interp: str = "distance") -> np.ndarray:
-    """(k, m, r) centralities of every graph of an (m, r, r, k) tensor, from
-    one per-metric pass over the view-major (k * m, r, r) stack."""
+    """(k, m, r) centralities of one metric for every graph of an
+    (m, r, r, k) tensor, read from a pass over the view-major (k * m, r, r)
+    stack."""
     m, r, _, k = tensor.shape
     stack = np.moveaxis(tensor, -1, 0).reshape(k * m, r, r)
-    return topology.centrality_matrix(stack, metric, interp).reshape(k, m, r)
+    return topology.centralities(stack, interp)[metric].reshape(k, m, r)
 
 
 def evaluate_per_metric(pred, truth, interp="distance", hist=None, baseline=None):

@@ -7,11 +7,17 @@ from connectogen.errors import PreconditionError, ValidationError
 import oracles
 
 
+def kernel_bank(features, cfg):
+    """The (num_kernels, n, n) kernel bank learn_affinity blends."""
+    dist = affinity._pairwise_distances(np.asarray(features, dtype=np.float64))
+    return affinity._kernel_bank(dist, cfg)
+
+
 class TestKernelBank:
     def test_identical_subjects_give_unit_kernel_entries(self):
         feats = np.vstack([np.ones(4), np.ones(4), np.zeros(4)])
         cfg = affinity.MKMLConfig(knn_values=(2,), sigma_multipliers=(1.0, 2.0))
-        for k in affinity.gaussian_kernel_bank(feats, cfg):
+        for k in kernel_bank(feats, cfg):
             assert k[0, 1] == 1.0 and k[1, 0] == 1.0
             assert np.all(np.diag(k) == 1.0)
 
@@ -19,14 +25,14 @@ class TestKernelBank:
         # two tight pairs far apart: bandwidths stay small, cross terms vanish
         feats = np.array([[0.0], [0.01], [1e6], [1e6 + 0.01]])
         cfg = affinity.MKMLConfig(knn_values=(1,), sigma_multipliers=(1.0,))
-        k = affinity.gaussian_kernel_bank(feats, cfg)[0]
+        k = kernel_bank(feats, cfg)[0]
         assert k[0, 2] < 1e-12 and k[1, 3] < 1e-12
 
     def test_matches_direct_formula_evaluation(self):
         rng = np.random.default_rng(4)
         feats = rng.standard_normal((5, 3))
         cfg = affinity.MKMLConfig(knn_values=(2,), sigma_multipliers=(1.0,))
-        k = affinity.gaussian_kernel_bank(feats, cfg)[0]
+        k = kernel_bank(feats, cfg)[0]
 
         dist = np.array([[np.linalg.norm(a - b) for b in feats] for a in feats])
         mu = np.array([np.sort(row)[1:3].mean() for row in dist])
@@ -41,14 +47,14 @@ class TestKernelBank:
         feats = np.random.default_rng(0).standard_normal((3, 2))
         cfg = affinity.MKMLConfig(knn_values=(5,), sigma_multipliers=(1.0,))
         with pytest.warns(UserWarning, match="clamping"):
-            bank = affinity.gaussian_kernel_bank(feats, cfg)
+            bank = kernel_bank(feats, cfg)
         assert len(bank) == 1
 
     def test_default_config_has_ten_kernels(self):
         cfg = affinity.MKMLConfig()
         assert cfg.num_kernels == 10
         feats = np.random.default_rng(1).standard_normal((20, 6))
-        assert len(affinity.gaussian_kernel_bank(feats, cfg)) == 10
+        assert len(kernel_bank(feats, cfg)) == 10
 
 
 class TestLearnAffinity:
@@ -74,7 +80,7 @@ class TestLearnAffinity:
         # equally-spaced points on a line: all kernels in a 1-knn grid coincide
         feats = np.arange(6, dtype=float)[:, None]
         cfg = affinity.MKMLConfig(knn_values=(2,), sigma_multipliers=(1.0, 1.0))
-        bank = affinity.gaussian_kernel_bank(feats, cfg)
+        bank = kernel_bank(feats, cfg)
         assert np.allclose(bank[0], bank[1])
         a = affinity.learn_affinity(feats, cfg)
         assert np.allclose(a, a.T)
@@ -211,7 +217,7 @@ def test_kernel_weights_stay_on_simplex():
     rng = np.random.default_rng(9)
     feats = rng.standard_normal((12, 4))
     cfg = affinity.MKMLConfig(knn_values=(2, 3), sigma_multipliers=(1.0, 2.0))
-    kernels = affinity.gaussian_kernel_bank(feats, cfg)
+    kernels = kernel_bank(feats, cfg)
     weights = np.full(len(kernels), 1.0 / len(kernels))
     for _ in range(cfg.weight_iters):
         combined = sum(w * k for w, k in zip(weights, kernels))

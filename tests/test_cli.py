@@ -555,7 +555,7 @@ class TestMetrics:
         assert cc_dist != cc_inv
 
     @pytest.mark.parametrize("interp", ["distance", "inverse"])
-    def test_rows_equal_the_per_metric_functions(self, tmp_path, capsys, interp):
+    def test_rows_equal_the_centralities(self, tmp_path, capsys, interp):
         from connectogen import topology
 
         w = data.simulate_population(s=2, r=9, v=2, seed=3).tensor[0, 1]
@@ -563,10 +563,10 @@ class TestMetrics:
         path = tmp_path / "g.csv"
         data.write_matrix_csv(path, w)
         assert run("metrics", "--graph", str(path), "--interp", interp) == 0
-        rows = [("cc", topology.closeness(w, interp)), ("bc", topology.betweenness(w, interp)),
-                ("ec", topology.eigenvector(w)), ("pc", topology.pagerank(w)),
-                ("eff", topology.effective_size(w)),
-                ("clst", topology.clustering_coefficient(w))]
+        scores = topology.centralities(w, interp)
+        assert np.array_equal(scores["cc"], topology.closeness(w, interp))
+        assert np.array_equal(scores["bc"], topology.betweenness(w, interp))
+        rows = [(name, scores[name]) for name in ("cc", "bc", "ec", "pc", "eff", "clst")]
         expected = ["metric," + ",".join(f"roi_{i}" for i in range(9))]
         expected += [name + "," + ",".join(f"{x:.17g}" for x in values)
                      for name, values in rows]

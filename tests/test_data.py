@@ -574,17 +574,14 @@ class TestSplits:
 
 
 def test_feature_matrix_layout():
-    # C-contiguous float64 rows equal to each subject's vectorize_upper, for
-    # the whole view and for a chosen subset: downstream BLAS products round
-    # by the array's layout as well as its values
+    # C-contiguous float64 rows equal to each subject's vectorize_upper:
+    # downstream BLAS products round by the array's layout as well as its values
     ds = data.simulate_population(s=6, r=7, v=3, seed=2)
     for view in range(ds.v):
-        for subjects in (None, [4, 1, 3]):
-            feats = ds.feature_matrix(view, subjects)
-            chosen = range(ds.s) if subjects is None else subjects
-            expected = np.stack([data.vectorize_upper(ds.tensor[i, view]) for i in chosen])
-            assert feats.dtype == np.float64 and feats.flags.c_contiguous
-            assert np.array_equal(feats, expected)
+        feats = ds.feature_matrix(view)
+        expected = np.stack([data.vectorize_upper(ds.tensor[i, view]) for i in range(ds.s)])
+        assert feats.dtype == np.float64 and feats.flags.c_contiguous
+        assert np.array_equal(feats, expected)
 
 
 def test_subset_is_one_copy_of_the_chosen_subjects():

@@ -39,21 +39,29 @@ class TestMaeGraphs:
 
 
 class TestMaeTopology:
+    """The per-metric MAE columns of the report, one view of m graphs."""
+
+    @staticmethod
+    def _mae(real, pred) -> dict:
+        def one_view(graphs):
+            return np.stack(graphs)[..., None]  # (m, r, r, 1)
+
+        row = evaluation.evaluate(one_view(pred), one_view(real)).mae[0]
+        return dict(zip(evaluation.METRIC_ORDER, row[1:]))
+
     def test_identity_zero_for_all_metrics(self):
         graphs = [oracles.random_connectivity(np.random.default_rng(2), 5)] * 2
-        for metric in evaluation.METRIC_ORDER:
-            assert evaluation.mae_topology(graphs, graphs, metric) == 0.0
+        assert self._mae(graphs, graphs) == dict.fromkeys(evaluation.METRIC_ORDER, 0.0)
 
     def test_triangle_vs_star_clst(self):
         k3 = np.ones((3, 3)) - np.eye(3)
-        assert evaluation.mae_topology([k3], [star3()], "clst") == 1.0
+        assert self._mae([k3], [star3()])["clst"] == 1.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         a = [oracles.random_connectivity(rng, 5)]
         b = [oracles.random_connectivity(rng, 5)]
-        for metric in evaluation.METRIC_ORDER:
-            assert evaluation.mae_topology(a, b, metric) >= 0.0
+        assert all(value >= 0.0 for value in self._mae(a, b).values())
 
 
 class TestKLDivergence:
@@ -255,7 +263,8 @@ class TestEvaluate:
         monkeypatch.setattr(topology, "centralities", counted)
         for module in (topology, kernels):
             monkeypatch.setattr(module, "dijkstra_all", counted_paths)
-        monkeypatch.setattr(topology, "centrality_matrix", None)  # no per-metric pass
+        for single in ("closeness", "betweenness"):  # no per-metric pass
+            monkeypatch.setattr(topology, single, None)
         evaluation.evaluate(pred, truth, baseline=base if with_baseline else None)
         runs = [truth, pred] + ([base] if with_baseline else [])
         stacked = len(runs) * 3 * 2  # tensors x subjects x views

@@ -1,5 +1,6 @@
 """Source scans of the package: every name a module imports is read in that
-module, and one module owns the feature-row layout and the values file."""
+module, every public definition has a caller, and one module owns the
+feature-row layout and the values file."""
 
 import ast
 from pathlib import Path
@@ -41,6 +42,45 @@ def test_scan_finds_unused_and_keeps_read_names():
               "from .data import devectorize, feature_count\n__all__ = ['feature_count']\n"
               "x = np.zeros(3)\n")
     assert unused_imports(source) == ["os (line 2)", "devectorize (line 4)"]
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each public top-level function or class that no
+    module of ``sources`` (module name -> source) references, as a name or
+    as an attribute (``topology.closeness``)."""
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [f"{module}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [name for name in defined if name.split(".")[1] not in referenced]
+
+
+# public API with no caller in the package: the benchmark's networkx check
+# (perfbench/workloads.py) scores these two by name
+NO_CALLER_IN_THE_PACKAGE = ["topology.closeness", "topology.betweenness"]
+
+
+def test_every_public_definition_has_a_caller():
+    found = unreferenced_definitions({path.stem: path.read_text(encoding="utf-8")
+                                      for path in MODULES})
+    unexported = [name for name in found if name.split(".")[1] not in connectogen.__all__]
+    assert unexported == NO_CALLER_IN_THE_PACKAGE
+
+
+def test_caller_scan_finds_definitions_nothing_references():
+    sources = {
+        "a": "def used():\n    pass\n\ndef unused():\n    used()\n\nclass Lone:\n    pass\n"
+             "\ndef _private():\n    pass\n",
+        "b": "from . import a\n\nclass Held:\n    pass\n\nx = a.unused(Held)\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.Lone"]
 
 
 def test_only_data_knows_the_feature_layout():

@@ -32,40 +32,51 @@ def complete_graph(r):
     return np.ones((r, r)) - np.eye(r)
 
 
+def score(weights, metric, interp=topology.DISTANCE):
+    """One metric's scores, read from the one centrality pass."""
+    return topology.centralities(weights, interp)[metric]
+
+
+def closeness_by_floyd_warshall(w, interp=topology.DISTANCE):
+    """(r-1) / row sums of the Floyd-Warshall distances, 0 where any is inf."""
+    sums = oracles.floyd_warshall(oracles.length_matrix(w, interp)).sum(axis=1)
+    return np.where(np.isfinite(sums), (len(w) - 1) / sums, 0.0)
+
+
 class TestShortestPaths:
+    """The path lengths closeness and betweenness read from the one pass."""
+
     def test_path_graph_distance(self):
-        d = topology.shortest_paths(path_graph(3))
-        assert d[0, 2] == 2.0
+        assert score(path_graph(3), "cc")[0] == 2.0 / 3.0  # 2 / (1 + 2)
 
     def test_disconnected_pair_infinite(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 1.0
-        d = topology.shortest_paths(w)
-        assert np.isinf(d[0, 2])
-        assert d[2, 2] == 0.0
+        assert np.all(score(w, "cc") == 0.0)
 
     def test_triangle_heavy_edge_rerouted(self):
         w = np.array([[0, 1, 3], [1, 0, 1], [3, 1, 0]], float)
-        d = topology.shortest_paths(w)
-        assert d[0, 2] == 2.0  # via the two light edges
+        scores = topology.centralities(w)
+        assert scores["cc"][0] == 2.0 / 3.0  # d(0, 2) = 2 via the two light edges
+        assert scores["bc"][1] == 1.0  # node 1 carries the only 0-2 path
 
     def test_inverse_interpretation(self):
         w = np.array([[0, 2.0], [2.0, 0]])
-        assert topology.shortest_paths(w, topology.INVERSE)[0, 1] == 0.5
+        assert topology.closeness(w, topology.INVERSE)[0] == 2.0  # 1 / 0.5
 
-    def test_matches_floyd_warshall_random(self):
+    @pytest.mark.parametrize("interp", [topology.DISTANCE, topology.INVERSE])
+    def test_matches_floyd_warshall_random(self, interp):
         rng = np.random.default_rng(0)
         for _ in range(20):
             w = oracles.random_connectivity(rng, int(rng.integers(3, 9)))
-            d = topology.shortest_paths(w)
-            fw = oracles.floyd_warshall(oracles.length_matrix(w))
-            assert np.allclose(d, fw, atol=1e-10, equal_nan=False)
+            assert np.allclose(score(w, "cc", interp), closeness_by_floyd_warshall(w, interp),
+                               rtol=0, atol=1e-10)
 
     def test_nan_rejected(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = np.nan
         with pytest.raises(ValidationError):
-            topology.shortest_paths(w)
+            topology.centralities(w)
 
 
 class TestCloseness:
@@ -113,73 +124,76 @@ class TestBetweenness:
 class TestEigenvector:
     def test_cycle_uniform(self):
         c4 = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], float)
-        assert np.allclose(topology.eigenvector(c4), 0.5)
+        assert np.allclose(score(c4, "ec"), 0.5)
 
     def test_star_center_largest(self):
-        ec = topology.eigenvector(star_graph(4))
+        ec = score(star_graph(4), "ec")
         assert ec[0] > ec[1:].max()
         assert np.allclose(ec, oracles.eigenvector_dense(star_graph(4)), atol=1e-6)
 
     def test_zero_graph_degenerate(self):
         with pytest.raises(DegenerateError):
-            topology.eigenvector(np.zeros((3, 3)))
+            topology.centralities(np.zeros((3, 3)))
 
     def test_unit_norm(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             w = oracles.random_connectivity(rng, 6)
-            assert abs(np.linalg.norm(topology.eigenvector(w)) - 1.0) < 1e-9
+            assert abs(np.linalg.norm(score(w, "ec")) - 1.0) < 1e-9
 
 
 class TestPagerank:
     def test_complete_graph_uniform(self):
-        assert np.allclose(topology.pagerank(complete_graph(4)), 0.25)
+        assert np.allclose(score(complete_graph(4), "pc"), 0.25)
 
-    def test_zero_graph_uniform(self):
-        assert np.allclose(topology.pagerank(np.zeros((5, 5))), 0.2)
+    def test_dangling_nodes_spread_uniformly(self):
+        w = np.zeros((5, 5))
+        w[0, 1] = w[1, 0] = 1.0  # nodes 2-4 have no edge
+        pc = score(w, "pc")
+        assert pc[2] == pc[3] == pc[4]
+        assert np.allclose(pc, oracles.pagerank_by_solve(w), rtol=0, atol=1e-9)
 
     def test_path_middle_ranks_higher(self):
-        pc = topology.pagerank(path_graph(3))
+        pc = score(path_graph(3), "pc")
         assert pc[1] > pc[0] and pc[1] > pc[2]
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             w = oracles.random_connectivity(rng, 7)
-            assert abs(topology.pagerank(w).sum() - 1.0) < 1e-9
+            assert abs(score(w, "pc").sum() - 1.0) < 1e-9
 
-    def test_damping_bounds(self):
-        with pytest.raises(PreconditionError):
-            topology.pagerank(complete_graph(3), damping=1.0)
-        with pytest.raises(PreconditionError):
-            topology.pagerank(complete_graph(3), damping=-0.1)
+    def test_damping_is_085(self):
+        # P3 at damping d: p_end = (1-d)/3 + d p_mid / 2 and p_mid = (1-d)/3 + 2 d p_end,
+        # so d = 0.85 gives (19, 36, 19) / 74
+        assert np.allclose(score(path_graph(3), "pc"), np.array([19, 36, 19]) / 74,
+                           rtol=0, atol=1e-9)
 
 
 class TestEffectiveSize:
     def test_star_center_three_leaves(self):
-        assert topology.effective_size(star_graph(3))[0] == 3.0
+        assert score(star_graph(3), "eff")[0] == 3.0
 
     def test_triangle_all_one(self):
-        assert np.allclose(topology.effective_size(complete_graph(3)), 1.0)
+        assert np.allclose(score(complete_graph(3), "eff"), 1.0)
 
     def test_isolated_node_zero(self):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 1.0
-        assert topology.effective_size(w)[3] == 0.0
+        assert score(w, "eff")[3] == 0.0
 
 
 class TestClusteringCoefficient:
     def test_triangle_unit(self):
-        assert np.allclose(topology.clustering_coefficient(complete_graph(3)), 1.0)
+        assert np.allclose(score(complete_graph(3), "clst"), 1.0)
 
     def test_star_zero(self):
-        assert np.all(topology.clustering_coefficient(star_graph(4)) == 0.0)
+        assert np.all(score(star_graph(4), "clst") == 0.0)
 
     def test_matches_triangle_enumeration(self):
         rng = np.random.default_rng(3)
         w = oracles.random_connectivity(rng, 6)
-        assert np.allclose(topology.clustering_coefficient(w),
-                           oracles.clustering_by_triangles(w), atol=1e-10)
+        assert np.allclose(score(w, "clst"), oracles.clustering_by_triangles(w), atol=1e-10)
 
 
 class TestOracleSuite:
@@ -195,21 +209,21 @@ class TestOracleSuite:
 
     def test_combinatorial_metrics(self):
         for idx, w in enumerate(self._suite()):
-            assert np.allclose(topology.closeness(w),
+            scores = topology.centralities(w)
+            assert np.allclose(scores["cc"],
                                oracles.closeness_by_enumeration(w), atol=1e-8), idx
-            assert np.allclose(topology.betweenness(w),
+            assert np.allclose(scores["bc"],
                                oracles.betweenness_by_enumeration(w), atol=1e-8), idx
-            assert np.allclose(topology.effective_size(w),
+            assert np.allclose(scores["eff"],
                                oracles.effective_size_direct(w), atol=1e-8), idx
-            assert np.allclose(topology.clustering_coefficient(w),
+            assert np.allclose(scores["clst"],
                                oracles.clustering_by_triangles(w), atol=1e-8), idx
 
     def test_spectral_metrics(self):
         for idx, w in enumerate(self._suite()):
-            assert np.allclose(topology.eigenvector(w),
-                               oracles.eigenvector_dense(w), atol=1e-6), idx
-            assert np.allclose(topology.pagerank(w),
-                               oracles.pagerank_by_solve(w), atol=1e-6), idx
+            scores = topology.centralities(w)
+            assert np.allclose(scores["ec"], oracles.eigenvector_dense(w), atol=1e-6), idx
+            assert np.allclose(scores["pc"], oracles.pagerank_by_solve(w), atol=1e-6), idx
 
 
 class TestPermutationEquivariance:
@@ -220,27 +234,28 @@ class TestPermutationEquivariance:
             w = oracles.random_connectivity(rng, 7)
             perm = rng.permutation(7)
             permuted = w[np.ix_(perm, perm)]
-            base = topology.METRICS[metric](w, topology.DISTANCE)
-            moved = topology.METRICS[metric](permuted, topology.DISTANCE)
+            base = score(w, metric)
+            moved = score(permuted, metric)
             assert np.allclose(base[perm], moved, atol=1e-9)
 
 
-class TestCentralityMatrix:
+class TestCentralityStack:
     def test_single_triangle_clst(self):
-        out = topology.centrality_matrix([complete_graph(3)], "clst")
+        out = score([complete_graph(3)], "clst")
         assert np.allclose(out, [[1.0, 1.0, 1.0]])
 
-    def test_empty_list(self):
-        assert topology.centrality_matrix([], "cc").shape == (0, 0)
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValidationError):
+            topology.centralities([])
 
     def test_star_rows(self):
-        out = topology.centrality_matrix([star_graph(4)] * 3, "bc")
+        out = score([star_graph(4)] * 3, "bc")
         assert out.shape == (3, 5)
         assert np.allclose(out, [[1, 0, 0, 0, 0]] * 3)
 
-    def test_unknown_metric(self):
-        with pytest.raises(PreconditionError):
-            topology.centrality_matrix([complete_graph(3)], "nope")
+    def test_keys_are_the_six_metrics_in_order(self):
+        scores = topology.centralities(complete_graph(3))
+        assert list(scores) == ["cc", "bc", "ec", "pc", "eff", "clst"]
 
 
 def near_bipartite_graph(seed):
@@ -261,7 +276,7 @@ class TestDifferentiableEigenvector:
         w = oracles.random_connectivity(rng, 6, density=1.0)
         out = topology.batched_eigenvector_rows(
             ad.constant(vectorize_upper(w)), 6)
-        assert np.allclose(out.data.ravel(), topology.eigenvector(w), atol=1e-4)
+        assert np.allclose(out.data.ravel(), score(w, "ec"), atol=1e-4)
 
     def test_c4_symmetric_result_and_gradient(self):
         c4 = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], float)
@@ -356,7 +371,7 @@ class TestBatchedEigenvector:
         feats = rng.uniform(0.1, 1.0, size=(4, f))
         batched = topology.batched_eigenvector_rows(ad.constant(feats), r)
         for row in range(4):
-            single = topology.eigenvector(devectorize(feats[row], r))
+            single = score(devectorize(feats[row], r), "ec")
             assert np.allclose(batched.data[row], single, atol=1e-8)
 
     def test_zero_rows_give_zero_centralities(self):
@@ -471,9 +486,9 @@ def test_one_eigenvector_implementation():
     ec = topology.ec_or_zero(stack)
     assert np.all(ec[2] == 0.0)
     assert np.array_equal(topology.batched_eigenvector_rows(ad.constant(feats), 35).data, ec)
-    assert np.array_equal(topology.eigenvector(stack[live]), ec[live])
+    assert np.array_equal(score(stack[live], "ec"), ec[live])
     for i in live:
-        assert np.array_equal(topology.eigenvector(stack[i]), ec[i])
+        assert np.array_equal(score(stack[i], "ec"), ec[i])
 
 
 def test_batched_kernels_match_oracles():
@@ -597,39 +612,44 @@ def test_power_iteration_stacks_match_single_graphs():
                       for d in (0.9, 0.9, 0.9, 0.5, 0.5)]
                      + [star_graph(r - 1), np.zeros((r, r)), path_graph(r)])
     ec = topology.ec_or_zero(stack)
-    pc = topology.pagerank(stack)
     live = [0, 1, 2, 3, 4, 5, 7]
-    assert np.array_equal(topology.eigenvector(stack[live]), ec[live])
+    scores = topology.centralities(stack[live])  # the zero graph has no EC to raise on
+    assert np.array_equal(scores["ec"], ec[live])
     for i, w in enumerate(stack):
         assert np.array_equal(ec[i], topology.ec_or_zero(w)), i
-        assert np.array_equal(pc[i], topology.pagerank(w)), i
         if i in live:
-            assert np.array_equal(ec[i], topology.eigenvector(w)), i
+            single = topology.centralities(w)
+            assert np.array_equal(ec[i], single["ec"]), i
+            assert np.array_equal(scores["pc"][live.index(i)], single["pc"]), i
 
 
 def test_metrics_accept_stacks():
     rng = np.random.default_rng(10)
     stack = np.stack([oracles.random_connectivity(rng, 6) for _ in range(3)])
-    for fn in (topology.shortest_paths, topology.closeness, topology.betweenness,
-               topology.eigenvector, topology.pagerank, topology.effective_size,
-               topology.clustering_coefficient):
+    batched = topology.centralities(stack)
+    for i in range(3):
+        single = topology.centralities(stack[i])
+        for metric, values in batched.items():
+            assert values.shape == (3, 6), metric
+            assert np.array_equal(values[i], single[metric]), metric
+    for fn in (topology.closeness, topology.betweenness):
         batched = fn(stack)
-        assert batched.shape[0] == 3
         for i in range(3):
             assert np.array_equal(batched[i], fn(stack[i])), fn.__name__
 
 
 @pytest.mark.parametrize("interp", [topology.DISTANCE, topology.INVERSE])
-def test_centralities_equal_the_per_metric_functions(interp):
+def test_centralities_equal_closeness_betweenness_and_single_graphs(interp):
     rng = np.random.default_rng(21)
     stack = np.stack([oracles.random_connectivity(rng, 9, density=d) for d in (0.9, 0.4, 0.2)]
                      + [star_graph(8), path_graph(9)])
     scores = topology.centralities(stack, interp)
-    assert list(scores) == list(topology.METRICS)
-    for metric, values in scores.items():
-        assert np.array_equal(values, topology.centrality_matrix(stack, metric, interp)), metric
-        single = topology.centralities(stack[1], interp)[metric]
-        assert np.array_equal(single, topology.METRICS[metric](stack[1], interp)), metric
+    assert np.array_equal(scores["cc"], topology.closeness(stack, interp))
+    assert np.array_equal(scores["bc"], topology.betweenness(stack, interp))
+    for i in range(len(stack)):
+        single = topology.centralities(stack[i], interp)
+        for metric, values in scores.items():
+            assert np.array_equal(values[i], single[metric]), (metric, i)
 
 
 def test_centralities_raise_what_the_first_unfit_metric_raises():

@@ -72,6 +72,14 @@ class TestTrainLoop:
             assert rec.l_inf >= 0.0
             assert rec.l_top >= 0.0
 
+    def test_trace_shows_a_penalty_active_in_any_critic_step(self):
+        # at sigma_gp = 1 some critic steps, not always the last of their
+        # iteration, get a nonzero penalty; the mean over the steps shows it
+        ds = data.simulate_population(s=40, r=8, v=3, seed=1)
+        cfg = training.TrainingConfig(iterations=2, seed=1)
+        _, trace = training.train(ds, 0, cfg, LossWeights(sigma_gp=1.0))
+        assert any(rec.l_gp > 0.0 for rec in trace.records)
+
     def test_ablation_all_lambdas_zero_runs(self):
         weights = LossWeights(lambda_gdc=0.0, lambda_gp=0.0, lambda_top=0.0,
                               lambda_inf=0.0)
