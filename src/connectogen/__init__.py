@@ -10,7 +10,7 @@ batched numpy array code over stacks of graphs.
 __version__ = "0.1.0"
 
 from . import autodiff, topology
-from .affinity import MKMLConfig, learn_affinity, normalize_adjacency, sub_affinity
+from .affinity import learn_affinity, normalize_adjacency, sub_affinity
 from .clustering import cluster_source_embeddings, kmeans, spectral_embed
 from .data import (
     PopulationDataset,
@@ -24,7 +24,6 @@ from .data import (
 )
 from .evaluation import (
     EvaluationReport,
-    HistogramSpec,
     evaluate,
     kl_divergence,
     mae_graphs,
@@ -35,12 +34,12 @@ from .models import Dims, ModelBundle, init_params, load_bundle, save_bundle
 from .training import TrainingConfig, TrainingTrace, predict_multigraph, train
 
 __all__ = [
-    "MKMLConfig", "PopulationDataset", "EvaluationReport", "HistogramSpec",
-    "LossWeights", "Dims", "ModelBundle", "TrainingConfig", "TrainingTrace",
-    "autodiff", "topology", "cluster_source_embeddings", "devectorize",
-    "evaluate", "init_params", "kfold_split", "kl_divergence", "kmeans",
-    "learn_affinity", "load_bundle", "load_dataset", "mae_graphs",
-    "normalize_adjacency", "paired_ttest", "predict_multigraph", "ratio_split",
-    "save_bundle", "save_dataset", "simulate_population", "spectral_embed",
-    "sub_affinity", "train", "vectorize_upper",
+    "PopulationDataset", "EvaluationReport", "LossWeights", "Dims", "ModelBundle",
+    "TrainingConfig", "TrainingTrace", "autodiff", "topology",
+    "cluster_source_embeddings", "devectorize", "evaluate", "init_params",
+    "kfold_split", "kl_divergence", "kmeans", "learn_affinity", "load_bundle",
+    "load_dataset", "mae_graphs", "normalize_adjacency", "paired_ttest",
+    "predict_multigraph", "ratio_split", "save_bundle", "save_dataset",
+    "simulate_population", "spectral_embed", "sub_affinity", "train",
+    "vectorize_upper",
 ]

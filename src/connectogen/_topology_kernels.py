@@ -78,8 +78,10 @@ def brandes_betweenness(lengths, dist):
     lengths = np.asarray(lengths, dtype=np.float64)
     dist = np.asarray(dist, dtype=np.float64)
     n, r, _ = lengths.shape
-    return np.concatenate([_brandes_stack(lengths[part], dist[part])
-                           for part in _chunks(n, r)])
+    out = np.empty((n, r))
+    for part in _chunks(n, r):
+        out[part] = _brandes_stack(lengths[part], dist[part])
+    return out
 
 
 def _brandes_stack(lengths, dist):

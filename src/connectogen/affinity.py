@@ -9,43 +9,19 @@ submatrix selection also take a stack of one affinity per view.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
 
-
-def _count(x) -> bool:
-    """Whether ``x`` is an integer >= 1 (a bool is not)."""
-    return isinstance(x, Integral) and not isinstance(x, bool) and x >= 1
-
-
-@dataclass(frozen=True)
-class MKMLConfig:
-    knn_values: tuple[int, ...] = (10, 15)
-    sigma_multipliers: tuple[float, ...] = (1.0, 1.25, 1.5, 1.75, 2.0)
-    weight_iters: int = 10
-    rho: float = 1.0
-
-    @property
-    def num_kernels(self) -> int:
-        """One kernel per (knn, sigma) pair of the grid."""
-        return len(self.knn_values) * len(self.sigma_multipliers)
-
-    def __post_init__(self):
-        if not self.rho > 0 or not _count(self.weight_iters):
-            raise PreconditionError("rho must be > 0 and weight_iters an integer >= 1")
-        knn = self.knn_values
-        if not knn or not all(map(_count, knn)):
-            raise PreconditionError(f"knn_values must be integers >= 1, got {knn!r}")
-        sigmas = self.sigma_multipliers
-        if not sigmas or not all(isinstance(x, Real) and math.isfinite(x) and x > 0
-                                 for x in sigmas):
-            raise PreconditionError(f"sigma_multipliers must be finite and > 0, got {sigmas!r}")
+# The published kernel grid: one kernel per (knn, sigma) pair, knn-major,
+# blended over _WEIGHT_ITERS entropy-weighted rounds at temperature _RHO.
+_KNN_VALUES = (10, 15)
+_SIGMA_MULTIPLIERS = (1.0, 1.25, 1.5, 1.75, 2.0)
+_NUM_KERNELS = len(_KNN_VALUES) * len(_SIGMA_MULTIPLIERS)
+_WEIGHT_ITERS = 10
+_RHO = 1.0
 
 
 def _pairwise_distances(features: np.ndarray) -> np.ndarray:
@@ -56,9 +32,9 @@ def _pairwise_distances(features: np.ndarray) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def _kernel_bank(dist: np.ndarray, cfg: MKMLConfig) -> np.ndarray:
+def _kernel_bank(dist: np.ndarray) -> np.ndarray:
     """Adaptive-bandwidth Gaussian kernels from the subjects' (n, n)
-    pairwise distances, as one (num_kernels, n, n) array.
+    pairwise distances, as one (_NUM_KERNELS, n, n) array.
 
     Kernel (k, sigma): K(i,j) = exp(-d(i,j)^2 / (2 eps_ij^2)) with
     eps_ij = sigma * (mu_i + mu_j) / 2 and mu_i the mean distance from i to
@@ -69,11 +45,11 @@ def _kernel_bank(dist: np.ndarray, cfg: MKMLConfig) -> np.ndarray:
     if n < 2:
         raise PreconditionError(f"need at least 2 subjects, got {n}")
     sorted_d = np.sort(dist, axis=1)  # column 0 is the self distance
-    sigmas = np.array(cfg.sigma_multipliers, dtype=np.float64)[:, None, None]
+    sigmas = np.array(_SIGMA_MULTIPLIERS, dtype=np.float64)[:, None, None]
     neg_sq = -(dist * dist)
 
     blocks = []
-    for knn in cfg.knn_values:
+    for knn in _KNN_VALUES:
         if knn >= n:
             warnings.warn(f"knn={knn} >= n={n}; clamping to {n - 1}")
             knn = n - 1
@@ -87,12 +63,12 @@ def _kernel_bank(dist: np.ndarray, cfg: MKMLConfig) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def learn_affinity(features, cfg: MKMLConfig = MKMLConfig()) -> np.ndarray:
+def learn_affinity(features) -> np.ndarray:
     """Blend the kernel bank into one affinity matrix.
 
-    Alternates for cfg.weight_iters rounds: S = row-normalized sum of
+    Alternates for _WEIGHT_ITERS rounds: S = row-normalized sum of
     weighted kernels, then kernel weights w_l proportional to
-    exp(<K_l, S>_F / rho) (softmax-stabilized).  Returns (S + S^T)/2 with
+    exp(<K_l, S>_F / _RHO) (softmax-stabilized).  Returns (S + S^T)/2 with
     the diagonal forced to 1.
 
     With the bank flattened to an (L, n*n) matrix K, each round is two
@@ -107,15 +83,15 @@ def learn_affinity(features, cfg: MKMLConfig = MKMLConfig()) -> np.ndarray:
         warnings.warn("all subjects identical; returning all-ones affinity")
         return np.ones((n, n))
 
-    flat = _kernel_bank(dist, cfg).reshape(cfg.num_kernels, n * n)
-    weights = np.full(cfg.num_kernels, 1.0 / cfg.num_kernels)
+    flat = _kernel_bank(dist).reshape(_NUM_KERNELS, n * n)
+    weights = np.full(_NUM_KERNELS, 1.0 / _NUM_KERNELS)
     s = None
-    for _ in range(cfg.weight_iters):
+    for _ in range(_WEIGHT_ITERS):
         combined = (weights @ flat).reshape(n, n)
         row_sums = combined.sum(axis=1, keepdims=True)
         row_sums[row_sums == 0] = 1.0
         s = combined / row_sums
-        scores = (flat @ s.ravel()) / cfg.rho
+        scores = (flat @ s.ravel()) / _RHO
         scores -= scores.max()
         weights = np.exp(scores)
         weights /= weights.sum()

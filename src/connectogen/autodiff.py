@@ -635,6 +635,12 @@ def per_block_matmul(x: Tensor, weights: list[Tensor],
 # ---------------------------------------------------------------------------
 # Adam
 
+# The published Adam configuration: decay rates b1, b2 and the denominator's eps.
+_ADAM_BETA1 = 0.5
+_ADAM_BETA2 = 0.999
+_ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter Adam accumulators (bias-corrected update)."""
@@ -642,17 +648,12 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    lr: float = 1e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_param(cls, param: Tensor, lr=1e-4, beta1=0.5, beta2=0.999, epsilon=1e-8):
+    def for_param(cls, param: Tensor):
         # np.zeros leaves the zeroing to the kernel at first touch, where
         # np.zeros_like writes every byte before a step reads any
-        return cls(m=np.zeros(param.shape), v=np.zeros(param.shape),
-                   lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+        return cls(m=np.zeros(param.shape), v=np.zeros(param.shape))
 
 
 # Adam updates a parameter in chunks of this many elements, 256 KiB per
@@ -668,9 +669,10 @@ class Adam:
 
     Step t makes the bias-corrected update m = b1 m + (1 - b1) g,
     v = b2 v + (1 - b2) g^2, param -= lr (m / (1 - b1^t)) /
-    (sqrt(v / (1 - b2^t)) + eps) in place, on every parameter and its m and
-    v accumulators, in chunks of at most ``_ADAM_CHUNK`` elements; the
-    arithmetic is elementwise, so chunking changes no bit.  A step holds two
+    (sqrt(v / (1 - b2^t)) + eps), with the constants ``_ADAM_BETA1``,
+    ``_ADAM_BETA2`` and ``_ADAM_EPSILON``, in place, on every parameter and
+    its m and v accumulators, in chunks of at most ``_ADAM_CHUNK`` elements;
+    the arithmetic is elementwise, so chunking changes no bit.  A step holds two
     scratch arrays of at most ``_ADAM_CHUNK`` elements for the temporaries;
     they do not outlive the step, so no optimizer memory stays resident
     between steps.
@@ -686,9 +688,10 @@ class Adam:
     instead; both step a parameter that gets no gradient with zero.
     """
 
-    def __init__(self, params: list[Tensor], lr=1e-4, beta1=0.5, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
-        self.states = [AdamState.for_param(p, lr, beta1, beta2, epsilon) for p in self.params]
+        self.lr = lr
+        self.states = [AdamState.for_param(p) for p in self.params]
         self._scratch_size = min(max((p.data.size for p in self.params), default=0),
                                  _ADAM_CHUNK)
 
@@ -736,14 +739,14 @@ class Adam:
         p, g, m, v = (a.reshape(-1) for a in (param.data, grad, state.m, state.v))
         for lo in range(0, g.size, _ADAM_CHUNK):
             hi = min(lo + _ADAM_CHUNK, g.size)
-            _adam_update(state, p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi],
+            _adam_update(self.lr, state.step, p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi],
                          s_buf[:hi - lo], u_buf[:hi - lo])
 
 
-def _adam_update(state: AdamState, p, g, m, v, s, u) -> None:
-    """Apply the current step of ``state`` to ``p``, ``m`` and ``v`` in place;
-    ``s`` and ``u`` are scratch of the same shape."""
-    b1, b2 = state.beta1, state.beta2
+def _adam_update(lr: float, step: int, p, g, m, v, s, u) -> None:
+    """Apply Adam step ``step`` at rate ``lr`` to ``p``, ``m`` and ``v`` in
+    place; ``s`` and ``u`` are scratch of the same shape."""
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     m *= b1
     np.multiply(1.0 - b1, g, out=s)
     m += s
@@ -752,10 +755,10 @@ def _adam_update(state: AdamState, p, g, m, v, s, u) -> None:
     s *= g
     v += s
     # s = sqrt(v_hat) + eps, then the step u = lr * m_hat / s
-    np.divide(v, 1.0 - b2 ** state.step, out=s)
+    np.divide(v, 1.0 - b2 ** step, out=s)
     np.sqrt(s, out=s)
-    s += state.epsilon
-    np.divide(m, 1.0 - b1 ** state.step, out=u)
-    u *= state.lr
+    s += _ADAM_EPSILON
+    np.divide(m, 1.0 - b1 ** step, out=u)
+    u *= lr
     u /= s
     p -= u

@@ -19,7 +19,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +103,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-# dataclass fields exposed as training flags; the defaults live in the dataclasses
-_CONFIG_FLAGS = ("iterations", "batch_size", "lr", "n_critic", "clusters", "seed")
-_WEIGHT_FLAGS = ("lambda_gdc", "lambda_gp", "lambda_top", "lambda_inf", "sigma_gp")
+# every field of the two training dataclasses is a training flag; the
+# defaults live in the dataclasses
+_CONFIG_FLAGS = tuple(f.name for f in fields(TrainingConfig))
+_WEIGHT_FLAGS = tuple(f.name for f in fields(LossWeights))
 _FLAG_HELP = {"sigma_gp": "gradient-penalty target norm (default: number of target views)"}
 # evaluate flags that only --folds mode reads; each is absent from the
 # namespace unless given, so that plain evaluate can reject them
@@ -318,11 +319,10 @@ def _cmd_metrics(args) -> int:
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
     """One flag per training field; an absent flag leaves no attribute, so
     the dataclass default applies and evaluate can tell what was given."""
-    for cls, names in ((TrainingConfig, _CONFIG_FLAGS), (LossWeights, _WEIGHT_FLAGS)):
-        for name in names:
-            p.add_argument("--" + name.replace("_", "-"), default=argparse.SUPPRESS,
-                           type=int if isinstance(getattr(cls, name), int) else float,
-                           help=_FLAG_HELP.get(name))
+    for field in fields(TrainingConfig) + fields(LossWeights):
+        p.add_argument("--" + field.name.replace("_", "-"), default=argparse.SUPPRESS,
+                       type=int if isinstance(field.default, int) else float,
+                       help=_FLAG_HELP.get(field.name))
 
 
 def build_parser() -> argparse.ArgumentParser:

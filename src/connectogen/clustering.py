@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import MKMLConfig, learn_affinity, normalize_adjacency
+from .affinity import learn_affinity, normalize_adjacency
 from .errors import NumericError, PreconditionError
 
 _KMEANS_MAX_ITERS = 300
@@ -90,8 +90,7 @@ def kmeans(points, c: int, seed: int) -> ClusterAssignment:
     return ClusterAssignment(labels=labels.astype(int), centroids=centroids)
 
 
-def cluster_source_embeddings(embeddings, mkml: MKMLConfig = MKMLConfig(),
-                              c: int = 2, seed: int = 0) -> ClusterAssignment:
+def cluster_source_embeddings(embeddings, c: int = 2, seed: int = 0) -> ClusterAssignment:
     """Affinity on embeddings -> spectral projection -> k-means labels."""
     z = np.asarray(embeddings, dtype=np.float64)
     if z.shape[0] <= c:
@@ -99,6 +98,6 @@ def cluster_source_embeddings(embeddings, mkml: MKMLConfig = MKMLConfig(),
     if c == 1:
         return ClusterAssignment(labels=np.zeros(z.shape[0], dtype=int),
                                  centroids=z.mean(axis=0, keepdims=True))
-    affinity = learn_affinity(z, mkml)
+    affinity = learn_affinity(z)
     coords = spectral_embed(affinity, c)
     return kmeans(coords, c, seed)

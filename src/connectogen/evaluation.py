@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -29,20 +28,10 @@ from .errors import DimensionError, PreconditionError
 
 METRIC_ORDER = ("cc", "bc", "ec", "pc", "eff", "clst")
 MAE_COLUMNS = ("mae", "mae_cc", "mae_bc", "mae_ec", "mae_pc", "mae_eff", "mae_clst")
-
-
-@dataclass(frozen=True)
-class HistogramSpec:
-    bins: int = 32
-    epsilon: float = 1e-9
-
-    def __post_init__(self):
-        if not (isinstance(self.bins, Integral) and not isinstance(self.bins, bool)
-                and self.bins >= 2):
-            raise PreconditionError(f"bins must be an integer >= 2, got {self.bins!r}")
-        if not (isinstance(self.epsilon, Real) and math.isfinite(self.epsilon)
-                and self.epsilon > 0):
-            raise PreconditionError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
+# KL histograms: bins over each sample pair's joint range, and the count
+# added to every bin before normalizing
+_KL_BINS = 32
+_KL_EPSILON = 1e-9
 
 
 def _upper_maes(real: np.ndarray, pred: np.ndarray) -> np.ndarray:
@@ -80,7 +69,7 @@ def mae_graphs(real, pred) -> float:
     return float(_mean_in_order(_upper_maes(real, pred)))
 
 
-def _kl_rows(real: np.ndarray, pred: np.ndarray, spec: HistogramSpec) -> np.ndarray:
+def _kl_rows(real: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """KL(real || predicted) of each row pair of (n, a) and (n, b) samples.
 
     Each row pair is binned on its own joint range, with the counts
@@ -91,7 +80,7 @@ def _kl_rows(real: np.ndarray, pred: np.ndarray, spec: HistogramSpec) -> np.ndar
     lo = np.minimum(real.min(axis=1), pred.min(axis=1))
     hi = np.maximum(real.max(axis=1), pred.max(axis=1))
     hi = np.where(hi == lo, lo + 1.0, hi)  # all mass lands in one shared bin either way
-    bins = spec.bins
+    bins = _KL_BINS
     # the left edges of the bins, by np.linspace's arithmetic row by row
     delta = (hi - lo)[:, None]
     step = delta / bins
@@ -102,7 +91,7 @@ def _kl_rows(real: np.ndarray, pred: np.ndarray, spec: HistogramSpec) -> np.ndar
         index = (samples[:, :, None] >= left[:, None, :]).sum(axis=2) - 1
         index += np.arange(len(samples))[:, None] * bins
         counts = np.bincount(index.ravel(), minlength=len(samples) * bins)
-        hist = counts.reshape(len(samples), bins) + spec.epsilon
+        hist = counts.reshape(len(samples), bins) + _KL_EPSILON
         hist /= hist.sum(axis=1, keepdims=True)
         return hist
 
@@ -110,13 +99,13 @@ def _kl_rows(real: np.ndarray, pred: np.ndarray, spec: HistogramSpec) -> np.ndar
     return (p * np.log(p / q)).sum(axis=1)
 
 
-def kl_divergence(real_scores, pred_scores, spec: HistogramSpec = HistogramSpec()) -> float:
+def kl_divergence(real_scores, pred_scores) -> float:
     """KL(real || predicted) between epsilon-smoothed histograms (natural log)."""
     real = np.asarray(real_scores, dtype=np.float64).ravel()
     pred = np.asarray(pred_scores, dtype=np.float64).ravel()
     if real.size == 0 or pred.size == 0:
         raise PreconditionError("score lists must be nonempty")
-    return float(_kl_rows(real[None], pred[None], spec)[0])
+    return float(_kl_rows(real[None], pred[None])[0])
 
 
 def _betacf(a: float, b: float, x: float, tol: float = 1e-10) -> float:
@@ -219,7 +208,6 @@ def _graph_stack(tensor: np.ndarray) -> np.ndarray:
 
 
 def evaluate(pred: np.ndarray, truth: np.ndarray, interp: str = topology.DISTANCE,
-             hist: HistogramSpec = HistogramSpec(),
              view_labels: list[str] | None = None,
              baseline: np.ndarray | None = None) -> EvaluationReport:
     """Fill the full per-view MAE and KL tables for (m, r, r, k) tensors.
@@ -256,8 +244,8 @@ def evaluate(pred: np.ndarray, truth: np.ndarray, interp: str = topology.DISTANC
     mae[:, 0] = _mean_in_order(graph_maes[0])
     mae[:, 1:] = np.abs(x_real - x_pred).reshape(len(METRIC_ORDER), k, -1).mean(axis=2).T
     kl = np.empty((k, len(METRIC_ORDER)))
-    kl[:] = _kl_rows(x_real.reshape(-1, m * r), x_pred.reshape(-1, m * r),
-                     hist).reshape(len(METRIC_ORDER), k).T
+    kl[:] = _kl_rows(x_real.reshape(-1, m * r),
+                     x_pred.reshape(-1, m * r)).reshape(len(METRIC_ORDER), k).T
 
     p_values = None
     if baseline is not None:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import topology
-from .affinity import MKMLConfig, learn_affinity, normalize_adjacency, sub_affinity
+from .affinity import learn_affinity, normalize_adjacency, sub_affinity
 from .clustering import cluster_source_embeddings
 from .data import PopulationDataset, devectorize
 from .errors import DimensionError, NumericError, PreconditionError, TrainingError
@@ -67,8 +67,6 @@ class TrainingConfig:
     iterations: int = 1000
     batch_size: int = 70
     lr: float = 1e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
     n_critic: int = 5
     clusters: int = 2
     seed: int = 0
@@ -76,8 +74,6 @@ class TrainingConfig:
     def __post_init__(self):
         if not 0 < self.lr < np.inf:
             raise PreconditionError("lr must be finite and > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise PreconditionError("beta1 and beta2 must lie in [0, 1)")
         if self.batch_size < 2:
             raise PreconditionError("batch_size must be >= 2")
         if self.n_critic < 1:
@@ -133,7 +129,7 @@ class _ClusterContext:
     """
 
     def __init__(self, members: np.ndarray, feats: np.ndarray, real_cent: np.ndarray,
-                 batch_size: int, mkml: MKMLConfig):
+                 batch_size: int):
         m, k, f = members.size, feats.shape[0] - 1, feats.shape[2]
         self.n = n = min(m, batch_size)
         self.rows = np.empty(((2 * k + 1) * n, f))
@@ -145,7 +141,7 @@ class _ClusterContext:
         # the members are valid indices, so "clip" gathers unbuffered
         np.take(feats[0], members, axis=0, out=source, mode="clip")
         np.take(feats[1:], members, axis=1, out=targets, mode="clip")
-        affinities = np.stack([learn_affinity(x, mkml) for x in (source, *targets)])
+        affinities = np.stack([learn_affinity(x) for x in (source, *targets)])
         self.pool = (source, targets, affinities, real_cent) if pooled else None
         if not pooled:
             self.norms = normalize_adjacency(affinities)
@@ -174,8 +170,7 @@ def _check_finite(iteration: int, losses: dict[str, float]) -> None:
 
 
 def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
-          weights: LossWeights = LossWeights(),
-          mkml: MKMLConfig = MKMLConfig()) -> tuple[ModelBundle, TrainingTrace]:
+          weights: LossWeights = LossWeights()) -> tuple[ModelBundle, TrainingTrace]:
     """Train the encoder, cluster-specific generators, and discriminator."""
     if dataset.v < 2:
         raise PreconditionError("dataset needs at least 2 views")
@@ -195,14 +190,14 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
     rng_gp = np.random.default_rng(gp_seq)
 
     feats = np.stack([dataset.feature_matrix(view) for view in [source_view] + targets])
-    affinity_source = learn_affinity(feats[0], mkml)
+    affinity_source = learn_affinity(feats[0])
 
     bundle = init_params(Dims(r=r, v=dataset.v, c=cfg.clusters), seed=cfg.seed)
 
     # cluster the initial source embeddings over the full training population
     norm_full = normalize_adjacency(affinity_source)
     z_full = encode(bundle.encoder, ad.constant(feats[0]), norm_full)
-    assignment = cluster_source_embeddings(z_full.data, mkml, cfg.clusters, cfg.seed)
+    assignment = cluster_source_embeddings(z_full.data, cfg.clusters, cfg.seed)
 
     clusters = []
     for j in range(cfg.clusters):
@@ -212,14 +207,12 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
                 f"cluster {j} has {members.size} subject(s); lower --clusters")
         real_cent = np.stack([topology.ec_or_zero(dataset.tensor[members, view])
                               for view in targets])
-        clusters.append(_ClusterContext(members, feats, real_cent, cfg.batch_size, mkml))
+        clusters.append(_ClusterContext(members, feats, real_cent, cfg.batch_size))
     # each cluster has gathered its rows; the full-population set-up is done
     del feats, affinity_source, norm_full, z_full
 
-    opt_d = ad.Adam(bundle.discriminator.params(), lr=cfg.lr,
-                    beta1=cfg.beta1, beta2=cfg.beta2)
-    gen_params = bundle.encoder.params() + bundle.generator_params()
-    opt_g = ad.Adam(gen_params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    opt_d = ad.Adam(bundle.discriminator.params(), lr=cfg.lr)
+    opt_g = ad.Adam(bundle.encoder.params() + bundle.generator_params(), lr=cfg.lr)
 
     disc = bundle.discriminator
 
@@ -299,8 +292,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
     return bundle, trace
 
 
-def predict_multigraph(bundle: ModelBundle, test_source_features,
-                       mkml: MKMLConfig = MKMLConfig()) -> np.ndarray:
+def predict_multigraph(bundle: ModelBundle, test_source_features) -> np.ndarray:
     """Predict the (m, r, r, k) target multigraph tensor for test subjects.
 
     Builds the test-population affinity from the source features, encodes,
@@ -318,7 +310,7 @@ def predict_multigraph(bundle: ModelBundle, test_source_features,
     m = f_test.shape[0]
     if m == 0:
         raise PreconditionError("no test subjects")
-    affinity = np.ones((1, 1)) if m == 1 else learn_affinity(f_test, mkml)
+    affinity = np.ones((1, 1)) if m == 1 else learn_affinity(f_test)
     norm = normalize_adjacency(affinity)
     z = encode(bundle.encoder, ad.constant(f_test), norm)
 

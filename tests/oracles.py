@@ -259,7 +259,7 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     return float((sum_cells - expected) / (max_index - expected))
 
 
-def learn_affinity_elementwise(features, cfg) -> np.ndarray:
+def learn_affinity_elementwise(features) -> np.ndarray:
     """``affinity.learn_affinity`` with each weight round formed elementwise:
     the weighted kernels summed over the bank axis, and every kernel's
     Frobenius product with S summed from its full (n*n) product row."""
@@ -269,15 +269,15 @@ def learn_affinity_elementwise(features, cfg) -> np.ndarray:
     n = features.shape[0]
     if np.all(features == features[0]):
         return np.ones((n, n))
-    bank = affinity._kernel_bank(affinity._pairwise_distances(features), cfg)
+    bank = affinity._kernel_bank(affinity._pairwise_distances(features))
     flat = bank.reshape(len(bank), -1)
     weights = np.full(len(bank), 1.0 / len(bank))
-    for _ in range(cfg.weight_iters):
+    for _ in range(affinity._WEIGHT_ITERS):
         combined = (weights[:, None, None] * bank).sum(axis=0)
         row_sums = combined.sum(axis=1, keepdims=True)
         row_sums[row_sums == 0] = 1.0
         s = combined / row_sums
-        scores = (flat * s.reshape(-1)).sum(axis=1) / cfg.rho
+        scores = (flat * s.reshape(-1)).sum(axis=1) / affinity._RHO
         scores -= scores.max()
         weights = np.exp(scores)
         weights /= weights.sum()
@@ -286,7 +286,11 @@ def learn_affinity_elementwise(features, cfg) -> np.ndarray:
     return out
 
 
-def kl_by_hand(real, pred, bins: int, epsilon: float) -> float:
+# the published KL histogram: bins, and the count added to every bin
+KL_BINS, KL_EPSILON = 32, 1e-9
+
+
+def kl_by_hand(real, pred) -> float:
     """KL(real || pred) of epsilon-smoothed ``np.histogram`` counts on the
     samples' joint range, one histogram call per sample."""
     real = np.asarray(real, dtype=float)
@@ -295,9 +299,9 @@ def kl_by_hand(real, pred, bins: int, epsilon: float) -> float:
     hi = max(real.max(), pred.max())
     if hi == lo:
         hi = lo + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
-    p = np.histogram(real, bins=edges)[0] + epsilon
-    q = np.histogram(pred, bins=edges)[0] + epsilon
+    edges = np.linspace(lo, hi, KL_BINS + 1)
+    p = np.histogram(real, bins=edges)[0] + KL_EPSILON
+    q = np.histogram(pred, bins=edges)[0] + KL_EPSILON
     p = p / p.sum()
     q = q / q.sum()
     return float(np.sum(p * np.log(p / q)))
@@ -337,13 +341,12 @@ def centrality_table(tensor: np.ndarray, metric: str, interp: str = "distance") 
     return topology.centralities(stack, interp)[metric].reshape(k, m, r)
 
 
-def evaluate_per_metric(pred, truth, interp="distance", hist=None, baseline=None):
+def evaluate_per_metric(pred, truth, interp="distance", baseline=None):
     """The evaluation report, filled cell by cell: one centrality pass per
     metric over truth, prediction and baseline stacked together, one KL per
     (view, metric) and one graph MAE per (view, subject)."""
     from connectogen import evaluation
 
-    hist = hist or evaluation.HistogramSpec()
     m, _, _, k = pred.shape
     mae = np.empty((k, len(evaluation.MAE_COLUMNS)))
     kl = np.empty((k, len(evaluation.METRIC_ORDER)))
@@ -362,8 +365,7 @@ def evaluate_per_metric(pred, truth, interp="distance", hist=None, baseline=None
         x_real, x_pred = table[:, :m], table[:, m:2 * m]
         mae[:, col] = np.abs(x_real - x_pred).reshape(k, -1).mean(axis=1)
         for i in range(k):
-            kl[i, col - 1] = kl_by_hand(x_real[i].ravel(), x_pred[i].ravel(),
-                                        hist.bins, hist.epsilon)
+            kl[i, col - 1] = kl_by_hand(x_real[i].ravel(), x_pred[i].ravel())
         if baseline is not None:
             ours = np.abs(x_real - x_pred).mean(axis=2)
             base = np.abs(x_real - table[:, 2 * m:]).mean(axis=2)
@@ -411,19 +413,24 @@ def split_rows(x, block_rows: int):
     return [ad.slice_rows(x, start, start + block_rows) for start in range(0, rows, block_rows)]
 
 
-def adam_step(state, param, grad):
-    """One bias-corrected Adam update of ``param`` in place, in the textbook
-    arithmetic; ``state`` is an ``ad.AdamState``."""
+# the published Adam configuration
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.5, 0.999, 1e-8
+
+
+def adam_step(state, param, grad, lr):
+    """One bias-corrected Adam update of ``param`` at rate ``lr`` in place,
+    in the textbook arithmetic with the published betas and epsilon;
+    ``state`` is an ``ad.AdamState``."""
     g = grad.data if isinstance(grad, ad.Tensor) else np.asarray(grad, dtype=np.float64)
     if g.shape != param.shape or state.m.shape != param.shape:
         raise DimensionError(
             f"adam_step: param {param.shape}, grad {g.shape}, state {state.m.shape} must agree")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    param.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    param.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return param
 
 

@@ -7,54 +7,59 @@ from connectogen.errors import PreconditionError, ValidationError
 import oracles
 
 
-def kernel_bank(features, cfg):
-    """The (num_kernels, n, n) kernel bank learn_affinity blends."""
+def kernel_bank(features):
+    """The (_NUM_KERNELS, n, n) kernel bank learn_affinity blends."""
     dist = affinity._pairwise_distances(np.asarray(features, dtype=np.float64))
-    return affinity._kernel_bank(dist, cfg)
+    return affinity._kernel_bank(dist)
 
 
 class TestKernelBank:
     def test_identical_subjects_give_unit_kernel_entries(self):
         feats = np.vstack([np.ones(4), np.ones(4), np.zeros(4)])
-        cfg = affinity.MKMLConfig(knn_values=(2,), sigma_multipliers=(1.0, 2.0))
-        for k in kernel_bank(feats, cfg):
+        for k in kernel_bank(feats):
             assert k[0, 1] == 1.0 and k[1, 0] == 1.0
             assert np.all(np.diag(k) == 1.0)
 
     def test_far_subjects_kernel_to_zero(self):
-        # two tight pairs far apart: bandwidths stay small, cross terms vanish
-        feats = np.array([[0.0], [0.01], [1e6], [1e6 + 0.01]])
-        cfg = affinity.MKMLConfig(knn_values=(1,), sigma_multipliers=(1.0,))
-        k = kernel_bank(feats, cfg)[0]
-        assert k[0, 2] < 1e-12 and k[1, 3] < 1e-12
+        # two tight groups far apart, each larger than the widest knn:
+        # bandwidths stay small, cross terms vanish in every kernel
+        rng = np.random.default_rng(3)
+        feats = np.vstack([rng.uniform(0.0, 0.01, size=(16, 1)),
+                           1e6 + rng.uniform(0.0, 0.01, size=(16, 1))])
+        bank = kernel_bank(feats)
+        assert np.all(bank[:, :16, 16:] < 1e-12) and np.all(bank[:, 16:, :16] < 1e-12)
 
     def test_matches_direct_formula_evaluation(self):
         rng = np.random.default_rng(4)
-        feats = rng.standard_normal((5, 3))
-        cfg = affinity.MKMLConfig(knn_values=(2,), sigma_multipliers=(1.0,))
-        k = kernel_bank(feats, cfg)[0]
+        n = 20
+        feats = rng.standard_normal((n, 3))
+        bank = kernel_bank(feats)
 
         dist = np.array([[np.linalg.norm(a - b) for b in feats] for a in feats])
-        mu = np.array([np.sort(row)[1:3].mean() for row in dist])
-        expected = np.empty((5, 5))
-        for i in range(5):
-            for j in range(5):
-                eps = (mu[i] + mu[j]) / 2.0
-                expected[i, j] = np.exp(-dist[i, j] ** 2 / (2 * eps * eps))
-        assert np.allclose(k, (expected + expected.T) / 2, atol=1e-12)
+        grid = [(knn, sigma) for knn in affinity._KNN_VALUES
+                for sigma in affinity._SIGMA_MULTIPLIERS]
+        assert len(bank) == len(grid)
+        for k, (knn, sigma) in zip(bank, grid):
+            mu = np.array([np.sort(row)[1:knn + 1].mean() for row in dist])
+            expected = np.empty((n, n))
+            for i in range(n):
+                for j in range(n):
+                    eps = sigma * (mu[i] + mu[j]) / 2.0
+                    expected[i, j] = np.exp(-dist[i, j] ** 2 / (2 * eps * eps))
+            assert np.allclose(k, (expected + expected.T) / 2, atol=1e-12)
 
     def test_knn_clamped_with_warning(self):
         feats = np.random.default_rng(0).standard_normal((3, 2))
-        cfg = affinity.MKMLConfig(knn_values=(5,), sigma_multipliers=(1.0,))
-        with pytest.warns(UserWarning, match="clamping"):
-            bank = kernel_bank(feats, cfg)
-        assert len(bank) == 1
+        with pytest.warns(UserWarning, match="clamping to 2"):
+            bank = kernel_bank(feats)
+        assert len(bank) == 10
+        # both knn values clamp to 2, so the two halves of the grid coincide
+        assert np.array_equal(bank[:5], bank[5:])
 
-    def test_default_config_has_ten_kernels(self):
-        cfg = affinity.MKMLConfig()
-        assert cfg.num_kernels == 10
+    def test_published_grid_has_ten_kernels(self):
+        assert affinity._NUM_KERNELS == 10
         feats = np.random.default_rng(1).standard_normal((20, 6))
-        assert len(kernel_bank(feats, cfg)) == 10
+        assert len(kernel_bank(feats)) == 10
 
 
 class TestLearnAffinity:
@@ -66,47 +71,38 @@ class TestLearnAffinity:
 
     def test_planted_blocks_have_contrast(self):
         rng = np.random.default_rng(8)
-        block1 = rng.normal(0.0, 0.05, size=(10, 6))
-        block2 = rng.normal(5.0, 0.05, size=(10, 6))
+        block1 = rng.normal(0.0, 0.05, size=(20, 6))
+        block2 = rng.normal(5.0, 0.05, size=(20, 6))
         feats = np.vstack([block1, block2])
-        cfg = affinity.MKMLConfig(knn_values=(3,), sigma_multipliers=(1.0, 1.5))
-        a = affinity.learn_affinity(feats, cfg)
-        off = ~np.eye(20, dtype=bool)
-        within = np.r_[a[:10, :10][off[:10, :10]], a[10:, 10:][off[:10, :10]]]
-        between = a[:10, 10:].ravel()
+        a = affinity.learn_affinity(feats)
+        off = ~np.eye(40, dtype=bool)
+        within = np.r_[a[:20, :20][off[:20, :20]], a[20:, 20:][off[:20, :20]]]
+        between = a[:20, 20:].ravel()
         assert within.mean() > between.mean()
 
     def test_uniform_weights_fixed_point_for_identical_kernels(self):
-        # equally-spaced points on a line: all kernels in a 1-knn grid coincide
-        feats = np.arange(6, dtype=float)[:, None]
-        cfg = affinity.MKMLConfig(knn_values=(2,), sigma_multipliers=(1.0, 1.0))
-        bank = kernel_bank(feats, cfg)
-        assert np.allclose(bank[0], bank[1])
-        a = affinity.learn_affinity(feats, cfg)
-        assert np.allclose(a, a.T)
+        # two groups of 16 duplicates: every knn neighbourhood of a subject
+        # holds only its duplicates, so every bandwidth is 0 and all kernels
+        # are the group indicator; the weights stay uniform and S is that
+        # indicator, row-normalized
+        feats = np.repeat([[0.0], [10.0]], 16, axis=0)
+        bank = kernel_bank(feats)
+        group = np.kron(np.eye(2), np.ones((16, 16)))
+        assert all(np.array_equal(k, group) for k in bank)
+        expected = group / 16
+        np.fill_diagonal(expected, 1.0)
+        assert np.array_equal(affinity.learn_affinity(feats), expected)
 
     def test_output_invariants_random(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
             n = int(rng.integers(6, 25))
             feats = rng.standard_normal((n, 5))
-            cfg = affinity.MKMLConfig(knn_values=(3,), sigma_multipliers=(1.0, 2.0))
-            a = affinity.learn_affinity(feats, cfg)
+            a = affinity.learn_affinity(feats)
             assert np.allclose(a, a.T)
             assert np.all(a >= 0)
             assert np.all(np.isfinite(a))
             assert np.allclose(np.diag(a), 1.0)
-
-
-@pytest.mark.parametrize("field,value", [
-    ("knn_values", ()), ("knn_values", (0,)), ("knn_values", (-3,)), ("knn_values", (2.5,)),
-    ("knn_values", (10.0,)), ("knn_values", (True,)), ("sigma_multipliers", ()),
-    ("sigma_multipliers", (0.0,)), ("sigma_multipliers", (-1.0,)),
-    ("sigma_multipliers", (1.0, np.nan)), ("sigma_multipliers", (np.inf,)),
-    ("rho", np.nan), ("rho", 0.0), ("weight_iters", 0), ("weight_iters", 2.5)])
-def test_config_rejects_settings_that_misbehave(field, value):
-    with pytest.raises(PreconditionError):
-        affinity.MKMLConfig(**{field: value})
 
 
 class TestWeightRounds:
@@ -116,23 +112,22 @@ class TestWeightRounds:
     def test_match_elementwise_oracle(self, n):
         rng = np.random.default_rng(n)
         feats = rng.uniform(0.0, 1.0, size=(n, 595))
-        cfg = affinity.MKMLConfig(knn_values=tuple(sorted({1, max(1, n // 4), n - 1})))
-        got = affinity.learn_affinity(feats, cfg)
-        assert np.max(np.abs(got - oracles.learn_affinity_elementwise(feats, cfg))) <= 1e-15
+        got = affinity.learn_affinity(feats)
+        assert np.max(np.abs(got - oracles.learn_affinity_elementwise(feats))) <= 1e-15
 
     def test_match_elementwise_oracle_with_knn_clamped(self):
         feats = np.random.default_rng(7).standard_normal((12, 40))
-        cfg = affinity.MKMLConfig()  # knn 10 fits, knn 15 is clamped to 11
+        # knn 10 fits, knn 15 is clamped to 11
         with pytest.warns(UserWarning, match="clamping to 11"):
-            got = affinity.learn_affinity(feats, cfg)
-        expected = oracles.learn_affinity_elementwise(feats, cfg)
+            got = affinity.learn_affinity(feats)
+        expected = oracles.learn_affinity_elementwise(feats)
         assert np.max(np.abs(got - expected)) <= 1e-15
 
     def test_identical_subjects_match_oracle(self):
         feats = np.tile(np.arange(6.0), (5, 1))
         with pytest.warns(UserWarning, match="identical"):
             got = affinity.learn_affinity(feats)
-        assert np.array_equal(got, oracles.learn_affinity_elementwise(feats, affinity.MKMLConfig()))
+        assert np.array_equal(got, oracles.learn_affinity_elementwise(feats))
 
 
 class TestNormalizeAdjacency:
@@ -215,14 +210,13 @@ class TestSubAffinity:
 def test_kernel_weights_stay_on_simplex():
     # exercised via learn_affinity internals: re-run the update manually
     rng = np.random.default_rng(9)
-    feats = rng.standard_normal((12, 4))
-    cfg = affinity.MKMLConfig(knn_values=(2, 3), sigma_multipliers=(1.0, 2.0))
-    kernels = kernel_bank(feats, cfg)
+    feats = rng.standard_normal((20, 4))
+    kernels = kernel_bank(feats)
     weights = np.full(len(kernels), 1.0 / len(kernels))
-    for _ in range(cfg.weight_iters):
+    for _ in range(affinity._WEIGHT_ITERS):
         combined = sum(w * k for w, k in zip(weights, kernels))
         s = combined / combined.sum(axis=1, keepdims=True)
-        scores = np.array([np.sum(k * s) for k in kernels]) / cfg.rho
+        scores = np.array([np.sum(k * s) for k in kernels]) / affinity._RHO
         scores -= scores.max()
         weights = np.exp(scores)
         weights /= weights.sum()

@@ -442,33 +442,33 @@ class TestStreamedBackward:
 class TestAdam:
     def test_zero_gradient_leaves_param_unchanged(self):
         p = ad.parameter([[1.0, -2.0]])
-        st = ad.AdamState.for_param(p, lr=0.1)
-        oracles.adam_step(st, p, np.zeros((1, 2)))
+        st = ad.AdamState.for_param(p)
+        oracles.adam_step(st, p, np.zeros((1, 2)), lr=0.1)
         assert np.array_equal(p.data, [[1.0, -2.0]])
 
     def test_single_step_matches_hand_computation(self):
         # fresh state, g: m_hat = g, v_hat = g^2, update = lr*g/(|g|+eps)
         lr, g = 0.05, 3.0
         p = ad.parameter([[0.0]])
-        st = ad.AdamState.for_param(p, lr=lr, beta1=0.5, beta2=0.999, epsilon=1e-8)
-        oracles.adam_step(st, p, np.array([[g]]))
+        st = ad.AdamState.for_param(p)
+        oracles.adam_step(st, p, np.array([[g]]), lr)
         expected = -lr * g / (np.sqrt(g * g) + 1e-8)
         assert abs(p.data[0, 0] - expected) < 1e-15
 
     def test_quadratic_convergence(self):
         # minimize (w-3)^2 for 100 steps
         w = ad.parameter([[0.0]])
-        st = ad.AdamState.for_param(w, lr=0.1, beta1=0.9, beta2=0.999)
+        st = ad.AdamState.for_param(w)
         for _ in range(100):
             grad = 2.0 * (w.data - 3.0)
-            oracles.adam_step(st, w, grad)
+            oracles.adam_step(st, w, grad, lr=0.1)
         assert abs(w.data[0, 0] - 3.0) < 0.1
 
     def test_shape_mismatch(self):
         p = ad.parameter([[0.0]])
         st = ad.AdamState.for_param(p)
         with pytest.raises(DimensionError):
-            oracles.adam_step(st, p, np.zeros((2, 2)))
+            oracles.adam_step(st, p, np.zeros((2, 2)), lr=1e-4)
 
     def test_adam_in_place_matches_adam_step(self):
         # three steps over parameters of different shapes, one of them off
@@ -479,8 +479,8 @@ class TestAdam:
         shapes = [(3, 4), (4, 1), (2, 2), (chunk + 1, 1), (1, 3 * chunk - 7)]
         params = [ad.parameter(rng.standard_normal(s)) for s in shapes]
         refs = [ad.parameter(p.data.copy()) for p in params]
-        opt = ad.Adam(params, lr=0.01, beta1=0.5, beta2=0.999)
-        states = [ad.AdamState.for_param(p, lr=0.01, beta1=0.5, beta2=0.999) for p in refs]
+        opt = ad.Adam(params, lr=0.01)
+        states = [ad.AdamState.for_param(p) for p in refs]
         m_arrays = [st.m for st in opt.states]
         for _ in range(3):
             with ad.Tape() as tape:
@@ -492,7 +492,7 @@ class TestAdam:
             opt.step(grads, tape)
             for p, ref, st in zip(params, refs, states):
                 g = grads[p.node_id] if p.node_id in grads and p._tape is tape else None
-                oracles.adam_step(st, ref, g if g is not None else np.zeros(ref.shape))
+                oracles.adam_step(st, ref, g if g is not None else np.zeros(ref.shape), lr=0.01)
             for p, ref, st, mine in zip(params, refs, states, opt.states):
                 assert np.array_equal(p.data, ref.data)
                 assert np.array_equal(mine.m, st.m) and np.array_equal(mine.v, st.v)
@@ -515,5 +515,5 @@ class TestAdam:
         p = ad.parameter([[0.0]])
         st = ad.AdamState.for_param(p)
         for expected in (1, 2, 3):
-            oracles.adam_step(st, p, np.array([[1.0]]))
+            oracles.adam_step(st, p, np.array([[1.0]]), lr=1e-4)
             assert st.step == expected

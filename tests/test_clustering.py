@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from connectogen import clustering
-from connectogen.affinity import MKMLConfig
 from connectogen.errors import PreconditionError
 
 from oracles import adjusted_rand_index
@@ -85,11 +84,10 @@ class TestPipeline:
         return np.vstack([a, b]), np.r_[np.zeros(n_half), np.ones(n_half)]
 
     def test_planted_clusters_recovered(self):
-        cfg = MKMLConfig(knn_values=(4,), sigma_multipliers=(1.0, 1.5))
         hits = 0
         for seed in range(10):
             z, truth = self._embeddings(seed)
-            res = clustering.cluster_source_embeddings(z, cfg, c=2, seed=seed)
+            res = clustering.cluster_source_embeddings(z, c=2, seed=seed)
             if adjusted_rand_index(res.labels, truth) >= 0.9:
                 hits += 1
         assert hits >= 9
@@ -100,18 +98,16 @@ class TestPipeline:
         assert np.all(res.labels == 0)
 
     def test_permutation_equivariance_up_to_relabeling(self):
-        cfg = MKMLConfig(knn_values=(4,), sigma_multipliers=(1.0, 1.5))
         z, _ = self._embeddings(4)
         rng = np.random.default_rng(7)
         perm = rng.permutation(z.shape[0])
-        base = clustering.cluster_source_embeddings(z, cfg, c=2, seed=5)
-        permuted = clustering.cluster_source_embeddings(z[perm], cfg, c=2, seed=5)
+        base = clustering.cluster_source_embeddings(z, c=2, seed=5)
+        permuted = clustering.cluster_source_embeddings(z[perm], c=2, seed=5)
         assert adjusted_rand_index(base.labels[perm], permuted.labels) == 1.0
 
     def test_labels_partition_subjects(self):
         z = np.random.default_rng(11).standard_normal((20, 5))
-        cfg = MKMLConfig(knn_values=(4,), sigma_multipliers=(1.0, 1.5))
-        res = clustering.cluster_source_embeddings(z, cfg, c=3, seed=2)
+        res = clustering.cluster_source_embeddings(z, c=3, seed=2)
         assert res.labels.shape == (20,)
         assert np.all((res.labels >= 0) & (res.labels < 3))
 

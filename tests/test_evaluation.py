@@ -77,9 +77,8 @@ class TestKLDivergence:
     def test_matches_hand_histogram(self):
         real = [0.1, 0.2, 0.9, 0.9]
         pred = [0.15, 0.5, 0.8, 0.95]
-        spec = evaluation.HistogramSpec(bins=4, epsilon=1e-6)
-        expected = oracles.kl_by_hand(real, pred, bins=4, epsilon=1e-6)
-        assert abs(evaluation.kl_divergence(real, pred, spec) - expected) < 1e-12
+        expected = oracles.kl_by_hand(real, pred)
+        assert abs(evaluation.kl_divergence(real, pred) - expected) < 1e-12
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(5)
@@ -96,22 +95,14 @@ class TestKLDivergence:
             evaluation.kl_divergence([], [1.0])
 
 
-@pytest.mark.parametrize("field,value", [
-    ("bins", 1), ("bins", 2.5), ("bins", 32.0), ("bins", True), ("epsilon", 0.0),
-    ("epsilon", -1e-9), ("epsilon", np.nan), ("epsilon", np.inf)])
-def test_histogram_spec_rejects_settings_that_misbehave(field, value):
-    with pytest.raises(PreconditionError):
-        evaluation.HistogramSpec(**{field: value})
-
-
 @st.composite
 def _kl_row_pairs(draw):
-    """(bins, real rows, pred rows): rows of one width each, every row pair
-    on its own range, drawn as plain floats, small integers (ties), exact
-    bin edges of the pair's range, or a constant.  (Ranges of a few subnormal
-    steps are left out: their np.linspace edges can decrease, and
-    np.histogram then rejects them.)"""
-    bins = draw(st.integers(2, 12))
+    """(real rows, pred rows): rows of one width each, every row pair on its
+    own range, drawn as plain floats, small integers (ties), exact bin edges
+    of the pair's range, or a constant.  (Ranges of a few subnormal steps
+    are left out: their np.linspace edges can decrease, and np.histogram
+    then rejects them.)"""
+    bins = evaluation._KL_BINS
     n, a, b = draw(st.integers(1, 5)), draw(st.integers(1, 25)), draw(st.integers(1, 25))
     reals, preds = [], []
     for _ in range(n):
@@ -134,32 +125,30 @@ def _kl_row_pairs(draw):
             real[0], pred[-1] = edges[0] * scale + shift, edges[-1] * scale + shift
         reals.append(real)
         preds.append(pred)
-    return bins, np.array(reals), np.array(preds)
+    return np.array(reals), np.array(preds)
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@given(_kl_row_pairs(), st.sampled_from([1e-9, 1e-6, 0.5]))
-def test_vectorized_kl_matches_histogram_oracle_bitwise(case, epsilon):
-    bins, real, pred = case
-    spec = evaluation.HistogramSpec(bins=bins, epsilon=epsilon)
-    got = evaluation._kl_rows(real, pred, spec)
-    expected = [oracles.kl_by_hand(a, b, bins, epsilon) for a, b in zip(real, pred)]
+@given(_kl_row_pairs())
+def test_vectorized_kl_matches_histogram_oracle_bitwise(case):
+    real, pred = case
+    got = evaluation._kl_rows(real, pred)
+    expected = [oracles.kl_by_hand(a, b) for a, b in zip(real, pred)]
     assert got.tolist() == expected
-    assert evaluation.kl_divergence(real[0], pred[0], spec) == expected[0]
+    assert evaluation.kl_divergence(real[0], pred[0]) == expected[0]
 
 
-@pytest.mark.parametrize("real, pred, bins", [
-    # 0.25 and 0.5 sit on inner edges and go right; 1.0 is the last edge and
-    # stays in the last bin
-    ([0.0, 0.25, 0.5, 0.5, 1.0], [0.0, 0.1, 0.3, 0.75, 1.0], 4),
+@pytest.mark.parametrize("real, pred", [
+    # 0.25 and 0.5 sit on inner edges (8/32 and 16/32) and go right; 1.0 is
+    # the last edge and stays in the last bin
+    ([0.0, 0.25, 0.5, 0.5, 1.0], [0.0, 0.1, 0.3, 0.75, 1.0]),
     # a range of 2 subnormal steps: the bin width underflows to 0, and
     # np.linspace scales the ramp by the range instead
-    ([0.0, 5e-324, 5e-324], [0.0, 1e-323], 32),
+    ([0.0, 5e-324, 5e-324], [0.0, 1e-323]),
 ])
-def test_kl_bins_hold_edge_samples_as_histogram_does(real, pred, bins):
-    spec = evaluation.HistogramSpec(bins=bins, epsilon=1e-3)
-    assert evaluation._kl_rows(np.array([real]), np.array([pred]), spec)[0] == (
-        oracles.kl_by_hand(real, pred, bins, 1e-3))
+def test_kl_bins_hold_edge_samples_as_histogram_does(real, pred):
+    assert evaluation._kl_rows(np.array([real]), np.array([pred]))[0] == (
+        oracles.kl_by_hand(real, pred))
 
 
 class TestPairedTTest:

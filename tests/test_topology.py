@@ -663,6 +663,24 @@ def test_centralities_raise_what_the_first_unfit_metric_raises():
         topology.centralities(np.stack([star_graph(3), np.zeros((4, 4))]))
 
 
+@pytest.mark.parametrize("r", [3, 7])
+def test_every_public_function_scores_an_empty_stack(r):
+    empty = np.zeros((0, r, r))
+    for interp in (topology.DISTANCE, topology.INVERSE):
+        scores = topology.centralities(empty, interp)
+        assert list(scores) == ["cc", "bc", "ec", "pc", "eff", "clst"]
+        assert all(values.shape == (0, r) for values in scores.values())
+        assert topology.closeness(empty, interp).shape == (0, r)
+        assert topology.betweenness(empty, interp).shape == (0, r)
+    assert topology.ec_or_zero(empty).shape == (0, r)
+    rows = ad.parameter(np.zeros((0, r * (r - 1) // 2)))
+    with ad.Tape() as tape:
+        out = topology.batched_eigenvector_rows(rows, r)
+        loss = oracles.sum_all(out)
+    assert out.shape == (0, r)
+    assert ad.backward(tape, loss)[rows.node_id].shape == rows.shape
+
+
 def test_vectorize_devectorize_consistency_with_metrics():
     # metrics on a devectorized round trip equal metrics on the original
     rng = np.random.default_rng(9)

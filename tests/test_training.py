@@ -111,11 +111,9 @@ class TestTrainLoop:
         for clusters in (0, -1):
             with pytest.raises(PreconditionError, match="clusters"):
                 training.TrainingConfig(clusters=clusters)
-        for bad in ({"lr": 0.0}, {"lr": -1e-4}, {"lr": float("nan")},
-                    {"lr": float("inf")}, {"beta1": 1.0}, {"beta2": -0.1},
-                    {"beta2": float("nan")}):
-            with pytest.raises(PreconditionError):
-                training.TrainingConfig(**bad)
+        for lr in (0.0, -1e-4, float("nan"), float("inf")):
+            with pytest.raises(PreconditionError, match="lr"):
+                training.TrainingConfig(lr=lr)
 
 
 def check_critic_batches(monkeypatch, ds, cfg, batch_of):
