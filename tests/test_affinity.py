@@ -56,7 +56,8 @@ class TestKernelBank:
         # both knn values clamp to 2, so the two halves of the grid coincide
         assert np.array_equal(bank[:5], bank[5:])
 
-    def test_published_grid_has_ten_kernels(self):
+    def test_default_config_has_ten_kernels(self):
+        # the published grid is the only one: 2 knn values by 5 sigmas
         assert affinity._NUM_KERNELS == 10
         feats = np.random.default_rng(1).standard_normal((20, 6))
         assert len(kernel_bank(feats)) == 10
@@ -103,6 +104,15 @@ class TestLearnAffinity:
             assert np.all(a >= 0)
             assert np.all(np.isfinite(a))
             assert np.allclose(np.diag(a), 1.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("_KNN_VALUES", (10, 15)), ("_SIGMA_MULTIPLIERS", (1.0, 1.25, 1.5, 1.75, 2.0)),
+    ("_WEIGHT_ITERS", 10), ("_RHO", 1.0)])
+def test_kernel_grid_is_the_published_one(name, value):
+    # the oracles read these constants, so only this pins them: a changed
+    # grid changes every affinity, cluster and trained model
+    assert getattr(affinity, name) == value
 
 
 class TestWeightRounds:

@@ -3,6 +3,8 @@ module, every public definition has a caller, and one module owns the
 feature-row layout and the values file."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,33 @@ def test_only_data_knows_the_values_file():
     # data._write_views writes each view's values file and data._read_views reads it
     assert [path.name for path in MODULES
             if "values.bin" in path.read_text(encoding="utf-8")] == ["data.py"]
+
+
+# the hyperparameters no caller varied are module constants; these are the
+# parameters and fields that carried them (the README's API-change note)
+@pytest.mark.parametrize("owner, name", [
+    ("affinity.learn_affinity", "cfg"),
+    ("clustering.cluster_source_embeddings", "mkml"),
+    ("training.train", "mkml"),
+    ("training.predict_multigraph", "mkml"),
+    ("training._ClusterContext", "mkml"),
+    ("evaluation.evaluate", "hist"),
+    ("evaluation.kl_divergence", "spec"),
+    ("training.TrainingConfig", "beta1"),
+    ("training.TrainingConfig", "beta2"),
+    ("autodiff.Adam", "beta1"),
+    ("autodiff.Adam", "beta2"),
+    ("autodiff.Adam", "epsilon"),
+    ("autodiff.AdamState", "lr"),
+])
+def test_fixed_hyperparameters_take_no_parameter(owner, name):
+    module, attr = owner.split(".")
+    target = getattr(importlib.import_module(f"connectogen.{module}"), attr)
+    assert name not in inspect.signature(target).parameters
+
+
+@pytest.mark.parametrize("owner", ["affinity.MKMLConfig", "evaluation.HistogramSpec"])
+def test_fixed_hyperparameter_classes_are_gone(owner):
+    module, attr = owner.split(".")
+    assert not hasattr(importlib.import_module(f"connectogen.{module}"), attr)
+    assert attr not in connectogen.__all__ and not hasattr(connectogen, attr)
