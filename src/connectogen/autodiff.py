@@ -7,7 +7,7 @@ leaf.  Tapes are single-use: one forward pass, one backward pass, then a
 fresh tape for the next step.
 
 The backward hands each leaf's gradient over as soon as the first record
-that reads the leaf has run, and :meth:`Adam.minimize` steps the parameter
+that reads the leaf has run, and :meth:`Adam.step` steps the parameter
 right there, so a step never holds every parameter's gradient at once.
 That relies on three rules:
 
@@ -40,7 +40,6 @@ small enough to stay in a core's L2 cache.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +186,7 @@ def backward(tape: Tape, loss: Tensor, consume=None) -> dict[int, Tensor] | None
     gradient is final once the first record that reads the leaf has run, so
     it is handed over right then, as ``consume(node_id, grad)`` with a numpy
     array (zeros for a leaf the loss does not reach), once per leaf.  The
-    consumer may change the leaf at once, as :meth:`Adam.minimize` does,
+    consumer may change the leaf at once, as :meth:`Adam.step` does,
     since every record still to run precedes the leaf's first use; it may
     not if a constant on the tape aliases the leaf's array.  It must not
     mutate ``grad``, which may be an array an op also handed elsewhere.
@@ -677,15 +676,15 @@ class Adam:
     they do not outlive the step, so no optimizer memory stays resident
     between steps.
 
-    :meth:`minimize` steps each parameter inside :func:`backward`, as soon
-    as its gradient is final, reading the gradient and dropping it there.
-    That is exact only because every record that reads a parameter's array
-    takes the parameter itself as an input, so all of them have run by
-    then: no constant aliasing a parameter may sit on the tape of the
-    optimizer that steps it.  (The generator step's ``frozen(disc)``
-    constants alias the discriminator's weights, which its optimizer does
-    not step.)  :meth:`step` applies a finished :func:`backward` map
-    instead; both step a parameter that gets no gradient with zero.
+    :meth:`step` is the one way to step: it runs :func:`backward` and steps
+    each parameter inside it, as soon as its gradient is final, reading the
+    gradient and dropping it there.  That is exact only because every record
+    that reads a parameter's array takes the parameter itself as an input, so
+    all of them have run by then: no constant aliasing a parameter may sit on
+    the tape of the optimizer that steps it.  (The generator step's
+    ``frozen(disc)`` constants alias the discriminator's weights, which its
+    optimizer does not step.)  A parameter that gets no gradient is stepped
+    with zero.
     """
 
     def __init__(self, params: list[Tensor], lr: float):
@@ -695,23 +694,10 @@ class Adam:
         self._scratch_size = min(max((p.data.size for p in self.params), default=0),
                                  _ADAM_CHUNK)
 
-    def minimize(self, tape: Tape, loss: Tensor) -> None:
+    def step(self, tape: Tape, loss: Tensor) -> None:
         """Backpropagate ``loss`` through ``tape``, stepping each parameter
-        as :func:`backward` hands over its gradient."""
-        with self._stepping(tape) as update:
-            backward(tape, loss, update)
-
-    def step(self, grad_map: dict[int, Tensor], tape: Tape) -> None:
-        """Step every parameter with its gradient in a :func:`backward` map."""
-        with self._stepping(tape) as update:
-            for node_id, grad in grad_map.items():
-                update(node_id, grad.data)
-
-    @contextmanager
-    def _stepping(self, tape: Tape):
-        """Yield ``update(node_id, grad)``, which steps the parameter that
-        has that node id on ``tape``; on exit, step every parameter that got
-        no update with a zero gradient."""
+        as :func:`backward` hands over its gradient, then every parameter
+        that got none (unreached by the loss, or not on ``tape``) with zero."""
         s_buf, u_buf = np.empty(self._scratch_size), np.empty(self._scratch_size)
         # node ids are tape-local, so only trust them for params on `tape`
         on_tape = {p.node_id: i for i, p in enumerate(self.params) if p._tape is tape}
@@ -723,7 +709,7 @@ class Adam:
                 stepped[i] = True
                 self._step_param(i, grad, s_buf, u_buf)
 
-        yield update
+        backward(tape, loss, update)
         for i, done in enumerate(stepped):
             if not done:
                 self._step_param(i, np.zeros_like(self.params[i].data), s_buf, u_buf)

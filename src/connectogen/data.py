@@ -499,9 +499,12 @@ def kfold_split(dataset: PopulationDataset, folds: int, seed: int):
     return [np.sort(part) for part in np.array_split(order, folds)]
 
 
+_LATENT_DIM = 8  # the simulator's latent width
+
+
 def simulate_population(s: int, r: int, v: int, clusters: int = 2,
                         separation: float = 4.0, noise: float = 0.1,
-                        latent_dim: int = 8, seed: int = 0) -> PopulationDataset:
+                        seed: int = 0) -> PopulationDataset:
     """Synthetic multigraph population with planted subject clusters.
 
     Each subject draws a nonnegative latent vector from one of ``clusters``
@@ -511,26 +514,26 @@ def simulate_population(s: int, r: int, v: int, clusters: int = 2,
     its own nonnegative linear map plus Gaussian noise and an absolute
     value, then rescales so weights land in [0, ~1].  Latents and maps are
     nonnegative, so with noise=0 the absolute value is the identity and
-    each view's feature matrix has rank <= latent_dim.
+    each view's feature matrix has rank <= 8, the latent width.
     """
     if s < 2 or r < 3 or v < 2 or clusters < 1:
         raise PreconditionError(
             f"need s>=2, r>=3, v>=2, clusters>=1 (got s={s}, r={r}, v={v}, clusters={clusters})")
-    if separation < 0 or noise < 0 or latent_dim < 1:
-        raise PreconditionError("separation/noise must be >= 0 and latent_dim >= 1")
-    if clusters > latent_dim:
+    if separation < 0 or noise < 0:
+        raise PreconditionError("separation/noise must be >= 0")
+    if clusters > _LATENT_DIM:
         raise PreconditionError(
-            f"latent_dim={latent_dim} must be >= clusters={clusters} to plant modes")
+            f"clusters={clusters} exceeds the {_LATENT_DIM} latent coordinates that plant modes")
 
     rng = np.random.default_rng(seed)
     f = feature_count(r)
 
-    means = np.zeros((clusters, latent_dim))
-    for c, block in enumerate(np.array_split(np.arange(latent_dim), clusters)):
+    means = np.zeros((clusters, _LATENT_DIM))
+    for c, block in enumerate(np.array_split(np.arange(_LATENT_DIM), clusters)):
         means[c, block] = separation * (0.5 + np.abs(rng.standard_normal(block.size)))
-    maps = np.abs(rng.standard_normal((v, latent_dim, f))) / latent_dim
+    maps = np.abs(rng.standard_normal((v, _LATENT_DIM, f))) / _LATENT_DIM
     labels = rng.integers(0, clusters, size=s)
-    latents = np.abs(means[labels] + rng.standard_normal((s, latent_dim)))
+    latents = np.abs(means[labels] + rng.standard_normal((s, _LATENT_DIM)))
 
     feats = np.stack([np.abs(latents @ maps[k] + noise * rng.standard_normal((s, f)))
                       for k in range(v)], axis=1)

@@ -16,7 +16,9 @@ metrics need a weight-to-length mapping:
 Eigenvector centrality, from one forward for every caller, is also recorded
 on the tape as one op over raw vectorized rows (:func:`batched_eigenvector_rows`),
 which expands and clamps them with :func:`connectogen.data.devectorize` and
-is differentiated at its fixed point.  The op keeps no graph stack on the
+is differentiated at its fixed point.  Training scores both sides of its
+topological loss with that op: the generated rows on the tape, and the real
+target rows, once, as constants.  The op keeps no graph stack on the
 tape: its backward rebuilds the graphs from the rows with ``devectorize``,
 one chunk of the kernels' rule at a time.
 """
@@ -48,7 +50,7 @@ def _as_stack(weights) -> tuple[np.ndarray, bool]:
     """Validate one graph or a stack; return an (n, r, r) stack and whether
     the input was a single (r, r) graph."""
     w = check_connectivity(weights)
-    return w.reshape((-1,) + w.shape[-2:]), w.ndim == 2
+    return (w[None] if w.ndim == 2 else w), w.ndim == 2
 
 
 def _unstack(out: np.ndarray, single: bool) -> np.ndarray:
@@ -159,7 +161,8 @@ def _principal_eigenpairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = np.matmul(ops, x[:, :, None])[:, :, 0]
         return y / _norms(y)[:, None]
 
-    x, moving = _power_iterate(step, ops, np.full((len(live), r), 1.0 / np.sqrt(r)),
+    start = np.full((len(live), r), 1.0 / np.sqrt(max(r, 1)))  # r = 0 has no entry
+    x, moving = _power_iterate(step, ops, start,
                                _EC_TOL, _EC_MAX_STEPS, lambda y, x: _norms(y - x))
     if moving.size:
         top = np.linalg.eigh(ops[moving])[1][:, :, -1]
@@ -223,12 +226,6 @@ def centralities(weights, interp: str = DISTANCE) -> dict[str, np.ndarray]:
     return {key: _unstack(value, single) for key, value in scores.items()}
 
 
-def ec_or_zero(weights) -> np.ndarray:
-    """Eigenvector centrality, returning zeros for an all-zero graph."""
-    w, single = _as_stack(weights)
-    return _unstack(_principal_eigenpairs(w)[0], single)
-
-
 # ---------------------------------------------------------------------------
 # differentiable path (one tape op, differentiated at the fixed point)
 
@@ -249,7 +246,8 @@ def batched_eigenvector_rows(features: ad.Tensor, r: int) -> ad.Tensor:
     (:mod:`connectogen._topology_kernels`), so its temporaries stay
     O(chunk * r^2).  All-zero rows yield all-zero centralities and a zero
     gradient instead of raising, so training losses stay finite early on.
-    Returns an (n, r) tensor on the active tape.
+    Returns an (n, r) tensor, on the active tape if ``features`` requires
+    grad; constant rows, such as training's real targets, record nothing.
     """
     x = features.data
     vec, lam = _principal_eigenpairs(devectorize(x, r))

@@ -36,7 +36,7 @@ from . import autodiff as ad
 from . import topology
 from .affinity import learn_affinity, normalize_adjacency, sub_affinity
 from .clustering import cluster_source_embeddings
-from .data import PopulationDataset, devectorize
+from .data import PopulationDataset, check_connectivity, devectorize
 from .errors import DimensionError, NumericError, PreconditionError, TrainingError
 from .losses import (
     LossWeights,
@@ -121,15 +121,16 @@ class _ClusterContext:
     Its current batch of n members is ``rows``, one ((2k + 1) * n, f) buffer
     [source; k fake slots; k real targets], with its (v, n, n) normalized
     adjacencies ``norms`` and its real targets' (k * n, r) eigenvector
-    centralities ``real_cent``.  A cluster with at most ``batch_size``
-    members fills the batch once, here, with every member in member order.
-    A larger cluster keeps its members' rows, (v, m, m) affinities and
-    (k, m, r) centralities in ``pool``, from which :meth:`draw` refills the
-    batch.
+    centralities ``real_cent``.  The centralities are scored once, here, from
+    the members' target rows by :func:`topology.batched_eigenvector_rows`,
+    the forward the topological loss runs on the fakes.  A cluster with at
+    most ``batch_size`` members fills the batch once, here, with every member
+    in member order.  A larger cluster keeps its members' rows, (v, m, m)
+    affinities and (k, m, r) centralities in ``pool``, from which
+    :meth:`draw` refills the batch.
     """
 
-    def __init__(self, members: np.ndarray, feats: np.ndarray, real_cent: np.ndarray,
-                 batch_size: int):
+    def __init__(self, members: np.ndarray, feats: np.ndarray, r: int, batch_size: int):
         m, k, f = members.size, feats.shape[0] - 1, feats.shape[2]
         self.n = n = min(m, batch_size)
         self.rows = np.empty(((2 * k + 1) * n, f))
@@ -141,11 +142,13 @@ class _ClusterContext:
         # the members are valid indices, so "clip" gathers unbuffered
         np.take(feats[0], members, axis=0, out=source, mode="clip")
         np.take(feats[1:], members, axis=1, out=targets, mode="clip")
+        real_cent = topology.batched_eigenvector_rows(
+            ad.constant(targets.reshape(k * m, f)), r).data
         affinities = np.stack([learn_affinity(x) for x in (source, *targets)])
-        self.pool = (source, targets, affinities, real_cent) if pooled else None
+        self.pool = (source, targets, affinities, real_cent.reshape(k, m, r)) if pooled else None
         if not pooled:
             self.norms = normalize_adjacency(affinities)
-            self.real_cent = real_cent.reshape(k * n, -1)
+            self.real_cent = real_cent
 
     def draw(self, rng: np.random.Generator) -> bool:
         """Refill the batch with n members drawn from ``pool`` without
@@ -181,6 +184,8 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
             f"{dataset.s} training subjects cannot fill {cfg.clusters} clusters of >= 2")
 
     r, k = dataset.r, dataset.k
+    # every graph of every view, source included, before any set-up reads one
+    check_connectivity(dataset.tensor.reshape(-1, r, r), "training graphs")
     targets = target_views(dataset.v, source_view)
     sigma = weights.resolved_sigma(k)
 
@@ -205,9 +210,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
         if members.size < 2:
             raise TrainingError(
                 f"cluster {j} has {members.size} subject(s); lower --clusters")
-        real_cent = np.stack([topology.ec_or_zero(dataset.tensor[members, view])
-                              for view in targets])
-        clusters.append(_ClusterContext(members, feats, real_cent, cfg.batch_size))
+        clusters.append(_ClusterContext(members, feats, r, cfg.batch_size))
     # each cluster has gathered its rows; the full-population set-up is done
     del feats, affinity_source, norm_full, z_full
 
@@ -253,7 +256,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
             loss_d = discriminator_loss(parts, weights)
         _check_finite(iteration, {"L_adv": sums[0], "L_gp": sums[1], "L_gdc": sums[2],
                                   "L_D": loss_d.item()})
-        opt_d.minimize(tape, loss_d)
+        opt_d.step(tape, loss_d)
         return loss_d.item(), sums[0], sums[1], sums[2]
 
     def generator_step(iteration: int) -> tuple[float, float, float]:
@@ -276,7 +279,7 @@ def train(dataset: PopulationDataset, source_view: int, cfg: TrainingConfig,
                 sums[1] += l_inf.item()
             loss_g = generator_loss(parts, weights)
         _check_finite(iteration, {"L_top": sums[0], "L_inf": sums[1], "L_G": loss_g.item()})
-        opt_g.minimize(tape, loss_g)
+        opt_g.step(tape, loss_g)
         return loss_g.item(), sums[0], sums[1]
 
     trace = TrainingTrace()

@@ -419,7 +419,7 @@ class TestStreamedBackward:
         seen = []
         out_id, fn = tape._records[0]
         tape._records[0] = (out_id, lambda g: seen.append(p.data.copy()) or fn(g))
-        ad.Adam([p, q], lr=0.1).minimize(tape, loss)
+        ad.Adam([p, q], lr=0.1).step(tape, loss)
         assert len(seen) == 1
         assert not np.array_equal(seen[0], p0)  # stepped before record 0 ran
         assert np.array_equal(seen[0], p.data)  # and not stepped again
@@ -473,7 +473,8 @@ class TestAdam:
     def test_adam_in_place_matches_adam_step(self):
         # three steps over parameters of different shapes, one of them off
         # the tape (zero gradient) and two updated in chunks, the last chunk
-        # short: bitwise the functional update
+        # short: bitwise the functional update, fed the gradients of the same
+        # loss on copies of the parameters
         rng = np.random.default_rng(21)
         chunk = ad._ADAM_CHUNK
         shapes = [(3, 4), (4, 1), (2, 2), (chunk + 1, 1), (1, 3 * chunk - 7)]
@@ -482,29 +483,36 @@ class TestAdam:
         opt = ad.Adam(params, lr=0.01)
         states = [ad.AdamState.for_param(p) for p in refs]
         m_arrays = [st.m for st in opt.states]
+
+        def loss_of(ps):
+            loss = ad.add(oracles.sum_all(ad.mul(ps[0], ps[0])),
+                          oracles.sum_all(ad.sigmoid(ps[1])))
+            for wide in ps[3:]:
+                loss = ad.add(loss, oracles.sum_all(ad.sigmoid(ad.mul(wide, wide))))
+            return loss
+
         for _ in range(3):
             with ad.Tape() as tape:
-                loss = ad.add(oracles.sum_all(ad.mul(params[0], params[0])),
-                              oracles.sum_all(ad.sigmoid(params[1])))
-                for wide in params[3:]:
-                    loss = ad.add(loss, oracles.sum_all(ad.sigmoid(ad.mul(wide, wide))))
+                loss = loss_of(params)
+            opt.step(tape, loss)
+            with ad.Tape() as tape:
+                loss = loss_of(refs)
             grads = ad.backward(tape, loss)
-            opt.step(grads, tape)
-            for p, ref, st in zip(params, refs, states):
-                g = grads[p.node_id] if p.node_id in grads and p._tape is tape else None
-                oracles.adam_step(st, ref, g if g is not None else np.zeros(ref.shape), lr=0.01)
+            for ref, st in zip(refs, states):
+                g = grads[ref.node_id] if ref._tape is tape else np.zeros(ref.shape)
+                oracles.adam_step(st, ref, g, lr=0.01)
             for p, ref, st, mine in zip(params, refs, states, opt.states):
                 assert np.array_equal(p.data, ref.data)
                 assert np.array_equal(mine.m, st.m) and np.array_equal(mine.v, st.v)
         assert all(st.m is m for st, m in zip(opt.states, m_arrays))  # updated in place
 
-    def test_minimize_steps_unreached_params_with_zero(self):
+    def test_step_steps_unreached_params_with_zero(self):
         used, idle, off_tape = (ad.parameter([[1.0, -2.0]]) for _ in range(3))
         opt = ad.Adam([used, idle, off_tape], lr=0.1)
         with ad.Tape() as tape:
             loss = oracles.sum_all(ad.mul(used, used))
             oracles.sum_all(idle)  # on the tape, but not feeding the loss
-        opt.minimize(tape, loss)
+        opt.step(tape, loss)
         assert [st.step for st in opt.states] == [1, 1, 1]
         assert not np.array_equal(used.data, [[1.0, -2.0]])
         for p, st in zip((idle, off_tape), opt.states[1:]):

@@ -263,8 +263,9 @@ class TestTopologicalLoss:
 
     @staticmethod
     def _loss(real, pred, r, k):
-        """The loss given the real graphs' centralities, as training gives them."""
-        cent = topology.ec_or_zero(devectorize(real, r))
+        """The loss given the real rows' centralities, as training gives them:
+        from the EC op the loss runs on the predictions."""
+        cent = topology.batched_eigenvector_rows(ad.constant(real), r).data
         return losses.topological_loss(real, pred, r, k, cent)
 
     def test_identical_predictions_zero(self):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -475,17 +477,17 @@ class TestEigenvectorRowsChunkedBackward:
 
 
 def test_one_eigenvector_implementation():
-    """Training, the real targets and evaluation share one EC forward: on a
-    real target view with an all-zero graph spliced in, every entry point
-    gives the same bits."""
+    """Training (the fakes and the real targets) and evaluation share one EC
+    forward: on a real target view with an all-zero graph spliced in, the EC
+    op scores that graph 0 and every other with the bits the centrality pass
+    gives it in a stack and alone."""
     ds = simulate_population(s=6, r=35, v=3, clusters=2, seed=7)
     view = 1  # a target view when view 0 is the source
     feats = np.insert(ds.feature_matrix(view), 2, 0.0, axis=0)
     stack = np.insert(ds.tensor[:, view], 2, 0.0, axis=0)
     live = [0, 1, 3, 4, 5, 6]
-    ec = topology.ec_or_zero(stack)
+    ec = topology.batched_eigenvector_rows(ad.constant(feats), 35).data
     assert np.all(ec[2] == 0.0)
-    assert np.array_equal(topology.batched_eigenvector_rows(ad.constant(feats), 35).data, ec)
     assert np.array_equal(score(stack[live], "ec"), ec[live])
     for i in live:
         assert np.array_equal(score(stack[i], "ec"), ec[i])
@@ -611,14 +613,16 @@ def test_power_iteration_stacks_match_single_graphs():
     stack = np.stack([oracles.random_connectivity(rng, r, density=d)
                       for d in (0.9, 0.9, 0.9, 0.5, 0.5)]
                      + [star_graph(r - 1), np.zeros((r, r)), path_graph(r)])
-    ec = topology.ec_or_zero(stack)
+    rows = np.stack([vectorize_upper(w) for w in stack])
+    ec = topology.batched_eigenvector_rows(ad.constant(rows), r).data
     live = [0, 1, 2, 3, 4, 5, 7]
     scores = topology.centralities(stack[live])  # the zero graph has no EC to raise on
     assert np.array_equal(scores["ec"], ec[live])
-    for i, w in enumerate(stack):
-        assert np.array_equal(ec[i], topology.ec_or_zero(w)), i
+    for i in range(len(stack)):
+        alone = topology.batched_eigenvector_rows(ad.constant(rows[i:i + 1]), r).data[0]
+        assert np.array_equal(ec[i], alone), i
         if i in live:
-            single = topology.centralities(w)
+            single = topology.centralities(stack[i])
             assert np.array_equal(ec[i], single["ec"]), i
             assert np.array_equal(scores["pc"][live.index(i)], single["pc"]), i
 
@@ -663,16 +667,28 @@ def test_centralities_raise_what_the_first_unfit_metric_raises():
         topology.centralities(np.stack([star_graph(3), np.zeros((4, 4))]))
 
 
-@pytest.mark.parametrize("r", [3, 7])
-def test_every_public_function_scores_an_empty_stack(r):
-    empty = np.zeros((0, r, r))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3), (0, 7, 7),
+                                   (0, 0)])
+def test_every_public_function_scores_an_empty_stack(shape):
+    """An empty stack, or the 2-D graph of no nodes, scores as a stack of one
+    graph of the same r does: the same PreconditionError for too few nodes,
+    else (0, r) scores, without a numpy warning."""
+    r = shape[-1]
+    empty, one = np.zeros(shape), np.ones((1, r, r)) - np.eye(r)
     for interp in (topology.DISTANCE, topology.INVERSE):
-        scores = topology.centralities(empty, interp)
-        assert list(scores) == ["cc", "bc", "ec", "pc", "eff", "clst"]
-        assert all(values.shape == (0, r) for values in scores.values())
-        assert topology.closeness(empty, interp).shape == (0, r)
-        assert topology.betweenness(empty, interp).shape == (0, r)
-    assert topology.ec_or_zero(empty).shape == (0, r)
+        for fn in (topology.centralities, topology.closeness, topology.betweenness):
+            try:
+                expected = fn(one, interp)
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+                    fn(empty, interp)
+                continue
+            out = fn(empty, interp)
+            if isinstance(out, dict):
+                assert list(out) == list(expected) == ["cc", "bc", "ec", "pc", "eff", "clst"]
+            values = out.values() if isinstance(out, dict) else [out]
+            assert all(v.shape == (0, r) for v in values), fn.__name__
     rows = ad.parameter(np.zeros((0, r * (r - 1) // 2)))
     with ad.Tape() as tape:
         out = topology.batched_eigenvector_rows(rows, r)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from connectogen import autodiff as ad
-from connectogen import data, models, training
-from connectogen.errors import DimensionError, NumericError, PreconditionError, TrainingError
+from connectogen import data, models, topology, training
+from connectogen.errors import (DimensionError, NumericError, PreconditionError, TrainingError,
+                               ValidationError)
 from connectogen.losses import LossWeights
 
 import oracles
@@ -102,6 +103,29 @@ class TestTrainLoop:
     def test_source_view_bounds(self):
         with pytest.raises(PreconditionError):
             training.train(small_dataset(), 7, small_config())
+
+    @pytest.mark.parametrize("view", [0, 1], ids=["source", "target"])
+    @pytest.mark.parametrize("kind, match", [
+        ("nan", "NaN"), ("negative", "negative"), ("asymmetric", "not symmetric"),
+        ("diagonal", "diagonal")])
+    def test_bad_graph_in_any_view_raises_before_set_up(self, monkeypatch, view, kind, match):
+        ds = small_dataset(s=24, r=8, v=3, seed=1)
+        tensor = ds.tensor.copy()
+        graph = tensor[3, view]
+        if kind == "nan":
+            graph[0, 1] = graph[1, 0] = np.nan
+        elif kind == "negative":
+            graph[0, 1] = graph[1, 0] = -0.5
+        elif kind == "asymmetric":
+            graph[0, 1] += 0.25
+        else:
+            graph[2, 2] = 0.5
+        bad = data.PopulationDataset(subject_ids=ds.subject_ids, tensor=tensor)
+        affinities = []
+        monkeypatch.setattr(training, "learn_affinity", lambda x: affinities.append(x))
+        with pytest.raises(ValidationError, match=match):
+            training.train(bad, 0, small_config(iterations=1, batch_size=12, seed=1))
+        assert not affinities  # no set-up ran
 
     def test_config_validation(self):
         with pytest.raises(PreconditionError):
@@ -293,18 +317,39 @@ class TestDrawnCluster:
         assert len(draws) == cfg.iterations * cfg.n_critic
 
 
+class TestRealTargets:
+    """Each cluster scores its real targets once, from its target rows, and
+    the scores are the dataset graphs' eigenvector centralities."""
+
+    @pytest.mark.parametrize("batch_size", [1000, 5], ids=["whole", "pooled"])
+    def test_real_centralities_are_the_target_graphs_ec(self, batch_size):
+        ds = small_dataset()
+        members = np.arange(1, ds.s, 3)
+        feats = np.stack([ds.feature_matrix(v) for v in range(ds.v)])
+        ctx = training._ClusterContext(members, feats, ds.r, batch_size)
+        picked = members
+        if ctx.draw(np.random.default_rng(0)):
+            picked = members[np.random.default_rng(0).choice(
+                members.size, size=batch_size, replace=False)]
+        assert ctx.n == picked.size
+        expected = np.concatenate([topology.centralities(ds.tensor[picked, v])["ec"]
+                                   for v in range(1, ds.v)])
+        assert ctx.real_cent.tobytes() == expected.tobytes()
+        assert np.array_equal(ctx.targets, feats[1:, picked])
+
+
 class TestOpCounts:
     @staticmethod
     def _records(monkeypatch, batch_size):
         """Tape records of [critic step, generator step], for k = 2 and k = 5."""
         records = []
-        minimize = ad.Adam.minimize
+        step = ad.Adam.step
 
         def counting(self, tape, loss):
             records.append(len(tape._records))
-            minimize(self, tape, loss)
+            step(self, tape, loss)
 
-        monkeypatch.setattr(ad.Adam, "minimize", counting)
+        monkeypatch.setattr(ad.Adam, "step", counting)
         counts = {}
         for v in (3, 6):
             records.clear()
@@ -359,13 +404,13 @@ class TestParameterIsolation:
 
     def test_discriminator_is_constant_in_the_generator_step(self, monkeypatch):
         tapes = []  # (optimizer, leaves of the tape it stepped on)
-        minimize = ad.Adam.minimize
+        step = ad.Adam.step
 
         def recording(self, tape, loss):
             tapes.append((self, list(tape._leaves.values())))
-            minimize(self, tape, loss)
+            step(self, tape, loss)
 
-        monkeypatch.setattr(ad.Adam, "minimize", recording)
+        monkeypatch.setattr(ad.Adam, "step", recording)
         bundle, _ = training.train(small_dataset(), 0, small_config(iterations=1))
         disc = {id(p) for p in bundle.discriminator.params()}
         gen = {id(p) for p in bundle.encoder.params() + bundle.generator_params()}
@@ -382,7 +427,7 @@ class TestParameterIsolation:
 
 
 class TestStreamedStep:
-    """Training steps each parameter inside the backward (Adam.minimize)."""
+    """Training steps each parameter inside the backward (Adam.step)."""
 
     @pytest.mark.parametrize("batch_size", [8, 1000])
     def test_matches_backward_then_step(self, monkeypatch, batch_size):
@@ -390,9 +435,13 @@ class TestStreamedStep:
         streamed, trace = training.train(ds, 0, cfg)
 
         def backward_then_step(self, tape, loss):
-            self.step(ad.backward(tape, loss), tape)
+            # every gradient first, then the functional update of each parameter
+            grads = ad.backward(tape, loss)
+            for p, state in zip(self.params, self.states):
+                g = grads[p.node_id] if p._tape is tape else np.zeros(p.shape)
+                oracles.adam_step(state, p, g, self.lr)
 
-        monkeypatch.setattr(ad.Adam, "minimize", backward_then_step)
+        monkeypatch.setattr(ad.Adam, "step", backward_then_step)
         reference, ref_trace = training.train(ds, 0, cfg)
         assert [p.data.tobytes() for p in streamed.all_params()] == \
             [p.data.tobytes() for p in reference.all_params()]
@@ -492,7 +541,7 @@ class TestStepIsolationDirect:
                                                        oracles.split_rows(critic_fakes, n)))
         close(l_gdc, oracles.domain_classification_loss_per_view(
             oracles.split_rows(probs_fake, n), oracles.split_rows(probs_real, n)))
-        opt_d.step(ad.backward(tape, loss_d), tape)
+        opt_d.step(tape, loss_d)
 
         assert all(not np.array_equal(b, p.data)
                    for b, p in zip(d_before, bundle.discriminator.params()))
@@ -513,7 +562,7 @@ class TestStepIsolationDirect:
             loss_g = generator_loss([(fooling, ad.constant([[0.0]]), l_inf)], weights)
         close(fooling, oracles.generator_fooling_term_per_view(oracles.split_rows(critic_fakes, n)))
         close(l_inf, oracles.info_max_loss_per_view(oracles.split_rows(probs_fake, n)))
-        opt_g.step(ad.backward(tape, loss_g), tape)
+        opt_g.step(tape, loss_g)
 
         assert all(np.array_equal(b, p.data)
                    for b, p in zip(d_mid, bundle.discriminator.params()))
