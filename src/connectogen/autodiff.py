@@ -6,6 +6,15 @@ the records in reverse to accumulate gradients for every ``requires_grad``
 leaf.  Tapes are single-use: one forward pass, one backward pass, then a
 fresh tape for the next step.
 
+An op never sees a node id.  It hands :func:`_emit` its output, its inputs
+and a ``backward(g)`` that maps the output's gradient to one gradient per
+input, in input order.  The tape records ``(out_id, input ids, backward)``,
+with id None for an input that requires no gradient, and the engine zips
+the ids with the gradients, strictly, skipping the None ids in input order.
+An op whose gradient for an input costs work reads the input's
+``requires_grad`` in the forward and returns None there when it is unset,
+as :func:`matmul` does for the constant f-wide rows of a projection.
+
 The backward hands each leaf's gradient over as soon as the first record
 that reads the leaf has run, and :meth:`Adam.step` steps the parameter
 right there, so a step never holds every parameter's gradient at once.
@@ -52,10 +61,6 @@ class _ThreadTapes(threading.local):
 
 
 _local = _ThreadTapes()
-
-
-def _tape_stack() -> list:
-    return _local.stack
 
 
 def _active_tape():
@@ -129,7 +134,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records = []  # (out_id, backward_fn)
+        self._records = []  # (out_id, input ids, backward)
         self._leaves = {}  # node_id -> Tensor
         # (index of the first record that reads the leaf, leaf node_id), in
         # record order: backward hands a leaf's gradient over right after
@@ -140,11 +145,11 @@ class Tape:
         self.closed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _local.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
+        stack = _local.stack
         if stack and stack[-1] is self:
             stack.pop()
         self.closed = True
@@ -169,13 +174,15 @@ class Tape:
         self._first_uses.append((len(self._records), node_id))
         return node_id
 
-    def emit(self, out: Tensor, backward_fn) -> None:
-        """Record an op output; ``backward_fn(g)`` yields (in_id, grad) pairs."""
+    def emit(self, out: Tensor, ids: list, backward) -> None:
+        """Record an op output with its inputs' node ids (None where an input
+        requires no gradient); ``backward(g)`` returns one gradient per input,
+        in the order of ``ids``."""
         node_id = self._next_id
         self._next_id += 1
         out._tape = self
         out._node_id = node_id
-        self._records.append((node_id, backward_fn))
+        self._records.append((node_id, ids, backward))
 
 
 def backward(tape: Tape, loss: Tensor, consume=None) -> dict[int, Tensor] | None:
@@ -224,11 +231,14 @@ def _stream_gradients(tape: Tape, loss: Tensor, consume) -> None:
     # add to in place
     owned = set()
     while records:
-        out_id, backward_fn = records.pop()
+        out_id, in_ids, backward_fn = records.pop()
         g_out = grads.pop(out_id, None)
         if g_out is not None:
             owned.discard(out_id)
-            for in_id, g_in in backward_fn(g_out):
+            # strict: an op returning too few or too many gradients raises
+            for in_id, g_in in zip(in_ids, backward_fn(g_out), strict=True):
+                if in_id is None:
+                    continue
                 acc = grads.get(in_id)
                 if acc is None:
                     grads[in_id] = g_in
@@ -249,24 +259,20 @@ def _binary_setup(a: Tensor, b: Tensor, op: str):
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
-def _emit(out: Tensor, inputs: list[Tensor], backward_fn_builder) -> Tensor:
-    """Record ``out`` if a tape is active and any input requires grad."""
-    stack = _local.stack
-    if not stack:
+def _emit(out: Tensor, inputs: list[Tensor], backward) -> Tensor:
+    """Record ``out`` if a tape is active and any input requires grad.
+
+    ``backward(g)`` maps the gradient of ``out`` to one gradient per input,
+    in input order; the engine drops those of inputs that require none.
+    """
+    tape = _active_tape()
+    if tape is None:
         return out
-    tape = stack[-1]
-    ids = []
-    needs = False
-    for t in inputs:
-        if t.requires_grad:
-            needs = True
-            ids.append(tape.node_for(t))
-        else:
-            ids.append(None)
-    if not needs:
+    ids = [tape.node_for(t) if t.requires_grad else None for t in inputs]
+    if all(i is None for i in ids):
         return out
     out.requires_grad = True
-    tape.emit(out, backward_fn_builder(ids))
+    tape.emit(out, ids, backward)
     return out
 
 
@@ -276,113 +282,57 @@ def _emit(out: Tensor, inputs: list[Tensor], backward_fn_builder) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
-    out = _result(a.data @ b.data)
     a_data, b_data = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
+    out = _result(a_data @ b_data)
 
-    def build(ids):
-        ia, ib = ids
-
-        def bw(g):
-            contrib = []
-            if ia is not None:
-                contrib.append((ia, g @ b_data.T))
-            if ib is not None:
-                # OpenBLAS runs g^T a up to twice as fast as a^T g when a is
-                # the f-wide input of a projection.  The C-contiguous copy
-                # spares the strided add where the Gram's gradient joins W1's
-                # and pays for itself at the AAL size
-                contrib.append((ib, np.ascontiguousarray((g.T @ a_data).T)))
-            return contrib
-
-        return bw
-
-    return _emit(out, [a, b], build)
+    # OpenBLAS runs g^T a up to twice as fast as a^T g when a is the f-wide
+    # input of a projection.  The C-contiguous copy spares the strided add
+    # where the Gram's gradient joins W1's and pays for itself at the AAL size
+    return _emit(out, [a, b], lambda g: (
+        g @ b_data.T if need_a else None,
+        np.ascontiguousarray((g.T @ a_data).T) if need_b else None))
 
 
 def gram(w: Tensor) -> Tensor:
     """w^T w, one op whose backward is the single product w (g + g^T)."""
     w_data = w.data
     out = _result(w_data.T @ w_data)
-
-    def build(ids):
-        (iw,) = ids
-        return lambda g: [(iw, w_data @ (g + g.T))]
-
-    return _emit(out, [w], build)
+    return _emit(out, [w], lambda g: (w_data @ (g + g.T),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_setup(a, b, "add")
     out = _result(a.data + b.data)
-
-    def build(ids):
-        ia, ib = ids
-        return lambda g: [(i, g) for i in (ia, ib) if i is not None]
-
-    return _emit(out, [a, b], build)
+    return _emit(out, [a, b], lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_setup(a, b, "sub")
+    need_b = b.requires_grad
     out = _result(a.data - b.data)
-
-    def build(ids):
-        ia, ib = ids
-
-        def bw(g):
-            contrib = []
-            if ia is not None:
-                contrib.append((ia, g))
-            if ib is not None:
-                contrib.append((ib, -g))
-            return contrib
-
-        return bw
-
-    return _emit(out, [a, b], build)
+    return _emit(out, [a, b], lambda g: (g, -g if need_b else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_setup(a, b, "mul")
-    out = _result(a.data * b.data)
     a_data, b_data = a.data, b.data
-
-    def build(ids):
-        ia, ib = ids
-
-        def bw(g):
-            contrib = []
-            if ia is not None:
-                contrib.append((ia, g * b_data))
-            if ib is not None:
-                contrib.append((ib, g * a_data))
-            return contrib
-
-        return bw
-
-    return _emit(out, [a, b], build)
+    need_a, need_b = a.requires_grad, b.requires_grad
+    out = _result(a_data * b_data)
+    return _emit(out, [a, b], lambda g: (g * b_data if need_a else None,
+                                         g * a_data if need_b else None))
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
     out = _result(x.data * s)
-
-    def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, g * s)]
-
-    return _emit(out, [x], build)
+    return _emit(out, [x], lambda g: (g * s,))
 
 
 def relu(x: Tensor) -> Tensor:
     out = _result(np.maximum(x.data, 0.0))
     mask = x.data > 0  # relu'(0) = 0
-
-    def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, g * mask)]
-
-    return _emit(out, [x], build)
+    return _emit(out, [x], lambda g: (g * mask,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -393,12 +343,7 @@ def sigmoid(x: Tensor) -> Tensor:
     ev = np.exp(v[~pos])
     s[~pos] = ev / (1.0 + ev)
     out = _result(s)
-
-    def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, g * s * (1.0 - s))]
-
-    return _emit(out, [x], build)
+    return _emit(out, [x], lambda g: (g * s * (1.0 - s),))
 
 
 def mean_abs_diff(x: Tensor, target) -> Tensor:
@@ -418,18 +363,13 @@ def mean_abs_diff(x: Tensor, target) -> Tensor:
     np.abs(diff, out=diff)
     out = _result(diff.mean(keepdims=True))
 
-    def build(ids):
-        (ix,) = ids
+    def bw(g):
+        grad = np.subtract(x_data, target)
+        np.sign(grad, out=grad)
+        grad *= g[0, 0] / size
+        return (grad,)
 
-        def bw(g):
-            grad = np.subtract(x_data, target)
-            np.sign(grad, out=grad)
-            grad *= g[0, 0] / size
-            return [(ix, grad)]
-
-        return bw
-
-    return _emit(out, [x], build)
+    return _emit(out, [x], bw)
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -439,12 +379,7 @@ def sqrt(x: Tensor) -> Tensor:
     out = _result(root)
     # subgradient 0 at zero keeps penalty terms finite
     inv = np.where(root > 0, 0.5 / np.where(root > 0, root, 1.0), 0.0)
-
-    def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, g * inv)]
-
-    return _emit(out, [x], build)
+    return _emit(out, [x], lambda g: (g * inv,))
 
 
 def log(x: Tensor) -> Tensor:
@@ -452,23 +387,13 @@ def log(x: Tensor) -> Tensor:
         raise PreconditionError("log requires strictly positive entries")
     out = _result(np.log(x.data))
     x_data = x.data
-
-    def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, g / x_data)]
-
-    return _emit(out, [x], build)
+    return _emit(out, [x], lambda g: (g / x_data,))
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     out = _result(np.clip(x.data, lo, hi))
     mask = ((x.data >= lo) & (x.data <= hi)).astype(np.float64)
-
-    def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, g * mask)]
-
-    return _emit(out, [x], build)
+    return _emit(out, [x], lambda g: (g * mask,))
 
 
 def _check_nonempty(x: Tensor, op: str):
@@ -480,22 +405,12 @@ def mean(x: Tensor) -> Tensor:
     _check_nonempty(x, "mean")
     out = _result(x.data.mean(keepdims=True))
     shape, size = x.shape, x.data.size
-
-    def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, np.full(shape, g[0, 0] / size))]
-
-    return _emit(out, [x], build)
+    return _emit(out, [x], lambda g: (np.full(shape, g[0, 0] / size),))
 
 
 def transpose(x: Tensor) -> Tensor:
     out = _result(np.ascontiguousarray(x.data.T))
-
-    def build(ids):
-        (ix,) = ids
-        return lambda g: [(ix, g.T)]
-
-    return _emit(out, [x], build)
+    return _emit(out, [x], lambda g: (g.T,))
 
 
 def vstack(parts: list[Tensor]) -> Tensor:
@@ -506,21 +421,9 @@ def vstack(parts: list[Tensor]) -> Tensor:
         if p.shape[1] != cols:
             raise DimensionError(f"vstack: column counts differ ({p.shape[1]} vs {cols})")
     out = _result(np.vstack([p.data for p in parts]))
-    row_counts = [p.shape[0] for p in parts]
-
-    def build(ids):
-        def bw(g):
-            contrib = []
-            offset = 0
-            for i, rows in zip(ids, row_counts):
-                if i is not None:
-                    contrib.append((i, g[offset:offset + rows]))
-                offset += rows
-            return contrib
-
-        return bw
-
-    return _emit(out, parts, build)
+    stops = np.cumsum([p.shape[0] for p in parts]).tolist()
+    spans = list(zip([0, *stops], stops))
+    return _emit(out, parts, lambda g: [g[lo:hi] for lo, hi in spans])
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -530,17 +433,12 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         raise DimensionError(f"slice_rows: rows {start}:{stop} of {rows}")
     out = _result(x.data[start:stop])
 
-    def build(ids):
-        (ix,) = ids
+    def bw(g):
+        full = np.zeros((rows, cols))
+        full[start:stop] = g
+        return (full,)
 
-        def bw(g):
-            full = np.zeros((rows, cols))
-            full[start:stop] = g
-            return [(ix, full)]
-
-        return bw
-
-    return _emit(out, [x], build)
+    return _emit(out, [x], bw)
 
 
 def _check_out(out, shape, op: str):
@@ -573,16 +471,11 @@ def stack_matmul(adjs: np.ndarray, x: Tensor, out: np.ndarray | None = None) -> 
     np.matmul(adjs, x_in, out=data.reshape(blocks, n, cols))
     result = _result(data)
 
-    def build(ids):
-        (ix,) = ids
+    def bw(g):
+        gx = np.matmul(np.swapaxes(adjs, -1, -2), g.reshape(blocks, n, cols))
+        return (gx.sum(axis=0) if shared else gx.reshape(rows, cols),)
 
-        def bw(g):
-            gx = np.matmul(np.swapaxes(adjs, -1, -2), g.reshape(blocks, n, cols))
-            return [(ix, gx.sum(axis=0) if shared else gx.reshape(rows, cols))]
-
-        return bw
-
-    return _emit(result, [x], build)
+    return _emit(result, [x], bw)
 
 
 def per_block_matmul(x: Tensor, weights: list[Tensor],
@@ -606,29 +499,22 @@ def per_block_matmul(x: Tensor, weights: list[Tensor],
     spans = [slice(b * n, (b + 1) * n) for b in range(blocks)]
     x_data = x.data
     w_data = [w.data for w in weights]
+    need_x, need_ws = x.requires_grad, [w.requires_grad for w in weights]
     data = _check_out(out, (rows, c_out), "per_block_matmul")
     for span, w in zip(spans, w_data):
         np.matmul(x_data[span], w, out=data[span])
     result = _result(data)
 
-    def build(ids):
-        ix, *iws = ids
+    def bw(g):
+        gx = None
+        if need_x:
+            gx = np.empty((rows, c_in))
+            for span, w in zip(spans, w_data):
+                np.matmul(g[span], w.T, out=gx[span])
+        return [gx, *(x_data[span].T @ g[span] if need else None
+                      for span, need in zip(spans, need_ws))]
 
-        def bw(g):
-            contrib = []
-            if ix is not None:
-                gx = np.empty((rows, c_in))
-                for span, w in zip(spans, w_data):
-                    np.matmul(g[span], w.T, out=gx[span])
-                contrib.append((ix, gx))
-            for iw, span in zip(iws, spans):
-                if iw is not None:
-                    contrib.append((iw, x_data[span].T @ g[span]))
-            return contrib
-
-        return bw
-
-    return _emit(result, [x, *weights], build)
+    return _emit(result, [x, *weights], bw)
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,10 @@ def check_connectivity(weights, name: str = "matrix") -> np.ndarray:
     if w.ndim not in (2, 3) or w.shape[-1] != w.shape[-2]:
         raise ValidationError(
             f"{name}: expected a square matrix or a stack of them, got shape {w.shape}")
-    if np.isnan(w).any():
-        raise ValidationError(f"{name}: contains NaN entries")
-    if np.isinf(w).any():
+    if not np.isfinite(w).all():
+        # NaN is reported before infinity
+        if np.isnan(w).any():
+            raise ValidationError(f"{name}: contains NaN entries")
         raise ValidationError(f"{name}: contains infinite entries")
     if not np.array_equal(w, np.swapaxes(w, -1, -2)):
         raise ValidationError(f"{name}: not symmetric")

@@ -260,29 +260,29 @@ def evaluate(pred: np.ndarray, truth: np.ndarray, interp: str = topology.DISTANC
                             kl=kl, kl_avg=kl.mean(axis=0), p_values=p_values)
 
 
-def report_csv(report: EvaluationReport) -> str:
-    lines = ["view," + ",".join(MAE_COLUMNS)]
-    for label, row in zip(report.view_labels, report.mae):
-        lines.append(label + "," + ",".join(f"{x:.17g}" for x in row))
-    lines.append("avg," + ",".join(f"{x:.17g}" for x in report.mae_avg))
+def _table_csv(header, labels, rows, avg=None) -> str:
+    """A CSV with a ``view`` column, one ``%.17g`` row per label and an
+    ``avg`` row when ``avg`` is given."""
+    if avg is not None:
+        labels, rows = [*labels, "avg"], [*rows, avg]
+    lines = ["view," + ",".join(header)]
+    lines += [label + "," + ",".join(f"{x:.17g}" for x in row) for label, row in zip(labels, rows)]
     return "\n".join(lines) + "\n"
+
+
+def report_csv(report: EvaluationReport) -> str:
+    return _table_csv(MAE_COLUMNS, report.view_labels, report.mae, report.mae_avg)
 
 
 def kl_csv(report: EvaluationReport) -> str:
-    lines = ["view," + ",".join(f"kl_{m}" for m in METRIC_ORDER)]
-    for label, row in zip(report.view_labels, report.kl):
-        lines.append(label + "," + ",".join(f"{x:.17g}" for x in row))
-    lines.append("avg," + ",".join(f"{x:.17g}" for x in report.kl_avg))
-    return "\n".join(lines) + "\n"
+    return _table_csv([f"kl_{m}" for m in METRIC_ORDER], report.view_labels,
+                      report.kl, report.kl_avg)
 
 
 def pvalues_csv(report: EvaluationReport) -> str:
     if report.p_values is None:
         raise PreconditionError("report carries no p-values")
-    lines = ["view," + ",".join(f"p_{c}" for c in MAE_COLUMNS)]
-    for label, row in zip(report.view_labels, report.p_values):
-        lines.append(label + "," + ",".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
+    return _table_csv([f"p_{c}" for c in MAE_COLUMNS], report.view_labels, report.p_values)
 
 
 def report_markdown(report: EvaluationReport) -> str:

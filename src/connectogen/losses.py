@@ -119,12 +119,18 @@ def gradient_penalty(row_norms, p_source: ad.Tensor, p_fakes: ad.Tensor,
 def discriminator_loss(parts: list[tuple[ad.Tensor, ad.Tensor, ad.Tensor]],
                        weights: LossWeights) -> ad.Tensor:
     """Sum over clusters of L_adv + lambda_gp * L_gp + lambda_gdc * L_gdc."""
+    return _cluster_sum(parts, weights.lambda_gp, weights.lambda_gdc, "discriminator")
+
+
+def _cluster_sum(parts: list[tuple[ad.Tensor, ad.Tensor, ad.Tensor]],
+                 lambda_b: float, lambda_c: float, name: str) -> ad.Tensor:
+    """Sum over the clusters' (a, b, c) of a + lambda_b * b + lambda_c * c,
+    each term and the running sum added in cluster order."""
     if not parts:
-        raise PreconditionError("discriminator loss needs at least one cluster")
+        raise PreconditionError(f"{name} loss needs at least one cluster")
     loss = None
-    for l_adv, l_gp, l_gdc in parts:
-        term = ad.add(l_adv, ad.add(ad.scale(l_gp, weights.lambda_gp),
-                                    ad.scale(l_gdc, weights.lambda_gdc)))
+    for a, b, c in parts:
+        term = ad.add(a, ad.add(ad.scale(b, lambda_b), ad.scale(c, lambda_c)))
         loss = term if loss is None else ad.add(loss, term)
     return loss
 
@@ -162,11 +168,4 @@ def generator_fooling_term(critic_fakes: ad.Tensor) -> ad.Tensor:
 def generator_loss(parts: list[tuple[ad.Tensor, ad.Tensor, ad.Tensor]],
                    weights: LossWeights) -> ad.Tensor:
     """Sum over clusters of fooling + lambda_top * L_top + lambda_inf * L_inf."""
-    if not parts:
-        raise PreconditionError("generator loss needs at least one cluster")
-    loss = None
-    for fooling, l_top, l_inf in parts:
-        term = ad.add(fooling, ad.add(ad.scale(l_top, weights.lambda_top),
-                                      ad.scale(l_inf, weights.lambda_inf)))
-        loss = term if loss is None else ad.add(loss, term)
-    return loss
+    return _cluster_sum(parts, weights.lambda_top, weights.lambda_inf, "generator")

@@ -254,26 +254,21 @@ def batched_eigenvector_rows(features: ad.Tensor, r: int) -> ad.Tensor:
     upper, lower, _ = edge_index(r)
     diag = np.arange(r)
 
-    def build(ids):
-        (ix,) = ids
+    def bw(g):
+        rhs = g - vec * (vec * g).sum(axis=1, keepdims=True)
+        # an all-zero graph (v = 0, lam = 0) gets the system I, so u v^T = 0
+        shift = np.where(lam > 0, lam, 1.0)
+        grad = np.empty(x.shape)
+        for part in _chunks(len(x), r):
+            v, rows = vec[part], x[part]
+            system = devectorize(rows, r)
+            np.subtract(v[:, :, None] * v[:, None, :], system, out=system)
+            system[:, diag, diag] += shift[part, None]
+            u = np.linalg.solve(system, rhs[part, :, None])
+            uv = np.multiply(u, v[:, None, :], out=system).reshape(len(v), r * r)
+            out = grad[part]
+            np.add(np.take(uv, upper, axis=1), np.take(uv, lower, axis=1), out=out)
+            out *= rows > 0  # relu'(0) = 0
+        return (grad,)
 
-        def bw(g):
-            rhs = g - vec * (vec * g).sum(axis=1, keepdims=True)
-            # an all-zero graph (v = 0, lam = 0) gets the system I, so u v^T = 0
-            shift = np.where(lam > 0, lam, 1.0)
-            grad = np.empty(x.shape)
-            for part in _chunks(len(x), r):
-                v, rows = vec[part], x[part]
-                system = devectorize(rows, r)
-                np.subtract(v[:, :, None] * v[:, None, :], system, out=system)
-                system[:, diag, diag] += shift[part, None]
-                u = np.linalg.solve(system, rhs[part, :, None])
-                uv = np.multiply(u, v[:, None, :], out=system).reshape(len(v), r * r)
-                out = grad[part]
-                np.add(np.take(uv, upper, axis=1), np.take(uv, lower, axis=1), out=out)
-                out *= rows > 0  # relu'(0) = 0
-            return [(ix, grad)]
-
-        return bw
-
-    return ad._emit(ad._result(vec), [features], build)
+    return ad._emit(ad._result(vec), [features], bw)

@@ -205,6 +205,28 @@ def test_binary_and_structural_gradients():
     assert rel_err(g, finite_difference(np_vstack, a0)) < 1e-5
 
 
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.matmul],
+                         ids=lambda op: op.__name__)
+@pytest.mark.parametrize("side", ["second", "both"])
+def test_binary_gradients_with_the_parameter_second_or_both(op, side):
+    rng = np.random.default_rng(8)
+    a0 = rng.standard_normal((3, 3))
+    b0 = rng.standard_normal((3, 3))
+
+    def inputs(b):
+        return (ad.constant(a0), b) if side == "second" else (b, b)
+
+    def build(b):
+        y = op(*inputs(b))
+        return ad.mean(ad.mul(y, y))
+
+    def np_loss(arr):
+        t = op(*inputs(ad.Tensor(arr))).data
+        return (t * t).mean()
+
+    assert rel_err(grad_of(build, b0), finite_difference(np_loss, b0)) < 1e-5
+
+
 def test_batched_primitives_gradients():
     rng = np.random.default_rng(11)
     r = 4
@@ -380,7 +402,29 @@ class TestMeanAbsDiff:
 
 def _keeping(x, arr):
     """An op whose backward hands ``arr``, an array it keeps, to ``x``."""
-    return ad._emit(ad._result(x.data.copy()), [x], lambda ids: lambda g: [(ids[0], arr)])
+    return ad._emit(ad._result(x.data.copy()), [x], lambda g: (arr,))
+
+
+class TestOpContract:
+    """An op's backward returns one gradient per input, in input order."""
+
+    def test_gradient_for_a_constant_input_is_ignored(self):
+        c, x = ad.constant([[3.0, 4.0]]), ad.parameter([[1.0, 2.0]])
+        with ad.Tape() as tape:
+            out = ad._emit(ad._result(c.data + x.data), [c, x],
+                           lambda g: (np.full((1, 2), 7.0), g * 2.0))
+            loss = oracles.sum_all(out)
+        grads = ad.backward(tape, loss)
+        assert c.node_id is None and list(grads) == [x.node_id]
+        assert np.array_equal(grads[x.node_id].data, [[2.0, 2.0]])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_number_of_gradients_raises(self, count):
+        x, y = ad.parameter([[1.0]]), ad.parameter([[2.0]])
+        with ad.Tape() as tape:
+            loss = ad._emit(ad._result(x.data + y.data), [x, y], lambda g: (g,) * count)
+        with pytest.raises(ValueError, match=r"zip\(\) argument 2 is (shorter|longer)"):
+            ad.backward(tape, loss)
 
 
 class TestStreamedBackward:
@@ -393,8 +437,8 @@ class TestStreamedBackward:
             ad.relu(u)  # after the loss, so u gets no gradient
         events = []
         tape._records = [
-            (out_id, lambda g, i=i, fn=fn: events.append(("record", i)) or fn(g))
-            for i, (out_id, fn) in enumerate(tape._records)]
+            (out_id, ids, lambda g, i=i, fn=fn: events.append(("record", i)) or fn(g))
+            for i, (out_id, ids, fn) in enumerate(tape._records)]
         grads = {}
 
         def consume(node_id, g):
@@ -417,8 +461,8 @@ class TestStreamedBackward:
             a = ad.scale(q, 2.0)  # record 0, recorded before p's first use
             loss = oracles.sum_all(ad.mul(ad.add(a, ad.mul(p, p)), a))
         seen = []
-        out_id, fn = tape._records[0]
-        tape._records[0] = (out_id, lambda g: seen.append(p.data.copy()) or fn(g))
+        out_id, ids, fn = tape._records[0]
+        tape._records[0] = (out_id, ids, lambda g: seen.append(p.data.copy()) or fn(g))
         ad.Adam([p, q], lr=0.1).step(tape, loss)
         assert len(seen) == 1
         assert not np.array_equal(seen[0], p0)  # stepped before record 0 ran

@@ -299,8 +299,9 @@ class TestTrainFlags:
 
     @pytest.mark.parametrize("name", [
         pytest.param(name, marks=pytest.mark.xfail(
-            strict=True, reason="the gradient penalty never acts at the default sigma = k "
-                                "(FOUND in CHANGES.md; ROADMAP item 8)"))
+            strict=True, reason="the gradient penalty does not act within this 2-iteration "
+                                "fixture; on 300-iteration runs it first acts at iteration "
+                                "70-132 (ROADMAP, Recent)"))
         if name == "lambda_gp" else name
         for name in OFF_DEFAULT])
     def test_each_flag_changes_the_model(self, base, tmp_path, name):

@@ -44,6 +44,14 @@ class TestVectorize:
         with pytest.raises(ValidationError, match="infinite"):
             data.check_connectivity(np.stack([np.zeros((3, 3)), w]))
 
+    def test_nan_reported_before_infinity(self):
+        # the infinite entry comes first in memory, the NaN message still wins
+        w = np.array([[0, np.inf, 1.0], [np.inf, 0, np.nan], [1.0, np.nan, 0]])
+        with pytest.raises(ValidationError, match="contains NaN entries"):
+            data.check_connectivity(w)
+        with pytest.raises(ValidationError, match="contains NaN entries"):
+            data.check_connectivity(np.stack([np.where(np.isnan(w), 0.0, w), w]))
+
     def test_stack_accepted_by_check_but_not_by_vectorize(self):
         stack = np.zeros((2, 3, 3))
         assert data.check_connectivity(stack).shape == (2, 3, 3)

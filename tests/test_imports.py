@@ -125,3 +125,39 @@ def test_fixed_hyperparameter_classes_are_gone(owner):
     module, attr = owner.split(".")
     assert not hasattr(importlib.import_module(f"connectogen.{module}"), attr)
     assert attr not in connectogen.__all__ and not hasattr(connectogen, attr)
+
+
+# the tape's node ids and record list; an op sees neither, it hands _emit a
+# backward that returns one gradient per input
+ENGINE_NAMES = {"_node_id", "node_id", "_records"}
+
+
+def engine_names_read(source: str) -> list[str]:
+    """The names of ``ENGINE_NAMES`` that ``source`` reads, as a name or
+    as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+    return sorted(read & ENGINE_NAMES)
+
+
+def test_only_autodiff_sees_node_ids():
+    assert [path.name for path in MODULES
+            if engine_names_read(path.read_text(encoding="utf-8"))] == ["autodiff.py"]
+
+
+def test_engine_scan_finds_attribute_and_name_reads():
+    source = ("def f(t, tape):\n    node_id = t._node_id\n    return tape._records, node_id\n"
+              "# node_id in a comment\n")
+    assert engine_names_read(source) == ["_node_id", "_records", "node_id"]
+    assert engine_names_read("x = 'node_id'\n") == []
+
+
+def test_ec_op_records_through_emit():
+    from connectogen import topology
+
+    tree = ast.parse(inspect.getsource(topology.batched_eigenvector_rows))
+    assert "_emit" in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
